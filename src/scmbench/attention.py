@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CostCounters, scratch, softmax_last_inplace
+from .core import CostCounters, scratch, softmax_last_inplace, split_rows
 from .errors import ParameterError, ShapeError
 
 __all__ = [
@@ -165,42 +165,50 @@ def axis_attention(z_seq: np.ndarray, prior_token: np.ndarray, p: BlockParams,
         raise ShapeError(f"prior shape {prior_token.shape} != ({b}, 1, {c})")
     d = p.head_dim()
     nh = p.n_heads
+    out = np.empty((b, n, c))
+    prior_weight = np.empty((b, n))
 
-    # Transients live in pooled scratch buffers; only the returned arrays
-    # are freshly allocated.
-    kv_in = np.concatenate(
-        (z_seq, prior_token), axis=1, out=scratch("attn.kv", (b, n + 1, c))
-    )
-    kv_rows = kv_in.reshape(b * (n + 1), c)
-    q = np.matmul(z_seq.reshape(b * n, c), p.wq,
-                  out=scratch("attn.q", (b * n, c)))
-    k = np.matmul(kv_rows, p.wk, out=scratch("attn.k", (b * (n + 1), c)))
-    v = np.matmul(kv_rows, p.wv, out=scratch("attn.v", (b * (n + 1), c)))
-    q *= 1.0 / math.sqrt(d)
+    def attend(lo: int, hi: int) -> None:
+        # Transients live in this thread's scratch buffers; the part writes
+        # only rows lo:hi of the two returned arrays.
+        bp = hi - lo
+        kv_in = np.concatenate(
+            (z_seq[lo:hi], prior_token[lo:hi]), axis=1,
+            out=scratch("attn.kv", (bp, n + 1, c)),
+        )
+        kv_rows = kv_in.reshape(bp * (n + 1), c)
+        q = np.matmul(z_seq[lo:hi].reshape(bp * n, c), p.wq,
+                      out=scratch("attn.q", (bp * n, c)))
+        k = np.matmul(kv_rows, p.wk, out=scratch("attn.k", (bp * (n + 1), c)))
+        v = np.matmul(kv_rows, p.wv, out=scratch("attn.v", (bp * (n + 1), c)))
+        q *= 1.0 / math.sqrt(d)
 
-    qh = q.reshape(b, n, nh, d).transpose(0, 2, 1, 3)
-    kht = k.reshape(b, n + 1, nh, d).transpose(0, 2, 3, 1)
-    vh = v.reshape(b, n + 1, nh, d).transpose(0, 2, 1, 3)
+        qh = q.reshape(bp, n, nh, d).transpose(0, 2, 1, 3)
+        kht = k.reshape(bp, n + 1, nh, d).transpose(0, 2, 3, 1)
+        vh = v.reshape(bp, n + 1, nh, d).transpose(0, 2, 1, 3)
 
-    # Scores, softmax, and the weighted sum run in batch chunks sized so
-    # one chunk of weights stays cache-resident. Per-sequence results do
-    # not depend on the chunking, so any chunk size is bit-identical.
-    chunk = max(1, _SCORE_CHUNK_ELEMENTS // (nh * n * (n + 1)))
-    scores_buf = scratch("attn.scores", (min(b, chunk), nh, n, n + 1))
-    ctx = scratch("attn.ctx", (b, nh, n, d))
-    prior_cols = scratch("attn.prior", (b, nh, n))
-    for i in range(0, b, chunk):
-        j = min(b, i + chunk)
-        sc = scores_buf[: j - i]
-        np.matmul(qh[i:j], kht[i:j], out=sc)
-        softmax_last_inplace(sc)                          # [j-i, nh, n, n+1]
-        np.copyto(prior_cols[i:j], sc[:, :, :, -1])
-        np.matmul(sc, vh[i:j], out=ctx[i:j])
-    merged = scratch("attn.merged", (b, n, nh, d))
-    np.copyto(merged, ctx.transpose(0, 2, 1, 3))
-    out = (merged.reshape(b * n, c) @ p.wo).reshape(b, n, c)
-    prior_weight = prior_cols.mean(axis=1)                # [B, n]
+        # Scores, softmax, and the weighted sum run in batch chunks sized
+        # so one chunk of weights stays cache-resident. Per-sequence
+        # results do not depend on the chunking, so any chunk size is
+        # bit-identical.
+        chunk = max(1, _SCORE_CHUNK_ELEMENTS // (nh * n * (n + 1)))
+        scores_buf = scratch("attn.scores", (min(bp, chunk), nh, n, n + 1))
+        ctx = scratch("attn.ctx", (bp, nh, n, d))
+        prior_cols = scratch("attn.prior", (bp, nh, n))
+        for i in range(0, bp, chunk):
+            j = min(bp, i + chunk)
+            sc = scores_buf[: j - i]
+            np.matmul(qh[i:j], kht[i:j], out=sc)
+            softmax_last_inplace(sc)                      # [j-i, nh, n, n+1]
+            np.copyto(prior_cols[i:j], sc[:, :, :, -1])
+            np.matmul(sc, vh[i:j], out=ctx[i:j])
+        merged = scratch("attn.merged", (bp, n, nh, d))
+        np.copyto(merged, ctx.transpose(0, 2, 1, 3))
+        np.matmul(merged.reshape(bp * n, c), p.wo,
+                  out=out[lo:hi].reshape(bp * n, c))
+        np.mean(prior_cols, axis=1, out=prior_weight[lo:hi])  # [bp, n]
 
+    split_rows(b, attend, rows_per_item=n)
     if counters is not None:
         counters.add_attention(attention_flop_count(b, n, c, nh), block=block)
         counters.acquire_workspace(_attention_workspace(b, n, c, nh))
@@ -218,16 +226,20 @@ def ffn(x: np.ndarray, p: BlockParams,
     rows = x.reshape(-1, c)
     m = rows.shape[0]
     out = np.empty((m, c))
-    # Row-chunked so the hidden activation stays cache-resident; tokenwise
-    # results are independent of the chunking.
-    step = _FFN_CHUNK_ROWS
-    hidden_buf = scratch("ffn.hidden", (min(m, step), 2 * c))
-    tmp_buf = scratch("ffn.tmp", hidden_buf.shape)
-    for i in range(0, m, step):
-        j = min(m, i + step)
-        hidden = np.matmul(rows[i:j], p.w1, out=hidden_buf[: j - i])
-        _gelu_inplace(hidden, tmp_buf[: j - i])
-        np.matmul(hidden, p.w2, out=out[i:j])
+
+    def apply(lo: int, hi: int) -> None:
+        # Row-chunked so the hidden activation stays cache-resident;
+        # tokenwise results are independent of the chunking and the split.
+        step = _FFN_CHUNK_ROWS
+        hidden_buf = scratch("ffn.hidden", (min(hi - lo, step), 2 * c))
+        tmp_buf = scratch("ffn.tmp", hidden_buf.shape)
+        for i in range(lo, hi, step):
+            j = min(hi, i + step)
+            hidden = np.matmul(rows[i:j], p.w1, out=hidden_buf[: j - i])
+            _gelu_inplace(hidden, tmp_buf[: j - i])
+            np.matmul(hidden, p.w2, out=out[i:j])
+
+    split_rows(m, apply)
     out = out.reshape(x.shape)
     if counters is not None:
         tokens = rows.shape[0]

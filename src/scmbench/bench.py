@@ -13,6 +13,7 @@ import csv
 import dataclasses
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -67,6 +68,8 @@ class RunConfig:
     elevation_deg: float = 30.0
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            _check_type(f.name, f.type, getattr(self, f.name))
         if self.mode not in MODES:
             raise UsageError(f"mode: unknown value {self.mode!r}")
         if not 0.0 < self.topk_ratio <= 1.0:
@@ -100,6 +103,25 @@ class RunConfig:
             warmup=self.warmup,
             zero_refill=self.zero_refill,
         )
+
+
+def _check_type(name: str, kind: str, value) -> None:
+    """Reject a value of the wrong type for its field: a bool is not a
+    number, and a float must be finite."""
+    if kind == "bool":
+        ok = isinstance(value, bool)
+    elif kind == "str":
+        ok = isinstance(value, str)
+    elif isinstance(value, bool):
+        ok = False
+    elif kind == "int":
+        ok = isinstance(value, numbers.Integral)
+    else:
+        ok = isinstance(value, numbers.Real)
+        if ok and not math.isfinite(value):
+            raise UsageError(f"{name}: must be finite, got {value!r}")
+    if not ok:
+        raise UsageError(f"{name}: expected {kind}, got {value!r}")
 
 
 _FIELD_NAMES = {f.name for f in dataclasses.fields(RunConfig)}

@@ -1,18 +1,31 @@
 """Deterministic dense-tensor primitives: matmul, softmax, selection,
-scatter/gather, a seeded PRNG, and cost instrumentation.
+scatter/gather, a seeded PRNG, cost instrumentation, and the row split
+that spreads the hot loops over the available cores.
 
-Everything is float64 and single-threaded-deterministic: the same inputs
-produce bit-identical outputs on every call. All array values flowing
-through public operations are finite; callers can assert this cheaply with
-:func:`assert_finite`.
+Everything is float64 and bit-deterministic: the same inputs produce
+bit-identical outputs on every call. The thread policy is what makes that
+hold on any machine:
+
+* numpy's OpenBLAS is pinned to one thread, process-wide, when this module
+  is imported, so every matmul row is computed in one fixed order;
+* :func:`split_rows` splits the rows of attention, FFN and mixing, and the
+  dot products of :func:`cosine`, across the CPUs in the process's
+  affinity set, each part on its own thread;
+* per-row results do not depend on the split, so outputs do not depend on
+  the core count or on ``OPENBLAS_NUM_THREADS``.
+
+All array values flowing through public operations are finite; callers can
+assert this cheaply with :func:`assert_finite`.
 """
 
 from __future__ import annotations
 
 import ctypes
 import math
+import os
 import threading
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -23,6 +36,7 @@ __all__ = [
     "Rng",
     "matmul",
     "scratch",
+    "split_rows",
     "softmax_last",
     "softmax_last_inplace",
     "tune_allocator",
@@ -225,6 +239,82 @@ def scratch(tag: str, shape: tuple) -> np.ndarray:
     return buf
 
 
+def _pin_blas_to_one_thread() -> bool:
+    """Set numpy's bundled OpenBLAS to one thread; False if it cannot be found.
+
+    Done through the library's own set-threads symbol rather than an
+    environment variable, so it also holds when numpy was imported first.
+    """
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs")
+                  .glob("libscipy_openblas*.so*"))
+    for lib in libs:
+        try:
+            set_threads = ctypes.CDLL(str(lib)).scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        set_threads.argtypes = [ctypes.c_int]
+        set_threads.restype = None
+        set_threads(1)
+        return True
+    return False
+
+
+# Row-split width: the CPUs this process may run on, or 1 when BLAS could
+# not be pinned (a multi-threaded BLAS under parallel callers would
+# oversubscribe the cores).
+_PARTS = len(os.sched_getaffinity(0)) if _pin_blas_to_one_thread() else 1
+# Fewest rows worth a part of their own; smaller jobs run serially on the
+# calling thread, where a dispatch would cost more than it saves.
+_MIN_PART_ROWS = 1024
+
+_executor = None
+_executor_workers = 0
+
+
+def _workers(n: int):
+    """The persistent pool, started on first use, with at least n workers."""
+    global _executor, _executor_workers
+    # Imported here, not at the top, so that importing scmbench stays as
+    # cheap as it was before the pool existed.
+    from concurrent.futures import ThreadPoolExecutor
+
+    if _executor_workers < n:
+        if _executor is not None:
+            _executor.shutdown()
+        _executor = ThreadPoolExecutor(max_workers=n,
+                                       thread_name_prefix="scmbench")
+        _executor_workers = n
+    return _executor
+
+
+def split_rows(n: int, run, rows_per_item: int = 1) -> None:
+    """Call ``run(start, stop)`` over contiguous parts covering range(n).
+
+    Each item weighs ``rows_per_item`` rows. The work is cut into at most
+    one part per CPU and at most one part per :data:`_MIN_PART_ROWS` rows;
+    the calling thread runs the first part and the pool the rest. ``run``
+    must write only the rows of its own part, take its temporaries from
+    :func:`scratch` (which is per thread), and not call ``split_rows``
+    itself, so that the result is the same for every split and no part
+    waits on a pool it occupies.
+    """
+    parts = min(_PARTS, n, n * rows_per_item // _MIN_PART_ROWS)
+    if parts <= 1:
+        run(0, n)
+        return
+    bounds = [n * i // parts for i in range(parts + 1)]
+    pool = _workers(parts - 1)
+    futures = [pool.submit(run, bounds[i], bounds[i + 1])
+               for i in range(1, parts)]
+    try:
+        run(bounds[0], bounds[1])
+    finally:
+        for fut in futures:
+            fut.exception()  # waits for the part, even if this one failed
+    for fut in futures:
+        fut.result()
+
+
 def softmax_last_inplace(x: np.ndarray) -> np.ndarray:
     """Max-subtracted softmax along the last axis, overwriting ``x``."""
     if x.shape[-1] < 1:
@@ -246,11 +336,20 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
         raise ShapeError(f"cosine shapes disagree: {a.shape} vs {b.shape}")
     af = a.ravel()
     bf = b.ravel()
-    na = float(np.linalg.norm(af))
-    nb = float(np.linalg.norm(bf))
+    # Three whole dot products, so the split changes which thread takes
+    # each, never its value; a . b reads as much memory as the other two.
+    pairs = ((af, bf), (af, af), (bf, bf))
+    dots = [0.0] * 3
+
+    def take(lo: int, hi: int) -> None:
+        for i in range(lo, hi):
+            dots[i] = float(pairs[i][0] @ pairs[i][1])
+
+    split_rows(3, take, rows_per_item=af.size // max(1, a.shape[-1]))
+    na, nb = math.sqrt(dots[1]), math.sqrt(dots[2])
     if na == 0.0 or nb == 0.0:
         raise DegenerateInputError("cosine of a zero-norm operand")
-    return float(np.clip(float(af @ bf) / (na * nb), -1.0, 1.0))
+    return float(np.clip(dots[0] / (na * nb), -1.0, 1.0))
 
 
 def topk_indices(scores: np.ndarray, k: int) -> np.ndarray:

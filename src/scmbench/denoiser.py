@@ -27,7 +27,7 @@ from .attention import (
     spatial_forward,
 )
 from .cache import BLOCK_KINDS, RollingCache
-from .core import CostCounters, Rng, assert_finite, randn, scratch
+from .core import CostCounters, Rng, assert_finite, randn, scratch, split_rows
 from .errors import ParameterError
 from .pruning import pruned_chain_forward
 from .scheduler import (
@@ -267,21 +267,31 @@ def mixing(z: np.ndarray, mix: np.ndarray,
            counters: CostCounters | None = None) -> np.ndarray:
     """Channelwise linear map, then 3-point reflect-padded averaging."""
     f, v, h, w, c = z.shape
-    rows = z.reshape(f * v * h * w, c)
+    g, l = f * v, h * w
+    rows = z.reshape(g * l, c)
     lin = scratch("mix.lin", rows.shape)
     if np.shares_memory(rows, lin):
         lin = scratch("mix.lin2", rows.shape)
-    y = np.matmul(rows, mix, out=lin).reshape(f, v, h, w, c)
-    if h > 1:
-        y = _reflect_avg(y, lambda a, s: a[:, :, s], scratch("mix.h", y.shape))
-    if w > 1:
-        y = _reflect_avg(y, lambda a, s: a[:, :, :, s],
-                         scratch("mix.w", y.shape))
+    avg_h = scratch("mix.h", (g, h, w, c)) if h > 1 else None
+    avg_w = scratch("mix.w", (g, h, w, c)) if w > 1 else None
+
+    def apply(lo: int, hi: int) -> None:
+        # Each (f, v) slice is mixed on its own; a part touches only the
+        # rows of its slices, in every buffer.
+        y = np.matmul(rows[lo * l:hi * l], mix, out=lin[lo * l:hi * l])
+        y = y.reshape(hi - lo, h, w, c)
+        if avg_h is not None:
+            y = _reflect_avg(y, lambda a, s: a[:, s], avg_h[lo:hi])
+        if avg_w is not None:
+            _reflect_avg(y, lambda a, s: a[:, :, s], avg_w[lo:hi])
+
+    split_rows(g, apply, rows_per_item=l)
+    y = avg_w if avg_w is not None else avg_h if avg_h is not None else lin
     if counters is not None:
         n = f * v * h * w
         counters.add_mixing(2 * n * c * c + 6 * n * c)
         counters.acquire_workspace(2 * n * c)
-    return y
+    return y.reshape(f, v, h, w, c)
 
 
 @dataclass
@@ -529,7 +539,11 @@ def read_latent(path) -> np.ndarray:
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
             raise ParameterError(f"{path} is not a latent dump")
-        ndim = struct.unpack("<q", fh.read(8))[0]
-        shape = struct.unpack(f"<{ndim}q", fh.read(8 * ndim))
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    return data.reshape(shape)
+        try:
+            ndim = struct.unpack("<q", fh.read(8))[0]
+            shape = struct.unpack(f"<{ndim}q", fh.read(8 * ndim))
+            data = np.frombuffer(fh.read(), dtype="<f8")
+            return data.reshape(shape)
+        except (struct.error, ValueError) as exc:
+            raise ParameterError(f"{path}: truncated or corrupt latent dump "
+                                 f"({exc})") from exc

@@ -26,7 +26,7 @@ from .attention import (
     spatial_forward,
 )
 from .cache import RollingCache
-from .core import CostCounters, Rng
+from .core import CostCounters, Rng, scratch
 from .errors import ParameterError, ShapeError
 
 __all__ = [
@@ -109,13 +109,38 @@ def random_tokens(f: int, v: int, h: int, w: int, ratio: float, rng: Rng,
     return TokenIndexSet.from_keep_lists(draw(f), draw(v), l, ratio)
 
 
-def _refill_along(positions_axis1: np.ndarray, computed: np.ndarray,
-                  refill: np.ndarray) -> np.ndarray:
-    """Overwrite refill[g, pos, ...] with computed rows, per group g."""
-    out = refill.copy()
-    idx = positions_axis1[:, :, None, None]
-    np.put_along_axis(out, np.broadcast_to(idx, computed.shape), computed, axis=1)
-    return out
+def _pruned_block(z: np.ndarray, prior_seq: np.ndarray, w: BlockParams,
+                  rows: tuple, keep: np.ndarray, cached: np.ndarray,
+                  block: str,
+                  counters: CostCounters | None) -> BlockOutput:
+    """Attention on the kept sequences only, complements from ``cached``.
+
+    ``keep`` holds the [G, K] kept positions and ``prior_seq`` [G, L, C]
+    one prior per (group, position). ``rows`` is a tuple of index arrays
+    into the [F, V, L, C] latent that broadcasts to [G, K, n]: entry
+    (g, k, i) is token i of the sequence at kept position keep[g, k]. The
+    kept rows are gathered straight from the latent and the attended rows
+    scattered straight into a copy of the cached attention, so no
+    full-size transposed copy is made on either side.
+    """
+    f, v, h, ww, c = z.shape
+    l = h * ww
+    if cached.shape != z.shape:
+        raise ShapeError(f"cached {block} attention shape mismatch")
+    g, k = keep.shape
+    kept = z.reshape(f, v, l, c)[rows]                       # [G, K, n, C]
+    n = kept.shape[2]
+    prior = np.take_along_axis(prior_seq, keep[:, :, None], axis=1)
+    att, _ = axis_attention(kept.reshape(g * k, n, c),
+                            prior.reshape(g * k, 1, c), w, counters,
+                            block=block)
+    attention = cached.copy()
+    attention.reshape(f, v, l, c)[rows] = att.reshape(g, k, n, c)
+    if counters is not None:
+        counters.acquire_workspace(attention.size)
+    resid = np.add(z, attention, out=scratch("block.resid", z.shape))
+    out = ffn(resid.reshape(f * v, l, c), w, counters)
+    return BlockOutput(out=out.reshape(z.shape), attention=attention)
 
 
 def pruned_camera_forward(z_s: np.ndarray, k_c: np.ndarray, w: BlockParams,
@@ -123,29 +148,11 @@ def pruned_camera_forward(z_s: np.ndarray, k_c: np.ndarray, w: BlockParams,
                           counters: CostCounters | None = None) -> BlockOutput:
     """Camera attention on kept positions only, complements from cache."""
     f, v, h, ww, c = z_s.shape
-    l = h * ww
-    if cached_a_c.shape != z_s.shape:
-        raise ShapeError("cached camera attention shape mismatch")
-    # [F, L, V, C] sequence layout, then keep K positions per frame.
-    seq = np.ascontiguousarray(z_s.reshape(f, v, l, c).transpose(0, 2, 1, 3))
-    kept = np.take_along_axis(seq, idx.i_c[:, :, None, None], axis=1)
-    prior = np.take_along_axis(
-        k_c.reshape(f, l, c), idx.i_c[:, :, None], axis=1
-    )
-    att, _ = axis_attention(
-        kept.reshape(f * idx.k, v, c),
-        prior.reshape(f * idx.k, 1, c),
-        w, counters, block="camera",
-    )
-    cached_seq = np.ascontiguousarray(
-        cached_a_c.reshape(f, v, l, c).transpose(0, 2, 1, 3)
-    )
-    full = _refill_along(idx.i_c, att.reshape(f, idx.k, v, c), cached_seq)
-    attention = full.transpose(0, 2, 1, 3).reshape(f, v, h, ww, c)
-    if counters is not None:
-        counters.acquire_workspace(attention.size)
-    out = ffn((z_s + attention).reshape(f * v, l, c), w, counters)
-    return BlockOutput(out=out.reshape(f, v, h, ww, c), attention=attention)
+    # Sequence (f, k) runs over the V views at kept position i_c[f, k].
+    rows = (np.arange(f)[:, None, None], np.arange(v)[None, None, :],
+            idx.i_c[:, :, None])
+    return _pruned_block(z_s, k_c.reshape(f, h * ww, c), w, rows, idx.i_c,
+                         cached_a_c, "camera", counters)
 
 
 def pruned_motion_forward(z_c: np.ndarray, k_m: np.ndarray, w: BlockParams,
@@ -153,29 +160,11 @@ def pruned_motion_forward(z_c: np.ndarray, k_m: np.ndarray, w: BlockParams,
                           counters: CostCounters | None = None) -> BlockOutput:
     """Motion attention on kept positions only, complements from cache."""
     f, v, h, ww, c = z_c.shape
-    l = h * ww
-    if cached_a_m.shape != z_c.shape:
-        raise ShapeError("cached motion attention shape mismatch")
-    # [V, L, F, C] sequence layout, then keep K positions per view.
-    seq = np.ascontiguousarray(z_c.reshape(f, v, l, c).transpose(1, 2, 0, 3))
-    kept = np.take_along_axis(seq, idx.i_m[:, :, None, None], axis=1)
-    prior = np.take_along_axis(
-        k_m.reshape(v, l, c), idx.i_m[:, :, None], axis=1
-    )
-    att, _ = axis_attention(
-        kept.reshape(v * idx.k, f, c),
-        prior.reshape(v * idx.k, 1, c),
-        w, counters, block="motion",
-    )
-    cached_seq = np.ascontiguousarray(
-        cached_a_m.reshape(f, v, l, c).transpose(1, 2, 0, 3)
-    )
-    full = _refill_along(idx.i_m, att.reshape(v, idx.k, f, c), cached_seq)
-    attention = full.transpose(2, 0, 1, 3).reshape(f, v, h, ww, c)
-    if counters is not None:
-        counters.acquire_workspace(attention.size)
-    out = ffn((z_c + attention).reshape(f * v, l, c), w, counters)
-    return BlockOutput(out=out.reshape(f, v, h, ww, c), attention=attention)
+    # Sequence (v, k) runs over the F frames at kept position i_m[v, k].
+    rows = (np.arange(f)[None, None, :], np.arange(v)[:, None, None],
+            idx.i_m[:, :, None])
+    return _pruned_block(z_c, k_m.reshape(v, h * ww, c), w, rows, idx.i_m,
+                         cached_a_m, "motion", counters)
 
 
 def pruned_chain_forward(

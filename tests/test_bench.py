@@ -3,8 +3,12 @@
 import json
 import math
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scmbench import RunConfig, build_config, emit_report, run_benchmark
 from scmbench.bench import UsageError, _execute
@@ -48,6 +52,57 @@ def test_build_config_range_errors():
         build_config(flag_values={"mode": "warp"})
     with pytest.raises(UsageError):
         build_config(flag_values={"steps": 0})
+
+
+@pytest.mark.parametrize("values", [
+    {"frames": "5"},
+    {"frames": 2.5},
+    {"steps": True},
+    {"topk_ratio": True},
+    {"alpha_threshold": float("nan")},
+    {"alpha_threshold": float("inf")},
+    {"elevation_deg": float("-inf")},
+    {"per_axis_ratio": 1},
+    {"mode": None},
+])
+def test_build_config_rejects_wrong_types(values):
+    (key,) = values
+    with pytest.raises(UsageError, match=key):
+        build_config(None, values)
+
+
+def test_build_config_accepts_an_int_for_a_float():
+    assert build_config(None, {"alpha_threshold": 1}).alpha_threshold == 1
+
+
+_FIELD_KINDS = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+_ANY_VALUE = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 70),
+    st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=4),
+    st.sampled_from(["dense", "turbo", "prune-only"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.sampled_from(sorted(_FIELD_KINDS)), _ANY_VALUE,
+                       max_size=5))
+def test_build_config_fuzz(values):
+    # Any value either yields a config whose fields have their declared
+    # types (bool is not a number, floats are finite) or a UsageError.
+    try:
+        config = build_config(values)
+    except UsageError:
+        return
+    for name, kind in _FIELD_KINDS.items():
+        value = getattr(config, name)
+        if kind == "bool":
+            assert isinstance(value, bool)
+        elif kind == "str":
+            assert isinstance(value, str)
+        else:
+            assert not isinstance(value, bool)
+            assert isinstance(value, int if kind == "int" else (int, float))
+            assert math.isfinite(value)
 
 
 # --- run + report ---------------------------------------------------------

@@ -267,3 +267,19 @@ def test_read_latent_rejects_garbage(tmp_path):
     path.write_bytes(b"nope" + b"\0" * 64)
     with pytest.raises(ParameterError):
         read_latent(path)
+
+
+def test_read_latent_truncated_data_names_the_path(tmp_path):
+    path = tmp_path / "cut.bin"
+    write_latent(path, Rng(12).normal((2, 3)))
+    path.write_bytes(path.read_bytes()[:-3])
+    with pytest.raises(ParameterError, match="cut.bin"):
+        read_latent(path)
+
+
+def test_read_latent_truncated_header_names_the_path(tmp_path):
+    path = tmp_path / "head.bin"
+    write_latent(path, Rng(13).normal((2, 3)))
+    path.write_bytes(path.read_bytes()[:10])
+    with pytest.raises(ParameterError, match="head.bin"):
+        read_latent(path)
