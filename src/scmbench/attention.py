@@ -16,7 +16,15 @@ what drives token pruning downstream.
 
 Layout discipline: every batched matmul runs over identical-shaped slices
 regardless of batch size, which keeps pruned and dense paths bit-identical
-on shared sequences.
+on shared sequences. Each stage runs tile by tile over groups of about
+``core._TILE_TOKENS`` tokens: attention does its whole pipeline (kv
+concat, fused Q/K/V projection, scores, softmax, weighted sum, head merge,
+output projection) per tile, the FFN adds the residual per tile, and
+camera and motion read their sequences from, and write their attention
+back to, the [F, V, H, W, C] layout through transposed views. No
+full-size temporary or transposed copy is made, every attention output is
+contiguous in the latent's layout, and per-row results do not depend on
+the tile size.
 """
 
 from __future__ import annotations
@@ -26,7 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CostCounters, scratch, softmax_last_inplace, split_rows
+from .core import (CostCounters, scratch, softmax_last_inplace, split_rows,
+                   tile_bounds)
 from .errors import ParameterError, ShapeError
 
 __all__ = [
@@ -94,10 +103,9 @@ class BlockOutput:
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
-# Chunk sizes for cache-resident inner loops; results are independent of
-# these values, they only bound scratch-buffer footprints.
+# Score elements per softmax chunk inside a tile; results are independent
+# of it, it only bounds the scores buffer.
 _SCORE_CHUNK_ELEMENTS = 256 * 1024
-_FFN_CHUNK_ROWS = 1024
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
@@ -149,103 +157,178 @@ def _attention_workspace(batch: int, n: int, c: int, n_heads: int) -> int:
     return q + kv + scores + out
 
 
+def _batch_tiles(lo: int, hi: int, inner: int,
+                 n: int) -> list[tuple[int, int, int, int]]:
+    """Tiles (o0, o1, i0, i1) covering flat batch indices lo:hi in order.
+
+    The flat index of (o, i) is o * inner + i. A tile is either part of
+    one outer row or a group of whole rows, so its sequences form a
+    rectangle of the [O, I] batch grid; rows of few tokens are grouped.
+    """
+    tiles = []
+
+    def row(o: int, i: int, j: int) -> None:
+        b = tile_bounds(i, j, n)
+        tiles.extend((o, o + 1, t0, t1) for t0, t1 in zip(b, b[1:]))
+
+    first, last = -(-lo // inner), hi // inner   # whole rows first:last
+    if first > last:
+        row(lo // inner, lo % inner, hi % inner)
+        return tiles
+    if lo % inner:
+        row(lo // inner, lo % inner, inner)
+    groups = tile_bounds(first, last, inner * n)
+    for g0, g1 in zip(groups, groups[1:]):
+        if g1 - g0 == 1:
+            row(g0, 0, inner)
+        else:
+            tiles.append((g0, g1, 0, inner))
+    if hi % inner:
+        row(last, 0, hi % inner)
+    return tiles
+
+
+def _attend_tile(z: np.ndarray, prior: np.ndarray, out: np.ndarray,
+                 prior_weight: np.ndarray, p: BlockParams,
+                 w_qkv: np.ndarray) -> None:
+    """The whole attention pipeline for one rectangular tile of sequences.
+
+    z and out are [ot, it, n, C] with any strides, prior is [ot, it, 1, C]
+    and prior_weight a contiguous [ot, it, n]. Every temporary is a view
+    into this thread's scratch buffers, sized by the tile.
+    """
+    ot, it, n, c = z.shape
+    t = ot * it
+    nh = p.n_heads
+    d = c // nh
+    kv = scratch("attn.kv", (ot, it, n + 1, c))
+    kv[:, :, :n] = z
+    kv[:, :, n:] = prior
+    # One product for all three projections over every kv row; the queries
+    # of the prior rows are never read, which costs less than a second
+    # gather of the tokens and two more BLAS calls.
+    qkv = np.matmul(kv.reshape(t * (n + 1), c), w_qkv,
+                    out=scratch("attn.qkv", (t * (n + 1), 3 * c)))
+    heads = qkv.reshape(t, n + 1, 3, nh, d)
+    qh = heads[:, :n, 0].transpose(0, 2, 1, 3)      # [t, nh, n, d]
+    qh *= 1.0 / math.sqrt(d)
+    kht = heads[:, :, 1].transpose(0, 2, 3, 1)      # [t, nh, d, n+1]
+    vh = heads[:, :, 2].transpose(0, 2, 1, 3)       # [t, nh, n+1, d]
+
+    # Scores, softmax, and the weighted sum run in batch chunks sized so
+    # one chunk of weights stays cache-resident. Per-sequence results do
+    # not depend on the chunking, so any chunk size is bit-identical.
+    chunk = max(1, _SCORE_CHUNK_ELEMENTS // (nh * n * (n + 1)))
+    scores_buf = scratch("attn.scores", (min(t, chunk), nh, n, n + 1))
+    merged = scratch("attn.merged", (t, n, nh, d))
+    ctx = merged.transpose(0, 2, 1, 3)              # [t, nh, n, d]
+    prior_cols = scratch("attn.prior", (t, nh, n))
+    for i in range(0, t, chunk):
+        j = min(t, i + chunk)
+        sc = scores_buf[: j - i]
+        np.matmul(qh[i:j], kht[i:j], out=sc)
+        softmax_last_inplace(sc)                      # [j-i, nh, n, n+1]
+        np.copyto(prior_cols[i:j], sc[:, :, :, -1])
+        np.matmul(sc, vh[i:j], out=ctx[i:j])
+    rows = merged.reshape(t * n, c)
+    if out.flags.c_contiguous and t * n > 1:
+        np.matmul(rows, p.wo, out=out.reshape(t * n, c))
+    else:
+        if t * n == 1:
+            # One one-token sequence, left alone by a part boundary: BLAS
+            # runs a one-row product as a matrix-vector product, which
+            # sums in another order, so pad it to two rows.
+            rows = np.concatenate((rows, rows))
+        proj = np.matmul(rows, p.wo, out=scratch("attn.out", rows.shape))
+        np.copyto(out, proj[:t * n].reshape(out.shape))
+    np.mean(prior_cols, axis=1, out=prior_weight.reshape(t, n))
+
+
 def axis_attention(z_seq: np.ndarray, prior_token: np.ndarray, p: BlockParams,
                    counters: CostCounters | None = None,
-                   block: str | None = None) -> tuple[np.ndarray, np.ndarray]:
+                   block: str | None = None,
+                   out: np.ndarray | None = None
+                   ) -> tuple[np.ndarray, np.ndarray]:
     """Multi-head attention over one axis with the prior as an extra key.
 
-    z_seq is [B, n, C], prior_token [B, 1, C]. Returns the attended output
-    [B, n, C] and the per-query prior weight [B, n] (mean over heads of the
-    softmax mass on the prior token).
+    z_seq is [B, n, C], or [O, I, n, C] with any strides, so a transposed
+    view of a latent is read in place; prior_token has the same batch axes
+    and one token, [..., 1, C]. Returns the attended output, of z_seq's
+    shape, and the per-query prior weight [..., n] (mean over heads of the
+    softmax mass on the prior token). The output goes into ``out`` (any
+    strides) when given, else into a fresh array.
     """
-    if z_seq.ndim != 3 or prior_token.ndim != 3 or prior_token.shape[1] != 1:
-        raise ShapeError("axis_attention expects z_seq [B,n,C], prior [B,1,C]")
-    b, n, c = z_seq.shape
-    if prior_token.shape != (b, 1, c):
-        raise ShapeError(f"prior shape {prior_token.shape} != ({b}, 1, {c})")
-    d = p.head_dim()
-    nh = p.n_heads
-    out = np.empty((b, n, c))
-    prior_weight = np.empty((b, n))
+    if z_seq.ndim not in (3, 4) or prior_token.ndim != z_seq.ndim \
+            or prior_token.shape[-2] != 1:
+        raise ShapeError("axis_attention expects z_seq [...,n,C], "
+                         "prior [...,1,C] with one or two batch axes")
+    *batch, n, c = z_seq.shape
+    if prior_token.shape != (*batch, 1, c):
+        raise ShapeError(f"prior shape {prior_token.shape} != "
+                         f"{(*batch, 1, c)}")
+    p.head_dim()  # raises unless n_heads divides C
+    if out is None:
+        out = np.empty(z_seq.shape)
+    elif out.shape != z_seq.shape:
+        raise ShapeError(f"out shape {out.shape} != {z_seq.shape}")
+    prior_weight = np.empty((*batch, n))
+    if z_seq.ndim == 3:
+        views = (z_seq[None], prior_token[None], out[None], prior_weight[None])
+    else:
+        views = (z_seq, prior_token, out, prior_weight)
+    inner = views[0].shape[1]
+    w_qkv = np.concatenate((p.wq, p.wk, p.wv), axis=1)
 
     def attend(lo: int, hi: int) -> None:
-        # Transients live in this thread's scratch buffers; the part writes
-        # only rows lo:hi of the two returned arrays.
-        bp = hi - lo
-        kv_in = np.concatenate(
-            (z_seq[lo:hi], prior_token[lo:hi]), axis=1,
-            out=scratch("attn.kv", (bp, n + 1, c)),
-        )
-        kv_rows = kv_in.reshape(bp * (n + 1), c)
-        q = np.matmul(z_seq[lo:hi].reshape(bp * n, c), p.wq,
-                      out=scratch("attn.q", (bp * n, c)))
-        k = np.matmul(kv_rows, p.wk, out=scratch("attn.k", (bp * (n + 1), c)))
-        v = np.matmul(kv_rows, p.wv, out=scratch("attn.v", (bp * (n + 1), c)))
-        q *= 1.0 / math.sqrt(d)
+        # The part writes only the rows of sequences lo:hi of both outputs.
+        for o0, o1, i0, i1 in _batch_tiles(lo, hi, inner, n):
+            _attend_tile(*(a[o0:o1, i0:i1] for a in views), p, w_qkv)
 
-        qh = q.reshape(bp, n, nh, d).transpose(0, 2, 1, 3)
-        kht = k.reshape(bp, n + 1, nh, d).transpose(0, 2, 3, 1)
-        vh = v.reshape(bp, n + 1, nh, d).transpose(0, 2, 1, 3)
-
-        # Scores, softmax, and the weighted sum run in batch chunks sized
-        # so one chunk of weights stays cache-resident. Per-sequence
-        # results do not depend on the chunking, so any chunk size is
-        # bit-identical.
-        chunk = max(1, _SCORE_CHUNK_ELEMENTS // (nh * n * (n + 1)))
-        scores_buf = scratch("attn.scores", (min(bp, chunk), nh, n, n + 1))
-        ctx = scratch("attn.ctx", (bp, nh, n, d))
-        prior_cols = scratch("attn.prior", (bp, nh, n))
-        for i in range(0, bp, chunk):
-            j = min(bp, i + chunk)
-            sc = scores_buf[: j - i]
-            np.matmul(qh[i:j], kht[i:j], out=sc)
-            softmax_last_inplace(sc)                      # [j-i, nh, n, n+1]
-            np.copyto(prior_cols[i:j], sc[:, :, :, -1])
-            np.matmul(sc, vh[i:j], out=ctx[i:j])
-        merged = scratch("attn.merged", (bp, n, nh, d))
-        np.copyto(merged, ctx.transpose(0, 2, 1, 3))
-        np.matmul(merged.reshape(bp * n, c), p.wo,
-                  out=out[lo:hi].reshape(bp * n, c))
-        np.mean(prior_cols, axis=1, out=prior_weight[lo:hi])  # [bp, n]
-
+    b = math.prod(batch)
     split_rows(b, attend, rows_per_item=n)
     if counters is not None:
-        counters.add_attention(attention_flop_count(b, n, c, nh), block=block)
-        counters.acquire_workspace(_attention_workspace(b, n, c, nh))
+        counters.add_attention(attention_flop_count(b, n, c, p.n_heads),
+                               block=block)
+        counters.acquire_workspace(_attention_workspace(b, n, c, p.n_heads))
     return out, prior_weight
 
 
 def ffn(x: np.ndarray, p: BlockParams,
-        counters: CostCounters | None = None) -> np.ndarray:
-    """Two-layer C -> 2C -> C map with GELU, applied tokenwise.
+        counters: CostCounters | None = None,
+        addend: np.ndarray | None = None) -> np.ndarray:
+    """Two-layer C -> 2C -> C map with GELU, applied tokenwise to x + addend.
 
-    Runs in a canonical [..., n, C] batched layout; both dense and pruned
-    paths call it on full-shape tensors only.
+    The sum with ``addend`` (the block's residual, same shape as x) is
+    taken tile by tile, so no full-size sum is ever made. The result has
+    x's shape and is always a fresh array.
     """
     c = x.shape[-1]
     rows = x.reshape(-1, c)
+    if addend is not None:
+        if addend.shape != x.shape:
+            raise ShapeError(f"addend shape {addend.shape} != {x.shape}")
+        addend = addend.reshape(-1, c)
     m = rows.shape[0]
     out = np.empty((m, c))
 
     def apply(lo: int, hi: int) -> None:
-        # Row-chunked so the hidden activation stays cache-resident;
-        # tokenwise results are independent of the chunking and the split.
-        step = _FFN_CHUNK_ROWS
-        hidden_buf = scratch("ffn.hidden", (min(hi - lo, step), 2 * c))
-        tmp_buf = scratch("ffn.tmp", hidden_buf.shape)
-        for i in range(lo, hi, step):
-            j = min(hi, i + step)
-            hidden = np.matmul(rows[i:j], p.w1, out=hidden_buf[: j - i])
-            _gelu_inplace(hidden, tmp_buf[: j - i])
+        # Tile-sized row groups keep the hidden activation cache-resident;
+        # tokenwise results are independent of the tiles and the split.
+        bounds = tile_bounds(lo, hi)
+        for i, j in zip(bounds, bounds[1:]):
+            src = rows[i:j]
+            if addend is not None:
+                src = np.add(src, addend[i:j], out=scratch("ffn.in", src.shape))
+            hidden = np.matmul(src, p.w1, out=scratch("ffn.hidden",
+                                                      (j - i, 2 * c)))
+            _gelu_inplace(hidden, scratch("ffn.tmp", hidden.shape))
             np.matmul(hidden, p.w2, out=out[i:j])
 
     split_rows(m, apply)
-    out = out.reshape(x.shape)
     if counters is not None:
-        tokens = rows.shape[0]
-        counters.add_ffn(ffn_flop_count(tokens, c))
-        counters.acquire_workspace(tokens * 3 * c)
-    return out
+        counters.add_ffn(ffn_flop_count(m, c))
+        counters.acquire_workspace(m * 3 * c)
+    return out.reshape(x.shape)
 
 
 def _check_latent(z: np.ndarray) -> tuple[int, int, int, int, int]:
@@ -260,20 +343,40 @@ def spatial_forward(z: np.ndarray, k_s: np.ndarray, w: BlockParams,
     f, v, h, ww, c = _check_latent(z)
     if k_s.shape != (f, v, 1, c):
         raise ShapeError(f"k_s shape {k_s.shape} != ({f},{v},1,{c})")
-    seq = z.reshape(f * v, h * ww, c)
-    prior = k_s.reshape(f * v, 1, c)
-    att, pw = axis_attention(seq, prior, w, counters, block="spatial")
-    attention = att.reshape(f, v, h, ww, c)
+    att, pw = axis_attention(z.reshape(f * v, h * ww, c),
+                             k_s.reshape(f * v, 1, c), w, counters,
+                             block="spatial")
+    attention = att.reshape(z.shape)
     if counters is not None:
         counters.acquire_workspace(attention.size)
-    resid = np.add(z.reshape(f * v, h * ww, c), att,
-                   out=scratch("block.resid", (f * v, h * ww, c)))
-    out = ffn(resid, w, counters)
     return BlockOutput(
-        out=out.reshape(f, v, h, ww, c),
+        out=ffn(z, w, counters, addend=attention),
         attention=attention,
         semantic=pw.reshape(f, v, h, ww),
     )
+
+
+def _strided_block(z: np.ndarray, prior: np.ndarray, w: BlockParams,
+                   counters: CostCounters | None, block: str,
+                   axes: tuple[int, int, int, int]) -> BlockOutput:
+    """Attention over sequences that run across the latent's [F, V, L, C]
+    layout, read and written through the ``axes`` transpose of it.
+
+    The attention lands in the latent's own layout, so it is contiguous
+    and no transposed copy is made on either side.
+    """
+    f, v, h, ww, c = z.shape
+
+    def seq_view(a: np.ndarray) -> np.ndarray:
+        return a.reshape(f, v, h * ww, c).transpose(axes)
+
+    attention = np.empty(z.shape)
+    axis_attention(seq_view(z), prior, w, counters, block=block,
+                   out=seq_view(attention))
+    if counters is not None:
+        counters.acquire_workspace(attention.size)
+    return BlockOutput(out=ffn(z, w, counters, addend=attention),
+                       attention=attention)
 
 
 def camera_forward(z: np.ndarray, k_c: np.ndarray, w: BlockParams,
@@ -282,19 +385,9 @@ def camera_forward(z: np.ndarray, k_c: np.ndarray, w: BlockParams,
     f, v, h, ww, c = _check_latent(z)
     if k_c.shape != (f, h, ww, c):
         raise ShapeError(f"k_c shape {k_c.shape} != ({f},{h},{ww},{c})")
-    l = h * ww
     # [F, L, V, C]: one sequence of V views per (f, spatial position).
-    seq = z.reshape(f, v, l, c).transpose(0, 2, 1, 3).reshape(f * l, v, c)
-    prior = k_c.reshape(f * l, 1, c)
-    att, _ = axis_attention(seq, prior, w, counters, block="camera")
-    attention = (
-        att.reshape(f, l, v, c).transpose(0, 2, 1, 3).reshape(f, v, h, ww, c)
-    )
-    if counters is not None:
-        counters.acquire_workspace(attention.size)
-    resid = np.add(z, attention, out=scratch("block.resid", z.shape))
-    out = ffn(resid.reshape(f * v, l, c), w, counters)
-    return BlockOutput(out=out.reshape(f, v, h, ww, c), attention=attention)
+    return _strided_block(z, k_c.reshape(f, h * ww, 1, c), w, counters,
+                          "camera", (0, 2, 1, 3))
 
 
 def motion_forward(z: np.ndarray, k_m: np.ndarray, w: BlockParams,
@@ -303,19 +396,9 @@ def motion_forward(z: np.ndarray, k_m: np.ndarray, w: BlockParams,
     f, v, h, ww, c = _check_latent(z)
     if k_m.shape != (v, h, ww, c):
         raise ShapeError(f"k_m shape {k_m.shape} != ({v},{h},{ww},{c})")
-    l = h * ww
     # [V, L, F, C]: one sequence of F frames per (view, spatial position).
-    seq = z.reshape(f, v, l, c).transpose(1, 2, 0, 3).reshape(v * l, f, c)
-    prior = k_m.reshape(v * l, 1, c)
-    att, _ = axis_attention(seq, prior, w, counters, block="motion")
-    attention = (
-        att.reshape(v, l, f, c).transpose(2, 0, 1, 3).reshape(f, v, h, ww, c)
-    )
-    if counters is not None:
-        counters.acquire_workspace(attention.size)
-    resid = np.add(z, attention, out=scratch("block.resid", z.shape))
-    out = ffn(resid.reshape(f * v, l, c), w, counters)
-    return BlockOutput(out=out.reshape(f, v, h, ww, c), attention=attention)
+    return _strided_block(z, k_m.reshape(v, h * ww, 1, c), w, counters,
+                          "motion", (1, 2, 0, 3))
 
 
 def chain_forward(

@@ -106,14 +106,31 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
+def _parse_bool(raw: str) -> bool:
+    lowered = raw.lower()
+    if lowered in ("1", "true", "yes"):
+        return True
+    if lowered in ("0", "false", "no"):
+        return False
+    raise ValueError(raw)
+
+
 def _parse_sweep_value(param: str, raw: str):
+    """One ``--values`` item as the type of ``param``; UsageError if not."""
     if param in _BOOL_FIELDS:
-        return raw.lower() in ("1", "true", "yes")
-    if param in _FLOAT_FIELDS:
-        return float(raw)
-    if param == "mode":
-        return raw
-    return int(raw)
+        kind, parse = "bool (1/true/yes or 0/false/no)", _parse_bool
+    elif param in _FLOAT_FIELDS:
+        kind, parse = "float", float
+    elif param == "mode":
+        kind, parse = "mode", str
+    else:
+        kind, parse = "int", int
+    try:
+        if raw:
+            return parse(raw)
+    except ValueError:
+        pass
+    raise UsageError(f"sweep: {param}: {raw!r} is not a valid {kind}")
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -122,16 +139,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise UsageError(f"sweep: unknown parameter {param!r}")
     file_values = _file_values(args)
     base_flags = _flag_values(args)
+    # Every value is parsed and checked before the first run starts.
+    raws = [raw.strip() for raw in args.values.split(",")]
+    configs = [build_config(file_values,
+                            {**base_flags, param: _parse_sweep_value(param, raw)})
+               for raw in raws]
     outdir = args.out or Path(os.environ.get("SCMBENCH_OUTDIR", "."))
     outdir.mkdir(parents=True, exist_ok=True)
-    for raw in args.values.split(","):
-        flags = dict(base_flags)
-        flags[param] = _parse_sweep_value(param, raw.strip())
-        config = build_config(file_values, flags)
+    for raw, config in zip(raws, configs):
         report = run_benchmark(config)
-        name = f"sweep_{param}_{raw.strip()}.json".replace("/", "_")
+        name = f"sweep_{param}_{raw}.json".replace("/", "_")
         emit_report(report, outdir / name, similarity_csv=args.similarity_csv)
-        print(f"{param}={raw.strip()}  {_summary(report)}")
+        print(f"{param}={raw}  {_summary(report)}")
     print(f"reports: {outdir}")
     return 0
 

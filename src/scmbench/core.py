@@ -11,8 +11,12 @@ hold on any machine:
 * :func:`split_rows` splits the rows of attention, FFN and mixing, and the
   dot products of :func:`cosine`, across the CPUs in the process's
   affinity set, each part on its own thread;
-* per-row results do not depend on the split, so outputs do not depend on
-  the core count or on ``OPENBLAS_NUM_THREADS``.
+* each part runs its stage tile by tile (:func:`tile_bounds`, about
+  :data:`_TILE_TOKENS` tokens a tile), with every temporary a view into
+  the thread's one grow-only :func:`scratch` buffer per tag, so a
+  thread's working set is bounded by the tile, not by the latent;
+* per-row results do not depend on the split or on the tiles, so outputs
+  do not depend on the core count or on ``OPENBLAS_NUM_THREADS``.
 
 All array values flowing through public operations are finite; callers can
 assert this cheaply with :func:`assert_finite`.
@@ -37,6 +41,7 @@ __all__ = [
     "matmul",
     "scratch",
     "split_rows",
+    "tile_bounds",
     "softmax_last",
     "softmax_last_inplace",
     "tune_allocator",
@@ -214,29 +219,32 @@ def tune_allocator() -> None:
 
 
 class _ScratchPool(threading.local):
-    """Per-thread reusable scratch arrays, keyed by (tag, shape).
+    """Per-thread reusable scratch arrays, one grow-only buffer per tag.
 
-    Reusing large intermediates avoids repeated page-faulting allocations
-    in the hot path. Callers must only hand out buffers whose contents die
-    before the same (tag, shape) is requested again; nothing returned to a
-    caller of the public API may alias a scratch buffer.
+    Every stage runs tile by tile, so each tag only ever needs one tile's
+    worth of elements: the buffer grows to the largest request and smaller
+    ones (remainder tiles, other block shapes) get views of its head. A
+    thread's pool is therefore bounded by the tile size, not by the
+    latent. Callers must only hand out views whose contents die before
+    the same tag is requested again on the same thread; nothing returned
+    to a caller of the public API may alias a scratch buffer.
     """
 
     def __init__(self):
-        self.buffers: dict = {}
+        self.buffers: dict[str, np.ndarray] = {}
 
 
 _POOL = _ScratchPool()
 
 
 def scratch(tag: str, shape: tuple) -> np.ndarray:
-    """Fetch (or create) a float64 scratch array of the given shape."""
-    key = (tag, shape)
-    buf = _POOL.buffers.get(key)
-    if buf is None:
-        buf = np.empty(shape)
-        _POOL.buffers[key] = buf
-    return buf
+    """A float64 view of the given shape into this thread's ``tag`` buffer."""
+    size = math.prod(shape)
+    buf = _POOL.buffers.get(tag)
+    if buf is None or buf.size < size:
+        buf = np.empty(size)
+        _POOL.buffers[tag] = buf
+    return buf[:size].reshape(shape)
 
 
 def _pin_blas_to_one_thread() -> bool:
@@ -313,6 +321,29 @@ def split_rows(n: int, run, rows_per_item: int = 1) -> None:
             fut.exception()  # waits for the part, even if this one failed
     for fut in futures:
         fut.result()
+
+
+# Tokens per tile: every stage of a block runs over groups of about this
+# many tokens, so its temporaries fit small per-thread buffers.
+_TILE_TOKENS = 1024
+
+
+def tile_bounds(lo: int, hi: int, tokens_per_item: int = 1) -> list[int]:
+    """Bounds of near-equal contiguous tiles covering range(lo, hi).
+
+    An item weighs ``tokens_per_item`` tokens. A tile holds at least
+    ``_TILE_TOKENS // tokens_per_item`` items and fewer than twice that,
+    and at least one item and two tokens where the range has them. BLAS
+    runs a one-row matmul as a matrix-vector product, which sums in
+    another order, so tiles of two or more rows keep per-row results the
+    same for every tiling. Consecutive entries of the returned list
+    delimit one tile.
+    """
+    if hi <= lo:
+        return [lo]
+    per_tile = max(_TILE_TOKENS // tokens_per_item, -(-2 // tokens_per_item))
+    count = max(1, (hi - lo) // per_tile)
+    return [lo + (hi - lo) * i // count for i in range(count + 1)]
 
 
 def softmax_last_inplace(x: np.ndarray) -> np.ndarray:

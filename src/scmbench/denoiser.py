@@ -27,7 +27,8 @@ from .attention import (
     spatial_forward,
 )
 from .cache import BLOCK_KINDS, RollingCache
-from .core import CostCounters, Rng, assert_finite, randn, scratch, split_rows
+from .core import (CostCounters, Rng, assert_finite, randn, scratch, split_rows,
+                   tile_bounds)
 from .errors import ParameterError
 from .pruning import pruned_chain_forward
 from .scheduler import (
@@ -265,33 +266,37 @@ def _reflect_avg(y: np.ndarray, axis_view, out: np.ndarray) -> np.ndarray:
 
 def mixing(z: np.ndarray, mix: np.ndarray,
            counters: CostCounters | None = None) -> np.ndarray:
-    """Channelwise linear map, then 3-point reflect-padded averaging."""
+    """Channelwise linear map, then 3-point reflect-padded averaging.
+
+    Runs tile by tile over groups of (f, v) slices; the last stage of each
+    tile writes straight into the fresh output.
+    """
     f, v, h, w, c = z.shape
     g, l = f * v, h * w
     rows = z.reshape(g * l, c)
-    lin = scratch("mix.lin", rows.shape)
-    if np.shares_memory(rows, lin):
-        lin = scratch("mix.lin2", rows.shape)
-    avg_h = scratch("mix.h", (g, h, w, c)) if h > 1 else None
-    avg_w = scratch("mix.w", (g, h, w, c)) if w > 1 else None
+    out = np.empty((g, h, w, c))
 
     def apply(lo: int, hi: int) -> None:
         # Each (f, v) slice is mixed on its own; a part touches only the
-        # rows of its slices, in every buffer.
-        y = np.matmul(rows[lo * l:hi * l], mix, out=lin[lo * l:hi * l])
-        y = y.reshape(hi - lo, h, w, c)
-        if avg_h is not None:
-            y = _reflect_avg(y, lambda a, s: a[:, s], avg_h[lo:hi])
-        if avg_w is not None:
-            _reflect_avg(y, lambda a, s: a[:, :, s], avg_w[lo:hi])
+        # rows of its slices.
+        bounds = tile_bounds(lo, hi, l)
+        for i, j in zip(bounds, bounds[1:]):
+            shape = (j - i, h, w, c)
+            last = out[i:j]
+            y = last if h == w == 1 else scratch("mix.lin", shape)
+            np.matmul(rows[i * l:j * l], mix, out=y.reshape(-1, c))
+            if h > 1:
+                y = _reflect_avg(y, lambda a, s: a[:, s],
+                                 last if w == 1 else scratch("mix.h", shape))
+            if w > 1:
+                _reflect_avg(y, lambda a, s: a[:, :, s], last)
 
     split_rows(g, apply, rows_per_item=l)
-    y = avg_w if avg_w is not None else avg_h if avg_h is not None else lin
     if counters is not None:
         n = f * v * h * w
         counters.add_mixing(2 * n * c * c + 6 * n * c)
         counters.acquire_workspace(2 * n * c)
-    return y.reshape(f, v, h, w, c)
+    return out.reshape(z.shape)
 
 
 @dataclass
@@ -336,13 +341,11 @@ def _reuse_chain(z: np.ndarray, chain: ChainWeights, cache: RollingCache,
                  layer: int, step: int,
                  counters: CostCounters | None) -> np.ndarray:
     """Eq.-style reuse: FFN(z + cached attention) per block, FIFO order."""
-    f, v, h, w, c = z.shape
     params = (chain.spatial, chain.camera, chain.motion)
     used = []
     for kind, p in zip(BLOCK_KINDS, params):
         a = cache.retrieve(layer, kind)
-        resid = np.add(z, a, out=scratch("block.resid", z.shape))
-        z = ffn(resid.reshape(f * v, h * w, c), p, counters).reshape(z.shape)
+        z = ffn(z, p, counters, addend=a)
         used.append(a)
     # The step's effective attention outputs are exactly the reused values;
     # re-store them so the next pruning step has a previous-step cache.

@@ -26,7 +26,7 @@ from .attention import (
     spatial_forward,
 )
 from .cache import RollingCache
-from .core import CostCounters, Rng, scratch
+from .core import CostCounters, Rng
 from .errors import ParameterError, ShapeError
 
 __all__ = [
@@ -54,11 +54,15 @@ class TokenIndexSet:
     @classmethod
     def from_keep_lists(cls, i_c: np.ndarray, i_m: np.ndarray, length: int,
                         ratio: float) -> "TokenIndexSet":
-        k = i_c.shape[1]
-        full = np.arange(length)
-        comp_c = np.stack([np.setdiff1d(full, row) for row in i_c])
-        comp_m = np.stack([np.setdiff1d(full, row) for row in i_m])
-        return cls(i_c, i_m, comp_c, comp_m, k, ratio)
+        def complement(keep: np.ndarray) -> np.ndarray:
+            # One mask for all rows; nonzero lists each row's rest in order.
+            rows, k = keep.shape
+            rest = np.ones((rows, length), dtype=bool)
+            rest[np.arange(rows)[:, None], keep] = False
+            return np.nonzero(rest)[1].reshape(rows, length - k)
+
+        return cls(i_c, i_m, complement(i_c), complement(i_m), i_c.shape[1],
+                   ratio)
 
 
 def token_count(h: int, w: int, ratio: float, per_axis: bool = False) -> int:
@@ -138,9 +142,8 @@ def _pruned_block(z: np.ndarray, prior_seq: np.ndarray, w: BlockParams,
     attention.reshape(f, v, l, c)[rows] = att.reshape(g, k, n, c)
     if counters is not None:
         counters.acquire_workspace(attention.size)
-    resid = np.add(z, attention, out=scratch("block.resid", z.shape))
-    out = ffn(resid.reshape(f * v, l, c), w, counters)
-    return BlockOutput(out=out.reshape(z.shape), attention=attention)
+    return BlockOutput(out=ffn(z, w, counters, addend=attention),
+                       attention=attention)
 
 
 def pruned_camera_forward(z_s: np.ndarray, k_c: np.ndarray, w: BlockParams,

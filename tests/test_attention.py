@@ -164,18 +164,14 @@ def test_ffn_transcription_oracle():
     assert np.max(np.abs(ffn(x, p) - want)) < 1e-12
 
 
-def test_ffn_chunking_invariance():
-    # results are independent of the internal row-chunk size
-    from scmbench import attention as A
+def test_ffn_chunking_invariance(monkeypatch):
+    # results are independent of the internal row-tile size
+    from scmbench import core
     p = make_block(8, 2, 65)
     x = Rng(66).normal((500, 3, 8))
     base = ffn(x, p)
-    old = A._FFN_CHUNK_ROWS
-    try:
-        A._FFN_CHUNK_ROWS = 7
-        assert np.array_equal(ffn(x, p), base)
-    finally:
-        A._FFN_CHUNK_ROWS = old
+    monkeypatch.setattr(core, "_TILE_TOKENS", 7)
+    assert np.array_equal(ffn(x, p), base)
 
 
 # --- block forwards vs. transcription oracle ------------------------------

@@ -234,3 +234,44 @@ def test_cli_bad_config_file(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("[1, 2]")
     assert main(["run", "--config", str(cfg)]) == 2
+
+
+_TINY = ["--frames", "2", "--views", "2", "--height", "4", "--width", "4",
+         "--channels", "8", "--layers", "1", "--steps", "2", "--warmup", "1"]
+
+
+@pytest.mark.parametrize("param, values, bad", [
+    ("frames", "x", "'x'"),            # int
+    ("frames", "2,2.5", "'2.5'"),
+    ("topk_ratio", "0.5,half", "'half'"),  # float
+    ("zero_refill", "maybe", "'maybe'"),   # bool
+    ("per_axis_ratio", "true,2", "'2'"),
+    ("frames", "1,,2", "''"),          # empty item
+    ("mode", "dense,", "''"),
+])
+def test_cli_sweep_rejects_bad_values(tmp_path, capsys, param, values, bad):
+    code = main(["sweep", "--param", param, "--values", values, *_TINY,
+                 "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert param in err and bad in err
+    assert not list(tmp_path.iterdir())  # rejected before any run
+
+
+def test_cli_sweep_rejects_a_bad_value_before_any_run(tmp_path, capsys):
+    # the literal parses, the config check fails: still nothing runs
+    code = main(["sweep", "--param", "topk_ratio", "--values", "0.5,1.5",
+                 *_TINY, "--out", str(tmp_path)])
+    assert code == 2
+    assert "topk_ratio" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_cli_sweep_bool_literals(tmp_path, capsys):
+    code = main(["sweep", "--param", "zero_refill", "--values", "no,YES",
+                 "--mode", "prune-only", *_TINY, "--out", str(tmp_path)])
+    assert code == 0
+    written = {p.name: json.loads(p.read_text())["config"]["zero_refill"]
+               for p in tmp_path.glob("sweep_*.json")}
+    assert written == {"sweep_zero_refill_no.json": False,
+                       "sweep_zero_refill_YES.json": True}
