@@ -9,7 +9,8 @@ while the same entry still feeds similarity recording.
 
 Every cosine between a cached entry and its freshly computed counterpart
 is appended to a global similarity log; the bypass scheduler averages over
-that log.
+that log. The fresh side's squared norm is kept, so the next step's cosine
+against the same array, once it is the cached side, skips that pass.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CostCounters, cosine
+from .core import CostCounters, cosine, sq_norm
 from .errors import CacheProtocolError, DegenerateInputError
 
 __all__ = ["BLOCK_KINDS", "CacheEntry", "SimilarityRecord", "RollingCache"]
@@ -51,6 +52,8 @@ class RollingCache:
         self._queues: dict[int, deque[CacheEntry]] = {}
         self.similarity_log: list[SimilarityRecord] = []
         self.counters = counters
+        # (layer, kind) -> the last fresh value compared and its sq_norm
+        self._sq_norms: dict[tuple[int, str], tuple[np.ndarray, float]] = {}
 
     def _queue(self, layer: int) -> deque[CacheEntry]:
         return self._queues.setdefault(layer, deque())
@@ -108,8 +111,13 @@ class RollingCache:
     def record_similarity(self, layer: int, kind: str, new_value: np.ndarray,
                           step: int) -> float:
         cached = self.peek(layer, kind)
+        known = self._sq_norms.get((layer, kind))
+        cached_sq = known[1] if known is not None and known[0] is cached \
+            else sq_norm(cached)
+        new_sq = sq_norm(new_value)
+        self._sq_norms[(layer, kind)] = (new_value, new_sq)
         try:
-            value = cosine(cached, new_value)
+            value = cosine(cached, new_value, cached_sq, new_sq)
             degenerate = False
         except DegenerateInputError:
             value = 0.0

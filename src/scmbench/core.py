@@ -8,9 +8,9 @@ hold on any machine:
 
 * numpy's OpenBLAS is pinned to one thread, process-wide, when this module
   is imported, so every matmul row is computed in one fixed order;
-* :func:`split_rows` splits the rows of attention, FFN and mixing, and the
-  dot products of :func:`cosine`, across the CPUs in the process's
-  affinity set, each part on its own thread;
+* :func:`split_rows` splits the rows of attention, FFN, mixing and the
+  pruned blocks' cache refill across the CPUs in the process's affinity
+  set, each part on its own thread;
 * each part runs its stage tile by tile (:func:`tile_bounds`, about
   :data:`_TILE_TOKENS` tokens a tile), with every temporary a view into
   the thread's one grow-only :func:`scratch` buffer per tag, so a
@@ -46,6 +46,7 @@ __all__ = [
     "softmax_last_inplace",
     "tune_allocator",
     "cosine",
+    "sq_norm",
     "topk_indices",
     "gather_tokens",
     "scatter_refill",
@@ -361,26 +362,28 @@ def softmax_last(x: np.ndarray) -> np.ndarray:
     return softmax_last_inplace(x.astype(np.float64, copy=True))
 
 
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity over flattened data, in [-1, 1]."""
+def sq_norm(a: np.ndarray) -> float:
+    """Squared Euclidean norm of the flattened data, as :func:`cosine`
+    takes it."""
+    af = a.ravel()
+    return float(af @ af)
+
+
+def cosine(a: np.ndarray, b: np.ndarray, a_sq: float | None = None,
+           b_sq: float | None = None) -> float:
+    """Cosine similarity over flattened data, in [-1, 1].
+
+    ``a_sq`` and ``b_sq`` are the operands' :func:`sq_norm` values when
+    the caller already has them; the result is the same either way.
+    """
     if a.shape != b.shape:
         raise ShapeError(f"cosine shapes disagree: {a.shape} vs {b.shape}")
-    af = a.ravel()
-    bf = b.ravel()
-    # Three whole dot products, so the split changes which thread takes
-    # each, never its value; a . b reads as much memory as the other two.
-    pairs = ((af, bf), (af, af), (bf, bf))
-    dots = [0.0] * 3
-
-    def take(lo: int, hi: int) -> None:
-        for i in range(lo, hi):
-            dots[i] = float(pairs[i][0] @ pairs[i][1])
-
-    split_rows(3, take, rows_per_item=af.size // max(1, a.shape[-1]))
-    na, nb = math.sqrt(dots[1]), math.sqrt(dots[2])
+    dot = float(a.ravel() @ b.ravel())
+    na = math.sqrt(sq_norm(a) if a_sq is None else a_sq)
+    nb = math.sqrt(sq_norm(b) if b_sq is None else b_sq)
     if na == 0.0 or nb == 0.0:
         raise DegenerateInputError("cosine of a zero-norm operand")
-    return float(np.clip(dots[0] / (na * nb), -1.0, 1.0))
+    return float(np.clip(dot / (na * nb), -1.0, 1.0))
 
 
 def topk_indices(scores: np.ndarray, k: int) -> np.ndarray:

@@ -123,26 +123,41 @@ def _pruned_block(z: np.ndarray, prior_seq: np.ndarray, w: BlockParams,
     one prior per (group, position). ``rows`` is a tuple of index arrays
     into the [F, V, L, C] latent that broadcasts to [G, K, n]: entry
     (g, k, i) is token i of the sequence at kept position keep[g, k]. The
-    kept rows are gathered straight from the latent and the attended rows
-    scattered straight into a copy of the cached attention, so no
-    full-size transposed copy is made on either side.
+    kept rows are gathered straight from the latent. The refilled
+    attention is built inside the FFN's tiles: each tile copies its rows
+    of ``cached`` and overwrites the attended ones among them just before
+    the FFN adds them, so no serial full-size copy or scatter is made.
     """
     f, v, h, ww, c = z.shape
     l = h * ww
     if cached.shape != z.shape:
         raise ShapeError(f"cached {block} attention shape mismatch")
     g, k = keep.shape
-    kept = z.reshape(f, v, l, c)[rows]                       # [G, K, n, C]
-    n = kept.shape[2]
-    prior = np.take_along_axis(prior_seq, keep[:, :, None], axis=1)
+    dst = (rows[0] * v + rows[1]) * l + rows[2]   # latent row, [G, K, n]
+    n = dst.shape[2]
+    kept = np.take(z.reshape(-1, c), dst.ravel(), axis=0)
+    prior = prior_seq[np.arange(g)[:, None], keep]
     att, _ = axis_attention(kept.reshape(g * k, n, c),
                             prior.reshape(g * k, 1, c), w, counters,
                             block=block)
-    attention = cached.copy()
-    attention.reshape(f, v, l, c)[rows] = att.reshape(g, k, n, c)
+    # The attended rows in latent order, so a tile finds its own with one
+    # search.
+    order = np.argsort(dst, axis=None)
+    dst = dst.ravel()[order]
+    src = att.reshape(g * k * n, c)
+    old = cached.reshape(-1, c)
+    attention = np.empty(z.shape)
+    new = attention.reshape(-1, c)
+
+    def refill(i: int, j: int) -> None:
+        np.copyto(new[i:j], old[i:j])
+        a, b = np.searchsorted(dst, (i, j))
+        new[dst[a:b]] = src[order[a:b]]
+
     if counters is not None:
         counters.acquire_workspace(attention.size)
-    return BlockOutput(out=ffn(z, w, counters, addend=attention),
+    return BlockOutput(out=ffn(z, w, counters, addend=attention,
+                               before_tile=refill),
                        attention=attention)
 
 

@@ -126,6 +126,29 @@ def test_record_similarity_degenerate_zero_norm():
     assert cache.similarity_log[-1].degenerate
 
 
+def test_record_similarity_reuses_the_entry_norm_only_for_that_array():
+    # a step's fresh value is the next step's cached side; its squared
+    # norm is kept, and the values equal a plain cosine either way
+    from scmbench.core import cosine, sq_norm
+
+    cache = RollingCache()
+    a, b, c = entries((3, 4, 5), seed=12)
+    cache.store(0, a, a, a, step=0)
+    assert cache.record_similarity(0, "spatial", b, step=1) == cosine(a, b)
+    known = cache._sq_norms[(0, "spatial")]
+    assert known[0] is b and known[1] == sq_norm(b)
+    cache.drain(0)
+    cache.store(0, b, b, b, step=1)
+    assert cache.record_similarity(0, "spatial", c, step=2) == cosine(b, c)
+    # a different array under the same key: its own norm is taken
+    cache.drain(0)
+    other = 2.0 * c
+    cache.store(0, other, other, other, step=2)
+    assert cache.record_similarity(0, "spatial", a, step=3) == \
+        cosine(other, a)
+    assert cache._sq_norms[(0, "spatial")][1] == sq_norm(a)
+
+
 def test_log_growth_per_compute_step():
     cache = RollingCache()
     layers = 4

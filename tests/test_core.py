@@ -20,7 +20,7 @@ from scmbench import (
     softmax_last,
     topk_indices,
 )
-from scmbench.core import PSNR_INF, randn
+from scmbench.core import PSNR_INF, randn, sq_norm
 from scmbench.errors import DegenerateInputError
 
 
@@ -113,6 +113,12 @@ def test_cosine_orthogonal():
 def test_cosine_hand():
     got = cosine(np.array([1.0, 2.0, 3.0]), np.array([3.0, 2.0, 1.0]))
     assert got == pytest.approx(10.0 / 14.0, abs=1e-12)
+
+
+def test_cosine_with_known_norms_is_the_same():
+    a, b = Rng(2).normal((4, 6)), Rng(3).normal((4, 6))
+    assert cosine(a, b, sq_norm(a), sq_norm(b)) == cosine(a, b)
+    assert sq_norm(a) == float(a.ravel() @ a.ravel())
 
 
 def test_cosine_zero_norm_raises():

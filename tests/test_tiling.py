@@ -49,12 +49,16 @@ def _tiled_outputs():
     mix = Rng(304).normal((C, C))
     got = []
     for _, view, prior in _layouts(305):
-        out = np.empty((F, V, L, C))
-        _, pw = axis_attention(view(z.reshape(F, V, L, C)), prior, p,
-                               block="camera", out=view(out))
-        got += [out, pw]
+        got += axis_attention(view(z.reshape(F, V, L, C)), prior, p,
+                              block="camera")
     got.append(ffn(z, p, addend=addend))
     got.append(mixing(z, mix))
+    # the pruned blocks refill the cached attention inside the FFN's tiles
+    idx = identify_tokens(Rng(306).uniform((F, V, H, W)), 0.4)
+    for forward, prior in ((pruned_camera_forward, (F, H, W, C)),
+                           (pruned_motion_forward, (V, H, W, C))):
+        block = forward(z, Rng(307).normal(prior), p, idx, addend)
+        got += [block.out, block.attention]
     return [a.tobytes() for a in got]
 
 
@@ -93,21 +97,22 @@ def test_one_token_sequences_split_mid_row(split_into):
 
 
 def test_strided_layouts_match_contiguous_copies(monkeypatch):
-    # reading and writing transposed views gives what contiguous copies of
-    # the same sequences give, byte for byte
+    # reading transposed views gives what contiguous copies of the same
+    # sequences give, byte for byte, and the output comes back in the
+    # latent's memory order
     monkeypatch.setattr(core, "_TILE_TOKENS", 23)
     p = make_block(C, 2, 311)
     z4 = Rng(312).normal((F, V, L, C))
     for name, view, prior in _layouts(313):
         seq = view(z4)
         n = seq.shape[-2]
-        out = np.full(z4.shape, np.nan)
-        _, pw = axis_attention(seq, prior, p, out=view(out))
+        out, pw = axis_attention(seq, prior, p)
+        assert out.strides == seq.strides, name
         flat, flat_pw = axis_attention(
             np.ascontiguousarray(seq).reshape(-1, n, C),
             prior.reshape(-1, 1, C), p)
         assert np.array_equal(
-            np.ascontiguousarray(view(out)).reshape(-1, n, C), flat), name
+            np.ascontiguousarray(out).reshape(-1, n, C), flat), name
         assert np.array_equal(pw.reshape(-1, n), flat_pw), name
 
 
