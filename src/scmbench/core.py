@@ -8,9 +8,9 @@ hold on any machine:
 
 * numpy's OpenBLAS is pinned to one thread, process-wide, when this module
   is imported, so every matmul row is computed in one fixed order;
-* :func:`split_rows` splits the rows of attention, FFN, mixing and the
-  pruned blocks' cache refill across the CPUs in the process's affinity
-  set, each part on its own thread;
+* :func:`split_rows` splits the rows of attention, FFN (which also runs
+  the pruned blocks' cache refill, tile by tile) and mixing across the
+  CPUs in the process's affinity set, each part on its own thread;
 * each part runs its stage tile by tile (:func:`tile_bounds`, about
   :data:`_TILE_TOKENS` tokens a tile), with every temporary a view into
   the thread's one grow-only :func:`scratch` buffer per tag, so a
