@@ -17,18 +17,7 @@ from .attention import (
 )
 from .bench import RunConfig, RunReport, build_config, emit_report, run_benchmark
 from .cache import BLOCK_KINDS, CacheEntry, RollingCache
-from .core import (
-    CostCounters,
-    Rng,
-    cosine,
-    gather_tokens,
-    matmul,
-    psnr,
-    randn,
-    scatter_refill,
-    softmax_last,
-    topk_indices,
-)
+from .core import CostCounters, Rng, cosine, psnr
 from .denoiser import (
     CameraTrajectory,
     DiffusionSchedule,
@@ -36,6 +25,7 @@ from .denoiser import (
     SamplerConfig,
     ToyModel,
     build_toy_model,
+    cached_chain_forward,
     cosine_schedule,
     ddim_update,
     default_trajectory,
@@ -58,7 +48,6 @@ from .pruning import (
     TokenIndexSet,
     identify_tokens,
     pruned_camera_forward,
-    pruned_chain_forward,
     pruned_motion_forward,
     random_tokens,
     token_count,

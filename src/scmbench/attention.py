@@ -14,6 +14,11 @@ and no extra residual around the FFN. The spatial block additionally
 reports the mean weight each query assigns to the prior token; that map is
 what drives token pruning downstream.
 
+All three blocks, dense or pruned, are one function, :func:`axis_block`.
+Dense, it reads every sequence through a transposed view of the latent.
+Given a keep list, it attends the kept sequences only and refills the
+rest of the attention from a cached entry inside the FFN's tiles.
+
 Layout discipline: every batched matmul runs over identical-shaped slices
 regardless of batch size, which keeps pruned and dense paths bit-identical
 on shared sequences. Each stage runs tile by tile over groups of about
@@ -46,6 +51,7 @@ __all__ = [
     "gelu",
     "ffn",
     "axis_attention",
+    "axis_block",
     "spatial_forward",
     "camera_forward",
     "motion_forward",
@@ -339,70 +345,106 @@ def ffn(x: np.ndarray, p: BlockParams,
     return out.reshape(x.shape)
 
 
-def _check_latent(z: np.ndarray) -> tuple[int, int, int, int, int]:
+# Per axis, the transpose of the [F, V, L, C] latent that makes each
+# sequence run along its third axis: [F, V, L, C] for spatial, [F, L, V, C]
+# for camera and [V, L, F, C] for motion.
+_AXES = {"spatial": (0, 1, 2, 3), "camera": (0, 2, 1, 3),
+         "motion": (1, 2, 0, 3)}
+
+
+def axis_block(z: np.ndarray, axis: str, prior: np.ndarray, w: BlockParams,
+               counters: CostCounters | None = None,
+               keep: np.ndarray | None = None,
+               cached: np.ndarray | None = None) -> BlockOutput:
+    """One SCM block: attention along ``axis``, then FFN(z + attention).
+
+    ``axis`` is "spatial", "camera" or "motion" and ``prior`` is that
+    axis's prior: k_s [F, V, 1, C], k_c [F, H, W, C] or k_m [V, H, W, C].
+    With no ``keep``, every sequence is read in place through a transposed
+    view of the latent, and the attention comes back in the latent's own
+    memory order, so mapping it back is a view as well.
+
+    With ``keep`` [G, K], a list of kept spatial positions per frame
+    (camera) or per view (motion), only the kept sequences are gathered
+    and attended. Every other position of the attention is taken from
+    ``cached``, which has the latent's shape. That refill runs inside the
+    FFN's tiles: each tile copies its rows of ``cached`` and overwrites the
+    attended ones among them just before the FFN adds them, so no serial
+    full-size copy or scatter is made.
+
+    Only the spatial block reports the semantic map [F, V, H, W], the
+    mean weight each query puts on the prior token.
+    """
     if z.ndim != 5:
         raise ShapeError(f"latent must be [F,V,H,W,C], got {z.shape}")
-    return z.shape
+    f, v, h, ww, c = z.shape
+    l = h * ww
+    want = {"spatial": (f, v, 1, c), "camera": (f, h, ww, c),
+            "motion": (v, h, ww, c)}[axis]
+    if prior.shape != want:
+        raise ShapeError(f"{axis} prior shape {prior.shape} != {want}")
+    if keep is not None and axis == "spatial":
+        raise ParameterError("the spatial block is never pruned")
+    axes = _AXES[axis]
+    grid = (f, v, l)
+    prior = prior.reshape(grid[axes[0]], grid[axes[1]], 1, c)
+    refill = None
+    if keep is None:
+        att, pw = axis_attention(z.reshape(f, v, l, c).transpose(axes), prior,
+                                 w, counters, block=axis)
+        attention = att.transpose(np.argsort(axes)).reshape(z.shape)
+    else:
+        if cached is None or cached.shape != z.shape:
+            raise ShapeError(f"cached {axis} attention must have shape "
+                             f"{z.shape}")
+        g, k = keep.shape
+        groups = np.arange(g)[:, None]
+        # Latent row of token i of the sequence at kept position keep[g, k].
+        dst = np.arange(f * v * l).reshape(grid).transpose(axes[:3])[
+            groups, keep]
+        n = dst.shape[2]
+        kept = np.take(z.reshape(-1, c), dst.ravel(), axis=0)
+        att, pw = axis_attention(kept.reshape(g * k, n, c),
+                                 prior[groups, keep].reshape(g * k, 1, c),
+                                 w, counters, block=axis)
+        # The attended rows in latent order, so a tile finds its own with
+        # one search.
+        order = np.argsort(dst, axis=None)
+        dst = dst.ravel()[order]
+        src = att.reshape(g * k * n, c)
+        old = cached.reshape(-1, c)
+        attention = np.empty(z.shape)
+        new = attention.reshape(-1, c)
+
+        def refill(i: int, j: int) -> None:
+            np.copyto(new[i:j], old[i:j])
+            a, b = np.searchsorted(dst, (i, j))
+            new[dst[a:b]] = src[order[a:b]]
+
+    if counters is not None:
+        counters.acquire_workspace(attention.size)
+    semantic = pw.reshape(f, v, h, ww) if axis == "spatial" else None
+    return BlockOutput(out=ffn(z, w, counters, addend=attention,
+                               before_tile=refill),
+                       attention=attention, semantic=semantic)
 
 
 def spatial_forward(z: np.ndarray, k_s: np.ndarray, w: BlockParams,
                     counters: CostCounters | None = None) -> BlockOutput:
     """Attention along the flattened H*W axis for each (f, v)."""
-    f, v, h, ww, c = _check_latent(z)
-    if k_s.shape != (f, v, 1, c):
-        raise ShapeError(f"k_s shape {k_s.shape} != ({f},{v},1,{c})")
-    att, pw = axis_attention(z.reshape(f * v, h * ww, c),
-                             k_s.reshape(f * v, 1, c), w, counters,
-                             block="spatial")
-    attention = att.reshape(z.shape)
-    if counters is not None:
-        counters.acquire_workspace(attention.size)
-    return BlockOutput(
-        out=ffn(z, w, counters, addend=attention),
-        attention=attention,
-        semantic=pw.reshape(f, v, h, ww),
-    )
-
-
-def _strided_block(z: np.ndarray, prior: np.ndarray, w: BlockParams,
-                   counters: CostCounters | None, block: str,
-                   axes: tuple[int, int, int, int]) -> BlockOutput:
-    """Attention over sequences that run across the latent's [F, V, L, C]
-    layout, read through the ``axes`` transpose of it.
-
-    The attention comes back in the latent's own memory order, so mapping
-    it back is a view: no transposed copy is made on either side.
-    """
-    f, v, h, ww, c = z.shape
-    att, _ = axis_attention(z.reshape(f, v, h * ww, c).transpose(axes), prior,
-                            w, counters, block=block)
-    attention = att.transpose(np.argsort(axes)).reshape(z.shape)
-    if counters is not None:
-        counters.acquire_workspace(attention.size)
-    return BlockOutput(out=ffn(z, w, counters, addend=attention),
-                       attention=attention)
+    return axis_block(z, "spatial", k_s, w, counters)
 
 
 def camera_forward(z: np.ndarray, k_c: np.ndarray, w: BlockParams,
                    counters: CostCounters | None = None) -> BlockOutput:
     """Attention along the V axis for each (f, h, w)."""
-    f, v, h, ww, c = _check_latent(z)
-    if k_c.shape != (f, h, ww, c):
-        raise ShapeError(f"k_c shape {k_c.shape} != ({f},{h},{ww},{c})")
-    # [F, L, V, C]: one sequence of V views per (f, spatial position).
-    return _strided_block(z, k_c.reshape(f, h * ww, 1, c), w, counters,
-                          "camera", (0, 2, 1, 3))
+    return axis_block(z, "camera", k_c, w, counters)
 
 
 def motion_forward(z: np.ndarray, k_m: np.ndarray, w: BlockParams,
                    counters: CostCounters | None = None) -> BlockOutput:
     """Attention along the F axis for each (v, h, w)."""
-    f, v, h, ww, c = _check_latent(z)
-    if k_m.shape != (v, h, ww, c):
-        raise ShapeError(f"k_m shape {k_m.shape} != ({v},{h},{ww},{c})")
-    # [V, L, F, C]: one sequence of F frames per (view, spatial position).
-    return _strided_block(z, k_m.reshape(v, h * ww, 1, c), w, counters,
-                          "motion", (1, 2, 0, 3))
+    return axis_block(z, "motion", k_m, w, counters)
 
 
 def chain_forward(

@@ -25,7 +25,6 @@ from .denoiser import (
     Dims,
     SamplerConfig,
     SampleTrace,
-    MODES,
     build_toy_model,
     cosine_schedule,
     default_trajectory,
@@ -33,6 +32,7 @@ from .denoiser import (
     synth_priors,
 )
 from .errors import ParameterError
+from .scheduler import MODE_TABLE
 
 __all__ = ["RunConfig", "RunReport", "UsageError", "build_config",
            "run_benchmark", "emit_report"]
@@ -70,23 +70,17 @@ class RunConfig:
     def __post_init__(self):
         for f in dataclasses.fields(self):
             _check_type(f.name, f.type, getattr(self, f.name))
-        if self.mode not in MODES:
-            raise UsageError(f"mode: unknown value {self.mode!r}")
-        if not 0.0 < self.topk_ratio <= 1.0:
-            raise UsageError(f"topk_ratio: {self.topk_ratio} outside (0, 1]")
-        if self.alpha_threshold <= 0.0:
-            raise UsageError("alpha_threshold: must be positive")
+        # Dims and SamplerConfig check their own fields.
+        try:
+            self.dims()
+            self.sampler_config()
+        except ParameterError as exc:
+            raise UsageError(str(exc)) from exc
         if self.steps < 1:
             raise UsageError("steps: must be >= 1")
-        if self.warmup < 0 or self.delta_t < 0:
-            raise UsageError("warmup/delta_t: must be >= 0")
-        for name in ("frames", "views", "height", "width", "channels",
-                     "n_heads", "layers"):
-            if getattr(self, name) < 1:
-                raise UsageError(f"{name}: must be >= 1")
-        if self.channels % self.n_heads != 0:
-            raise UsageError("channels: must be divisible by n_heads")
-        if self.mode != "dense" and self.warmup < 1:
+        if self.layers < 1:
+            raise UsageError("layers: must be >= 1")
+        if MODE_TABLE[self.mode].cache and self.warmup < 1:
             raise UsageError("warmup: cache-backed modes need >= 1 dense step")
 
     def dims(self) -> Dims:

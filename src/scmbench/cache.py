@@ -103,11 +103,6 @@ class RollingCache:
     def has_entries(self, layer: int) -> bool:
         return bool(self._queues.get(layer))
 
-    def drain(self, layer: int) -> None:
-        """Consume and discard a full entry set, in FIFO order."""
-        for kind in BLOCK_KINDS:
-            self.retrieve(layer, kind)
-
     def record_similarity(self, layer: int, kind: str, new_value: np.ndarray,
                           step: int) -> float:
         cached = self.peek(layer, kind)

@@ -141,12 +141,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     base_flags = _flag_values(args)
     # Every value is parsed and checked before the first run starts.
     raws = [raw.strip() for raw in args.values.split(",")]
-    configs = [build_config(file_values,
-                            {**base_flags, param: _parse_sweep_value(param, raw)})
-               for raw in raws]
+    spelled: dict = {}
+    for raw in raws:
+        value = _parse_sweep_value(param, raw)
+        if value in spelled:
+            raise UsageError(f"sweep: {param}: {raw!r} repeats "
+                             f"{spelled[value]!r}")
+        spelled[value] = raw
+    configs = [build_config(file_values, {**base_flags, param: value})
+               for value in spelled]
     outdir = args.out or Path(os.environ.get("SCMBENCH_OUTDIR", "."))
     outdir.mkdir(parents=True, exist_ok=True)
-    for raw, config in zip(raws, configs):
+    for raw, config in zip(spelled.values(), configs):
         report = run_benchmark(config)
         name = f"sweep_{param}_{raw}.json".replace("/", "_")
         emit_report(report, outdir / name, similarity_csv=args.similarity_csv)

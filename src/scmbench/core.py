@@ -1,6 +1,6 @@
-"""Deterministic dense-tensor primitives: matmul, softmax, selection,
-scatter/gather, a seeded PRNG, cost instrumentation, and the row split
-that spreads the hot loops over the available cores.
+"""Deterministic dense-tensor primitives: softmax, cosine and PSNR, a
+seeded PRNG, cost instrumentation, and the row split and tiling that
+spread the hot loops over the available cores.
 
 Everything is float64 and bit-deterministic: the same inputs produce
 bit-identical outputs on every call. The thread policy is what makes that
@@ -38,18 +38,13 @@ from .errors import DegenerateInputError, ParameterError, ShapeError
 __all__ = [
     "CostCounters",
     "Rng",
-    "matmul",
     "scratch",
     "split_rows",
     "tile_bounds",
-    "softmax_last",
     "softmax_last_inplace",
     "tune_allocator",
     "cosine",
     "sq_norm",
-    "topk_indices",
-    "gather_tokens",
-    "scatter_refill",
     "psnr",
     "assert_finite",
 ]
@@ -175,25 +170,6 @@ class Rng:
         out[0::2] = r * np.cos(theta)
         out[1::2] = r * np.sin(theta)
         return out[:n].reshape(shape)
-
-
-def randn(rng: Rng, shape) -> np.ndarray:
-    """Standard-normal tensor, deterministic in (seed, shape)."""
-    return rng.normal(shape)
-
-
-def matmul(a: np.ndarray, b: np.ndarray, counters: CostCounters | None = None,
-           block: str | None = None) -> np.ndarray:
-    """2-D product; adds 2*m*n*k attention FLOPs to ``counters`` if given."""
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.shape} @ {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"inner axes disagree: {a.shape} @ {b.shape}")
-    if counters is not None:
-        m, k = a.shape
-        n = b.shape[1]
-        counters.add_attention(2 * m * n * k, block=block)
-    return a @ b
 
 
 _ALLOCATOR_TUNED = False
@@ -357,11 +333,6 @@ def softmax_last_inplace(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def softmax_last(x: np.ndarray) -> np.ndarray:
-    """Max-subtracted softmax along the last axis."""
-    return softmax_last_inplace(x.astype(np.float64, copy=True))
-
-
 def sq_norm(a: np.ndarray) -> float:
     """Squared Euclidean norm of the flattened data, as :func:`cosine`
     takes it."""
@@ -384,61 +355,6 @@ def cosine(a: np.ndarray, b: np.ndarray, a_sq: float | None = None,
     if na == 0.0 or nb == 0.0:
         raise DegenerateInputError("cosine of a zero-norm operand")
     return float(np.clip(dot / (na * nb), -1.0, 1.0))
-
-
-def topk_indices(scores: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k largest scores, ascending, ties to the lower index."""
-    scores = np.asarray(scores)
-    if scores.ndim != 1:
-        raise ShapeError("topk_indices expects a 1-D score vector")
-    n = scores.shape[0]
-    if not 1 <= k <= n:
-        raise ParameterError(f"k={k} out of range for n={n}")
-    order = np.argsort(-scores, kind="stable")
-    return np.sort(order[:k])
-
-
-def _check_indices(indices: np.ndarray, length: int) -> np.ndarray:
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.ndim != 1 or idx.size == 0:
-        raise ParameterError("index list must be 1-D and non-empty")
-    if idx[0] < 0 or idx[-1] >= length or np.any(np.diff(idx) <= 0):
-        raise IndexError(f"indices must be strictly increasing in [0, {length})")
-    return idx
-
-
-def gather_tokens(x: np.ndarray, indices) -> np.ndarray:
-    """Select spatial positions from a [..., H, W, C] tensor.
-
-    The trailing (H, W) pair is flattened to L = H*W and the listed flat
-    positions are kept; all other axes are preserved. Output is [..., K, C].
-    """
-    if x.ndim < 3:
-        raise ShapeError("gather_tokens expects at least [H, W, C]")
-    h, w, c = x.shape[-3], x.shape[-2], x.shape[-1]
-    idx = _check_indices(indices, h * w)
-    flat = x.reshape(x.shape[:-3] + (h * w, c))
-    return np.take(flat, idx, axis=-2)
-
-
-def scatter_refill(computed: np.ndarray, cached: np.ndarray, indices) -> np.ndarray:
-    """Merge freshly computed positions into a cached full-shape tensor.
-
-    ``cached`` is [..., H, W, C]; ``computed`` is [..., K, C] covering
-    exactly the listed flat positions. Every output position comes from
-    exactly one source.
-    """
-    if cached.ndim < 3:
-        raise ShapeError("scatter_refill expects cached of shape [..., H, W, C]")
-    h, w, c = cached.shape[-3], cached.shape[-2], cached.shape[-1]
-    idx = _check_indices(indices, h * w)
-    if computed.shape != cached.shape[:-3] + (idx.size, c):
-        raise ShapeError(
-            f"computed shape {computed.shape} does not cover {idx.size} positions"
-        )
-    out = cached.reshape(cached.shape[:-3] + (h * w, c)).copy()
-    out[..., idx, :] = computed
-    return out.reshape(cached.shape)
 
 
 def psnr(a: np.ndarray, b: np.ndarray) -> float:

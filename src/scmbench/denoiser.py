@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import pruning
 from .attention import (
     BlockParams,
     ChainWeights,
@@ -27,15 +28,14 @@ from .attention import (
     spatial_forward,
 )
 from .cache import BLOCK_KINDS, RollingCache
-from .core import (CostCounters, Rng, assert_finite, randn, scratch, split_rows,
+from .core import (CostCounters, Rng, assert_finite, scratch, split_rows,
                    tile_bounds)
 from .errors import ParameterError
-from .pruning import pruned_chain_forward
 from .scheduler import (
+    MODE_TABLE,
     SchedulerState,
     StepKind,
     StepMode,
-    base_kind,
     bypass_set,
     compute_asr,
     select_mode,
@@ -54,6 +54,7 @@ __all__ = [
     "planted_latent",
     "forward_noise",
     "ddim_update",
+    "cached_chain_forward",
     "model_forward",
     "denoise_step",
     "SamplerConfig",
@@ -63,10 +64,6 @@ __all__ = [
     "write_latent",
     "read_latent",
 ]
-
-MODES = ("dense", "turbo", "cache-only", "prune-only", "bypass-only",
-         "random-prune")
-
 
 @dataclass(frozen=True)
 class Dims:
@@ -80,9 +77,9 @@ class Dims:
     def __post_init__(self):
         for name, value in self.__dict__.items():
             if value < 1:
-                raise ParameterError(f"{name} must be >= 1, got {value}")
+                raise ParameterError(f"{name}: must be >= 1, got {value}")
         if self.channels % self.n_heads != 0:
-            raise ParameterError("channels must be divisible by n_heads")
+            raise ParameterError("channels: must be divisible by n_heads")
 
     @property
     def latent_shape(self) -> tuple[int, int, int, int, int]:
@@ -194,9 +191,9 @@ def _view_embedding(elevation_deg: float, azimuth_deg: float, c: int) -> np.ndar
 def synth_priors(dims: Dims, trajectory: CameraTrajectory, rng: Rng) -> PriorSet:
     """Seeded stand-in priors with camera-angle embeddings on the view axis."""
     f, v, h, w, c = dims.latent_shape
-    k_s = randn(rng, (f, v, 1, c))
-    k_c = randn(rng, (f, h, w, c))
-    k_m = randn(rng, (v, h, w, c))
+    k_s = rng.normal((f, v, 1, c))
+    k_c = rng.normal((f, h, w, c))
+    k_m = rng.normal((v, h, w, c))
     emb = np.stack([
         _view_embedding(trajectory.elevations_deg[i], trajectory.azimuths_deg[i], c)
         for i in range(v)
@@ -216,7 +213,7 @@ def planted_latent(dims: Dims, w_spatial: BlockParams, k_s: np.ndarray,
     spatial block assigns those cells near-total prior weight.
     """
     f, v, h, w, c = dims.latent_shape
-    z = background * randn(rng, dims.latent_shape).reshape(f, v, h * w, c)
+    z = background * rng.normal(dims.latent_shape).reshape(f, v, h * w, c)
     for fi in range(f):
         for vi in range(v):
             kappa = k_s[fi, vi, 0] @ w_spatial.wk
@@ -231,7 +228,7 @@ def forward_noise(z0: np.ndarray, t: int, schedule: DiffusionSchedule,
     """alpha_t * z0 + beta_t * eps with standard-normal eps."""
     if not 0 <= t <= schedule.total_steps:
         raise ParameterError(f"t={t} outside [0, {schedule.total_steps}]")
-    return schedule.alpha[t] * z0 + schedule.beta[t] * randn(rng, z0.shape)
+    return schedule.alpha[t] * z0 + schedule.beta[t] * rng.normal(z0.shape)
 
 
 def ddim_update(z_t: np.ndarray, z0_hat: np.ndarray, t: int,
@@ -310,31 +307,16 @@ class SamplerConfig:
     zero_refill: bool = False
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ParameterError(f"unknown mode {self.mode!r}")
+        if self.mode not in MODE_TABLE:
+            raise ParameterError(f"mode: unknown value {self.mode!r}")
         if not 0.0 < self.topk_ratio <= 1.0:
-            raise ParameterError("topk_ratio must be in (0, 1]")
-        if self.delta_t < 0 or self.warmup < 0:
-            raise ParameterError("delta_t and warmup must be >= 0")
+            raise ParameterError(f"topk_ratio: {self.topk_ratio} outside (0, 1]")
+        if self.delta_t < 0:
+            raise ParameterError("delta_t: must be >= 0")
+        if self.warmup < 0:
+            raise ParameterError("warmup: must be >= 0")
         if self.alpha_threshold <= 0.0:
-            raise ParameterError("alpha_threshold must be positive")
-
-    def uses_cache(self) -> bool:
-        return self.mode != "dense"
-
-    def bypass_enabled(self) -> bool:
-        return self.mode in ("turbo", "random-prune", "cache-only", "bypass-only")
-
-    def step_kind(self, step: int) -> StepKind:
-        if self.mode == "dense" or self.mode == "bypass-only":
-            return StepKind.DENSE
-        if step < self.warmup:
-            return StepKind.DENSE
-        if self.mode == "prune-only":
-            return StepKind.PRUNE
-        if self.mode == "cache-only":
-            return StepKind.DENSE if step % 2 == 0 else StepKind.REUSE
-        return base_kind(step, self.warmup)
+            raise ParameterError("alpha_threshold: must be positive")
 
 
 def _reuse_chain(z: np.ndarray, chain: ChainWeights, cache: RollingCache,
@@ -353,6 +335,60 @@ def _reuse_chain(z: np.ndarray, chain: ChainWeights, cache: RollingCache,
     return z
 
 
+def cached_chain_forward(
+    z: np.ndarray,
+    priors: PriorSet,
+    w: ChainWeights,
+    cache: RollingCache,
+    layer: int,
+    step: int,
+    counters: CostCounters | None = None,
+    select=None,
+    zero_refill: bool = False,
+) -> np.ndarray:
+    """One chain pass for a layer that supersedes its cache entries.
+
+    ``select(semantic)`` maps the spatial block's semantic map to a
+    :class:`pruning.TokenIndexSet`; with it, camera and motion run pruned,
+    with complements refilled from the cache (peeked, so the same entries
+    also feed similarity recording), or zero-filled with ``zero_refill``
+    (degradation ablation; the cache is still maintained). Without it the
+    step is dense.
+
+    Each previous-step entry, if any, is compared while it is still cached
+    and consumed as soon as its block is superseded, so it never outlives
+    that block. The step's own attention outputs then become the entries.
+    """
+    stale = cache.has_entries(layer)
+
+    def supersede(kind: str, out):
+        if stale:
+            cache.record_similarity(layer, kind, out.attention, step)
+            cache.retrieve(layer, kind)
+        return out
+
+    def refill(kind: str) -> np.ndarray:
+        cached = cache.peek(layer, kind)
+        return np.zeros_like(cached) if zero_refill else cached
+
+    so = supersede("spatial",
+                   spatial_forward(z, priors.k_s, w.spatial, counters))
+    if select is None:
+        co = supersede("camera",
+                       camera_forward(so.out, priors.k_c, w.camera, counters))
+        mo = supersede("motion",
+                       motion_forward(co.out, priors.k_m, w.motion, counters))
+    else:
+        idx = select(so.semantic)
+        co = supersede("camera", pruning.pruned_camera_forward(
+            so.out, priors.k_c, w.camera, idx, refill("camera"), counters))
+        mo = supersede("motion", pruning.pruned_motion_forward(
+            co.out, priors.k_m, w.motion, idx, refill("motion"), counters))
+    cache.store(layer, so.attention, co.attention, mo.attention, step,
+                from_workspace=True)
+    return mo.out
+
+
 def model_forward(
     model: ToyModel,
     z: np.ndarray,
@@ -364,47 +400,32 @@ def model_forward(
     cfg: SamplerConfig | None = None,
     random_rng: Rng | None = None,
 ) -> np.ndarray:
-    """One full pass over the layers under the given step mode."""
+    """One full pass over the layers under the given step mode.
+
+    A prune step selects keep lists from the semantic map, or draws them
+    from ``random_rng`` when it is given (ablation).
+    """
     cfg = cfg or SamplerConfig(mode="dense")
+    select = None
+    if mode.kind is StepKind.PRUNE:
+        def select(q_s: np.ndarray) -> pruning.TokenIndexSet:
+            if random_rng is not None:
+                return pruning.random_tokens(*q_s.shape, cfg.topk_ratio,
+                                             random_rng, cfg.per_axis_ratio)
+            return pruning.identify_tokens(q_s, cfg.topk_ratio,
+                                           cfg.per_axis_ratio)
+
     for li, layer in enumerate(model.layers):
         z = mixing(z, layer.mix, counters)
         if li in mode.bypassed_layers:
             continue
-        if mode.kind is StepKind.DENSE:
-            if cache is None:
-                z, _ = chain_forward(z, priors, layer.chain, counters)
-            else:
-                # Interleave comparison and retrieval per block: each old
-                # entry is consumed as soon as its similarity is recorded,
-                # so the previous step's entries never outlive the blocks
-                # that supersede them.
-                stale = cache.has_entries(li)
-                so = spatial_forward(z, priors.k_s, layer.chain.spatial,
-                                     counters)
-                if stale:
-                    cache.record_similarity(li, "spatial", so.attention, step)
-                    cache.retrieve(li, "spatial")
-                co = camera_forward(so.out, priors.k_c, layer.chain.camera,
-                                    counters)
-                if stale:
-                    cache.record_similarity(li, "camera", co.attention, step)
-                    cache.retrieve(li, "camera")
-                mo = motion_forward(co.out, priors.k_m, layer.chain.motion,
-                                    counters)
-                if stale:
-                    cache.record_similarity(li, "motion", mo.attention, step)
-                    cache.retrieve(li, "motion")
-                cache.store(li, so.attention, co.attention, mo.attention, step,
-                            from_workspace=True)
-                z = mo.out
-        elif mode.kind is StepKind.PRUNE:
-            z = pruned_chain_forward(
-                z, priors, layer.chain, cfg.topk_ratio, cache, li, step,
-                counters, per_axis=cfg.per_axis_ratio, random_rng=random_rng,
-                zero_refill=cfg.zero_refill,
-            )
-        else:
+        if mode.kind is StepKind.REUSE:
             z = _reuse_chain(z, layer.chain, cache, li, step, counters)
+        elif cache is None and select is None:
+            z, _ = chain_forward(z, priors, layer.chain, counters)
+        else:
+            z = cached_chain_forward(z, priors, layer.chain, cache, li, step,
+                                     counters, select, cfg.zero_refill)
     return z
 
 
@@ -464,17 +485,16 @@ def sample(
     """Run the full reverse loop under the configured acceleration mode."""
     n_layers = len(model.layers)
     total = schedule.total_steps
-    z = randn(rng, model.dims.latent_shape)
+    z = rng.normal(model.dims.latent_shape)
     counters.acquire_workspace(z.size)
     counters.release_workspace()
 
-    cache = RollingCache(counters) if cfg.uses_cache() else None
-    effective_alpha = (
-        cfg.alpha_threshold if cfg.bypass_enabled() else float("inf")
-    )
+    spec = MODE_TABLE[cfg.mode]
+    cache = RollingCache(counters) if spec.cache else None
+    effective_alpha = cfg.alpha_threshold if spec.bypass else float("inf")
     state = SchedulerState(delta_t=cfg.delta_t, alpha=effective_alpha,
                            warmup=cfg.warmup)
-    random_rng = Rng(model.seed ^ 0x5EED) if cfg.mode == "random-prune" else None
+    random_rng = Rng(model.seed ^ 0x5EED) if spec.random_keep else None
 
     records: list[StepRecord] = []
     last_logged = None
@@ -487,7 +507,7 @@ def sample(
         else:
             asr = 0.0
         mode = select_mode(state, step, asr, n_layers,
-                           kind=cfg.step_kind(step))
+                           spec.kind(step, cfg.warmup))
 
         snap = (counters.flops_attention,
                 dict(counters.attention_by_block),

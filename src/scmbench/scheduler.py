@@ -1,9 +1,10 @@
-"""Per-step mode selection and adaptive chain bypass.
+"""Sampling modes, per-step mode selection and adaptive chain bypass.
 
-The schedule is: ``warmup`` fully dense steps, then strict alternation
-with even steps pruning (which refresh the cache and log similarities) and
-odd steps reusing (which consume it). Every cache entry is therefore
-written exactly one step before it is read.
+:data:`MODE_TABLE` holds every mode. Each runs ``warmup`` fully dense
+steps, then its own kinds on even and odd steps. In turbo, even steps
+prune (which refreshes the cache and logs similarities) and odd steps
+reuse (which consumes it), so every cache entry is written exactly one
+step before it is read.
 
 Bypass is driven by the average similarity rate: the mean of all logged
 cosines across block kinds, layers, and the compute steps inside a
@@ -21,13 +22,49 @@ from dataclasses import dataclass, field
 
 from .cache import RollingCache
 
-__all__ = ["StepKind", "StepMode", "SchedulerState", "compute_asr", "select_mode"]
+__all__ = ["StepKind", "StepMode", "ModeSpec", "MODE_TABLE", "SchedulerState",
+           "compute_asr", "select_mode"]
 
 
 class StepKind(enum.Enum):
     DENSE = "dense"
     PRUNE = "prune"
     REUSE = "reuse"
+
+
+@dataclass(frozen=True)
+class ModeSpec:
+    """How one sampling mode runs.
+
+    ``even`` and ``odd`` are the step kinds after warm-up; ``cache`` says
+    whether the mode keeps a rolling cache, ``bypass`` whether chain bypass
+    may latch, and ``random_keep`` whether keep lists are drawn uniformly
+    instead of from the semantic map.
+    """
+
+    even: StepKind
+    odd: StepKind
+    cache: bool
+    bypass: bool
+    random_keep: bool = False
+
+    def kind(self, step: int, warmup: int) -> StepKind:
+        """Dense during warm-up, then ``even`` or ``odd`` by parity."""
+        if step < warmup:
+            return StepKind.DENSE
+        return self.even if step % 2 == 0 else self.odd
+
+
+_D, _P, _R = StepKind.DENSE, StepKind.PRUNE, StepKind.REUSE
+MODE_TABLE = {
+    #                       even odd cache  bypass random keep
+    "dense":        ModeSpec(_D, _D, False, False),
+    "turbo":        ModeSpec(_P, _R, True, True),
+    "cache-only":   ModeSpec(_D, _R, True, True),
+    "prune-only":   ModeSpec(_P, _P, True, False),
+    "bypass-only":  ModeSpec(_D, _D, True, True),
+    "random-prune": ModeSpec(_P, _R, True, True, random_keep=True),
+}
 
 
 @dataclass(frozen=True)
@@ -70,22 +107,10 @@ def compute_asr(cache: RollingCache, step: int, delta_t: int,
     return sum(values) / len(values)
 
 
-def base_kind(step: int, warmup: int) -> StepKind:
-    if step < warmup:
-        return StepKind.DENSE
-    return StepKind.PRUNE if step % 2 == 0 else StepKind.REUSE
-
-
 def select_mode(state: SchedulerState, step: int, asr: float,
-                total_layers: int,
-                kind: StepKind | None = None) -> StepMode:
-    """Pick the mode for one step and latch bypass if the rate clears alpha.
-
-    ``kind`` overrides the default dense/prune/reuse pattern (the ablation
-    modes reuse the bypass logic with their own patterns).
-    """
-    if kind is None:
-        kind = base_kind(step, state.warmup)
+                total_layers: int, kind: StepKind) -> StepMode:
+    """Mode of one step of the given kind; latches bypass if the rate
+    clears alpha."""
     if not state.bypass_active and step >= state.warmup and asr >= state.alpha:
         state.bypass_active = True
     layers = bypass_set(total_layers) if state.bypass_active else frozenset()

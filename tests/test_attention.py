@@ -11,6 +11,7 @@ from scmbench import (
     ParameterError,
     PriorSet,
     Rng,
+    ShapeError,
     axis_attention,
     camera_forward,
     chain_forward,
@@ -19,7 +20,7 @@ from scmbench import (
     motion_forward,
     spatial_forward,
 )
-from scmbench.attention import attention_flop_count, ffn_flop_count
+from scmbench.attention import attention_flop_count, axis_block, ffn_flop_count
 
 from conftest import make_block, make_setup
 
@@ -267,6 +268,22 @@ def test_motion_forward_frame_permutation_equivariance():
     base = motion_forward(z, priors.k_m, p)
     permuted = motion_forward(z[perm], priors.k_m, p)
     assert np.max(np.abs(permuted.out - base.out[perm])) < 1e-12
+
+
+def test_axis_block_rejects_a_wrong_prior_and_a_pruned_spatial_block(
+        small_setup):
+    _, model, priors, z = small_setup
+    w = model.layers[0].chain.camera
+    with pytest.raises(ShapeError, match="camera prior"):
+        axis_block(z, "camera", priors.k_m[:1], w)
+    with pytest.raises(ShapeError, match="latent"):
+        axis_block(z[0], "camera", priors.k_c, w)
+    with pytest.raises(ShapeError, match="cached motion"):
+        axis_block(z, "motion", priors.k_m, w, keep=np.zeros((2, 1), int),
+                   cached=z[:1])
+    with pytest.raises(ParameterError, match="never pruned"):
+        axis_block(z, "spatial", priors.k_s, w, keep=np.zeros((2, 1), int),
+                   cached=z)
 
 
 # --- chain ----------------------------------------------------------------

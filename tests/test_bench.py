@@ -52,6 +52,14 @@ def test_build_config_range_errors():
         build_config(flag_values={"mode": "warp"})
     with pytest.raises(UsageError):
         build_config(flag_values={"steps": 0})
+    # Dims and SamplerConfig check most ranges; RunConfig re-raises their
+    # errors, which still name the field
+    for values in ({"topk_ratio": 0.0}, {"alpha_threshold": -1.0},
+                   {"warmup": -1}, {"delta_t": -1}, {"views": 0},
+                   {"n_heads": 3}, {"layers": 0}, {"mode": "warp"},
+                   {"mode": "turbo", "warmup": 0}):
+        with pytest.raises(UsageError, match=list(values)[-1]):
+            RunConfig(**values)
 
 
 @pytest.mark.parametrize("values", [
@@ -265,6 +273,21 @@ def test_cli_sweep_rejects_a_bad_value_before_any_run(tmp_path, capsys):
     assert code == 2
     assert "topk_ratio" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("param,values,first,again", [
+    ("seed", "1, 1,2", "'1'", "'1'"),
+    ("topk_ratio", "0.5,.5", "'0.5'", "'.5'"),
+])
+def test_cli_sweep_rejects_a_repeated_value(tmp_path, capsys, param, values,
+                                            first, again):
+    # one config would run twice, and its report file be written twice
+    code = main(["sweep", "--param", param, "--values", values, *_TINY,
+                 "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert param in err and f"{again} repeats {first}" in err
+    assert not list(tmp_path.iterdir())  # rejected before any run
 
 
 def test_cli_sweep_bool_literals(tmp_path, capsys):

@@ -137,11 +137,13 @@ def test_record_similarity_reuses_the_entry_norm_only_for_that_array():
     assert cache.record_similarity(0, "spatial", b, step=1) == cosine(a, b)
     known = cache._sq_norms[(0, "spatial")]
     assert known[0] is b and known[1] == sq_norm(b)
-    cache.drain(0)
+    for kind in BLOCK_KINDS:
+        cache.retrieve(0, kind)
     cache.store(0, b, b, b, step=1)
     assert cache.record_similarity(0, "spatial", c, step=2) == cosine(b, c)
     # a different array under the same key: its own norm is taken
-    cache.drain(0)
+    for kind in BLOCK_KINDS:
+        cache.retrieve(0, kind)
     other = 2.0 * c
     cache.store(0, other, other, other, step=2)
     assert cache.record_similarity(0, "spatial", a, step=3) == \
@@ -158,7 +160,8 @@ def test_log_growth_per_compute_step():
                 for kind in BLOCK_KINDS:
                     cache.record_similarity(li, kind,
                                             cache.peek(li, kind), step)
-                cache.drain(li)
+                for kind in BLOCK_KINDS:
+                    cache.retrieve(li, kind)
             cache.store(li, *entries(seed=10 + li), step=step)
     assert len(cache.similarity_log) == 3 * layers
 

@@ -1,4 +1,4 @@
-"""Numeric primitives: matmul, softmax, selection, scatter, RNG, counters."""
+"""Numeric primitives: softmax, cosine, top-k selection, RNG, PSNR, counters."""
 
 import math
 
@@ -7,80 +7,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scmbench import (
-    CostCounters,
-    ParameterError,
-    Rng,
-    ShapeError,
-    cosine,
-    gather_tokens,
-    matmul,
-    psnr,
-    scatter_refill,
-    softmax_last,
-    topk_indices,
-)
-from scmbench.core import PSNR_INF, randn, sq_norm
+from scmbench import CostCounters, ParameterError, Rng, cosine, psnr
+from scmbench.core import PSNR_INF, softmax_last_inplace, sq_norm
+from scmbench.pruning import _row_topk
 from scmbench.errors import DegenerateInputError
-
-
-# --- matmul ---------------------------------------------------------------
-
-def test_matmul_identity():
-    out = matmul(np.eye(2), np.array([[3.0], [4.0]]))
-    assert np.array_equal(out, [[3.0], [4.0]])
-
-
-def test_matmul_hand():
-    assert matmul(np.array([[1.0, 2.0]]), np.array([[3.0], [4.0]])) == [[11.0]]
-
-
-def test_matmul_triple_loop_oracle():
-    rng = Rng(3)
-    a = rng.normal((5, 7))
-    b = rng.normal((7, 3))
-    want = np.zeros((5, 3))
-    for i in range(5):
-        for j in range(3):
-            for k in range(7):
-                want[i, j] += a[i, k] * b[k, j]
-    assert np.max(np.abs(matmul(a, b) - want)) < 1e-12
-
-
-def test_matmul_counts_flops():
-    c = CostCounters()
-    matmul(np.ones((5, 7)), np.ones((7, 3)), c)
-    assert c.flops_attention == 2 * 5 * 3 * 7
-
-
-def test_matmul_shape_errors():
-    with pytest.raises(ShapeError):
-        matmul(np.ones((2, 3)), np.ones((4, 2)))
-    with pytest.raises(ShapeError):
-        matmul(np.ones(3), np.ones((3, 2)))
-
-
-def test_matmul_associative():
-    rng = Rng(9)
-    a, b, c = rng.normal((4, 5)), rng.normal((5, 6)), rng.normal((6, 3))
-    assert np.max(np.abs(matmul(matmul(a, b), c) - matmul(a, matmul(b, c)))) < 1e-9
 
 
 # --- softmax --------------------------------------------------------------
 
+def softmax(x):
+    """The in-place softmax, run on a float copy of ``x``."""
+    return softmax_last_inplace(np.array(x, dtype=np.float64))
+
+
 def test_softmax_symmetry():
-    assert np.allclose(softmax_last(np.array([0.0, 0.0])), [0.5, 0.5],
+    assert np.allclose(softmax(np.array([0.0, 0.0])), [0.5, 0.5],
                        atol=1e-15)
 
 
 def test_softmax_no_overflow():
-    out = softmax_last(np.array([1000.0, 1000.0]))
+    out = softmax(np.array([1000.0, 1000.0]))
     assert np.allclose(out, [0.5, 0.5], atol=1e-15)
     assert np.all(np.isfinite(out))
 
 
 def test_softmax_analytic():
-    out = softmax_last(np.array([0.0, math.log(3.0)]))
+    out = softmax(np.array([0.0, math.log(3.0)]))
     assert np.allclose(out, [0.25, 0.75], atol=1e-12)
 
 
@@ -88,15 +40,16 @@ def test_softmax_analytic():
 @given(st.lists(st.floats(-50, 50), min_size=1, max_size=8), st.integers(1, 3))
 def test_softmax_rows_sum_to_one(row, rows):
     x = np.array([row] * rows)
-    out = softmax_last(x)
+    out = softmax(x)
     assert np.all(out >= 0.0)
     assert np.max(np.abs(out.sum(axis=-1) - 1.0)) < 1e-12
 
 
-def test_softmax_does_not_mutate_input():
+def test_softmax_inplace_overwrites_and_returns_its_input():
     x = np.array([1.0, 2.0, 3.0])
-    softmax_last(x)
-    assert np.array_equal(x, [1.0, 2.0, 3.0])
+    want = np.exp(x - 3.0) / np.exp(x - 3.0).sum()
+    assert softmax_last_inplace(x) is x
+    assert np.allclose(x, want, atol=1e-15)
 
 
 # --- cosine ---------------------------------------------------------------
@@ -126,25 +79,23 @@ def test_cosine_zero_norm_raises():
         cosine(np.zeros(3), np.ones(3))
 
 
-# --- topk_indices ---------------------------------------------------------
+# --- top-k selection ------------------------------------------------------
+
+def topk(scores, k):
+    """``_row_topk`` on one row of scores."""
+    return _row_topk(np.asarray(scores, dtype=np.float64)[None], k)[0]
+
 
 def test_topk_hand():
-    assert np.array_equal(topk_indices(np.array([0.1, 0.9, 0.5]), 2), [1, 2])
+    assert np.array_equal(topk([0.1, 0.9, 0.5], 2), [1, 2])
 
 
 def test_topk_all():
-    assert np.array_equal(topk_indices(np.array([3.0, 1.0, 2.0]), 3), [0, 1, 2])
+    assert np.array_equal(topk([3.0, 1.0, 2.0], 3), [0, 1, 2])
 
 
 def test_topk_tie_break_lower_index():
-    assert np.array_equal(topk_indices(np.ones(4), 2), [0, 1])
-
-
-def test_topk_range_errors():
-    with pytest.raises(ParameterError):
-        topk_indices(np.ones(3), 0)
-    with pytest.raises(ParameterError):
-        topk_indices(np.ones(3), 4)
+    assert np.array_equal(topk(np.ones(4), 2), [0, 1])
 
 
 @settings(max_examples=50, deadline=None)
@@ -152,97 +103,13 @@ def test_topk_range_errors():
 def test_topk_property(scores, data):
     scores = np.array(scores)
     k = data.draw(st.integers(1, len(scores)))
-    idx = topk_indices(scores, k)
+    idx = topk(scores, k)
     assert len(idx) == k
     assert np.all(np.diff(idx) > 0)
     # every selected score >= every unselected score
     unselected = np.setdiff1d(np.arange(len(scores)), idx)
     if len(unselected):
         assert scores[idx].min() >= scores[unselected].max()
-
-
-# --- gather / scatter -----------------------------------------------------
-
-def test_gather_identity():
-    x = Rng(5).normal((2, 3, 3, 2))
-    out = gather_tokens(x, np.arange(9))
-    assert np.array_equal(out, x.reshape(2, 9, 2))
-
-
-def test_gather_positional():
-    x = np.arange(4.0).reshape(1, 1, 2, 2, 1)  # flat [0, 1, 2, 3]
-    out = gather_tokens(x, [0, 3])
-    assert np.array_equal(out.ravel(), [0.0, 3.0])
-
-
-def test_gather_loop_oracle():
-    x = Rng(6).normal((2, 2, 4, 4, 3))
-    idx = [1, 5, 10, 14]
-    got = gather_tokens(x, idx)
-    flat = x.reshape(2, 2, 16, 3)
-    for a in range(2):
-        for b in range(2):
-            for j, p in enumerate(idx):
-                assert np.array_equal(got[a, b, j], flat[a, b, p])
-
-
-def test_gather_bad_indices():
-    x = np.ones((2, 2, 3))
-    with pytest.raises(IndexError):
-        gather_tokens(x, [0, 4])
-    with pytest.raises(IndexError):
-        gather_tokens(x, [2, 1])  # not increasing
-
-
-def test_scatter_full_overwrite():
-    cached = Rng(7).normal((2, 2, 3))
-    computed = Rng(8).normal((4, 3))
-    out = scatter_refill(computed, cached, np.arange(4))
-    assert np.array_equal(out.reshape(4, 3), computed)
-
-
-def test_scatter_positional():
-    cached = np.array([[[1.0], [2.0]]]).reshape(1, 2, 1)
-    computed = np.array([[9.0]])
-    out = scatter_refill(computed, cached, [0])
-    assert np.array_equal(out.ravel(), [9.0, 2.0])
-
-
-def test_scatter_loop_oracle():
-    cached = Rng(9).normal((2, 4, 4, 3))
-    idx = [0, 3, 7, 9, 15]
-    computed = Rng(10).normal((2, 5, 3))
-    got = scatter_refill(computed, cached, idx).reshape(2, 16, 3)
-    flat = cached.reshape(2, 16, 3)
-    for b in range(2):
-        for p in range(16):
-            if p in idx:
-                assert np.array_equal(got[b, p], computed[b, idx.index(p)])
-            else:
-                assert np.array_equal(got[b, p], flat[b, p])
-
-
-def test_scatter_coverage_mismatch():
-    with pytest.raises(ShapeError):
-        scatter_refill(np.ones((3, 2)), np.ones((2, 2, 2)), [0, 1])
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 2 ** 31), st.data())
-def test_gather_scatter_roundtrip(seed, data):
-    h, w, c = 3, 4, 2
-    k = data.draw(st.integers(1, h * w))
-    rng = Rng(seed)
-    idx = np.sort(np.argsort(rng.uniform(h * w), kind="stable")[:k])
-    cached = rng.normal((h, w, c))
-    computed = rng.normal((k, c))
-    merged = scatter_refill(computed, cached, idx)
-    # selected positions round-trip; complements equal `cached`
-    assert np.array_equal(gather_tokens(merged, idx), computed)
-    comp = np.setdiff1d(np.arange(h * w), idx)
-    if len(comp):
-        assert np.array_equal(gather_tokens(merged, comp),
-                              gather_tokens(cached, comp))
 
 
 # --- Rng ------------------------------------------------------------------
@@ -280,7 +147,7 @@ def test_rng_batching_invariance():
 
 
 def test_randn_statistics():
-    x = randn(Rng(0), 10 ** 5)
+    x = Rng(0).normal(10 ** 5)
     assert abs(float(x.mean())) < 0.02
     assert abs(float(x.var()) - 1.0) < 0.03
 

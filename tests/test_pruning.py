@@ -1,4 +1,4 @@
-"""Semantic token selection and cache-refilled pruned forwards."""
+"""Semantic token selection, the pruned blocks and the cached chain step."""
 
 import numpy as np
 import pytest
@@ -8,13 +8,13 @@ from scmbench import (
     ParameterError,
     RollingCache,
     Rng,
+    cached_chain_forward,
     camera_forward,
     chain_forward,
     identify_tokens,
     motion_forward,
     planted_latent,
     pruned_camera_forward,
-    pruned_chain_forward,
     pruned_motion_forward,
     random_tokens,
     spatial_forward,
@@ -22,6 +22,16 @@ from scmbench import (
 )
 
 from conftest import make_setup
+
+
+def complement(row, length):
+    """The positions of range(length) not in ``row``, ascending."""
+    return np.setdiff1d(np.arange(length), row)
+
+
+def semantic(ratio):
+    """A selector that keeps the top ``ratio`` of the semantic map."""
+    return lambda q_s: identify_tokens(q_s, ratio)
 
 
 # --- token_count / identify_tokens ---------------------------------------
@@ -57,8 +67,11 @@ def test_identify_hand_ranking():
 def test_identify_complements_partition():
     q_s = Rng(1).uniform((3, 2, 4, 4))
     idx = identify_tokens(q_s, 0.25)
-    for keep, comp in ((idx.i_c, idx.comp_c), (idx.i_m, idx.comp_m)):
-        for row_k, row_c in zip(keep, comp):
+    for keep in (idx.i_c, idx.i_m):
+        for row_k in keep:
+            # distinct positions in range: kept and rest add up to all 16
+            row_c = complement(row_k, 16)
+            assert len(row_k) + len(row_c) == 16
             union = np.sort(np.concatenate([row_k, row_c]))
             assert np.array_equal(union, np.arange(16))
 
@@ -106,7 +119,7 @@ def _mask_oracle_camera(z_s, k_c, w, idx, cached):
     att = dense.attention.reshape(f, v, h * ww, c).copy()
     cached_flat = cached.reshape(f, v, h * ww, c)
     for fi in range(f):
-        comp = idx.comp_c[fi]
+        comp = complement(idx.i_c[fi], h * ww)
         att[fi, :, comp, :] = cached_flat[fi, :, comp, :]
     att = att.reshape(z_s.shape)
     from scmbench import ffn
@@ -120,7 +133,7 @@ def _mask_oracle_motion(z_c, k_m, w, idx, cached):
     att = dense.attention.reshape(f, v, h * ww, c).copy()
     cached_flat = cached.reshape(f, v, h * ww, c)
     for vi in range(v):
-        comp = idx.comp_m[vi]
+        comp = complement(idx.i_m[vi], h * ww)
         att[:, vi, comp, :] = cached_flat[:, vi, comp, :]
     att = att.reshape(z_c.shape)
     from scmbench import ffn
@@ -164,7 +177,7 @@ def test_pruned_complement_refill_bit_exact():
     att = got.attention.reshape(2, 2, 16, 8)
     cached_flat = cached.reshape(2, 2, 16, 8)
     for fi in range(2):
-        comp = idx.comp_c[fi]
+        comp = complement(idx.i_c[fi], 16)
         assert np.array_equal(att[fi, :, comp, :], cached_flat[fi, :, comp, :])
 
 
@@ -175,12 +188,32 @@ def test_pruned_chain_ratio_one_equals_dense():
     cache = RollingCache()
     cache.store(0, Rng(97).normal(z.shape), Rng(98).normal(z.shape),
                 Rng(99).normal(z.shape), step=0)
-    got = pruned_chain_forward(z, priors, chain, 1.0, cache, layer=0, step=1)
+    got = cached_chain_forward(z, priors, chain, cache, layer=0, step=1,
+                               select=semantic(1.0))
     assert np.array_equal(got, dense_out)
     # cache now holds exactly the dense outputs
     assert np.array_equal(cache.retrieve(0, "spatial"), so.attention)
     assert np.array_equal(cache.retrieve(0, "camera"), co.attention)
     assert np.array_equal(cache.retrieve(0, "motion"), mo.attention)
+
+
+def test_cached_chain_dense_step_supersedes_entries():
+    # no selector: a dense step, which compares to and replaces the entries
+    dims, model, priors, z = make_setup(2, 2, 4, 4, 8, seed=103)
+    chain = model.layers[0].chain
+    dense_out, (so, co, mo) = chain_forward(z, priors, chain)
+    cache = RollingCache()
+    assert np.array_equal(
+        cached_chain_forward(z, priors, chain, cache, layer=0, step=0),
+        dense_out)
+    assert cache.similarity_log == []  # nothing cached yet to compare
+    old = cache.peek(0, "spatial")
+    cached_chain_forward(z, priors, chain, cache, layer=0, step=1)
+    assert [r.kind for r in cache.similarity_log] == [
+        "spatial", "camera", "motion"]
+    assert cache.peek(0, "spatial") is not old
+    for kind, block in zip(("spatial", "camera", "motion"), (so, co, mo)):
+        assert np.array_equal(cache.retrieve(0, kind), block.attention)
 
 
 def test_pruned_chain_records_similarities():
@@ -189,7 +222,8 @@ def test_pruned_chain_records_similarities():
     cache = RollingCache()
     _, (so, co, mo) = chain_forward(z, priors, chain)
     cache.store(0, so.attention, co.attention, mo.attention, step=0)
-    pruned_chain_forward(z, priors, chain, 0.5, cache, layer=0, step=1)
+    cached_chain_forward(z, priors, chain, cache, layer=0, step=1,
+                         select=semantic(0.5))
     assert len(cache.similarity_log) == 3
     # same latent both steps: spatial attention is identical
     assert cache.similarity_log[0].value == pytest.approx(1.0, abs=1e-12)
@@ -204,7 +238,8 @@ def test_pruned_flops_scale_with_ratio():
         cache = RollingCache()
         cache.store(0, so.attention, co.attention, mo.attention, step=0)
         counters = CostCounters()
-        pruned_chain_forward(z, priors, chain, ratio, cache, 0, 1, counters)
+        cached_chain_forward(z, priors, chain, cache, 0, 1, counters,
+                             semantic(ratio))
         return counters.attention_by_block
 
     lo, hi = att_flops(0.25), att_flops(0.75)
@@ -221,7 +256,8 @@ def test_pruned_chain_zero_refill():
     def run(zero_refill):
         cache = RollingCache()
         cache.store(0, so.attention, co.attention, mo.attention, step=0)
-        return pruned_chain_forward(z, priors, chain, 0.25, cache, 0, 1,
+        return cached_chain_forward(z, priors, chain, cache, 0, 1,
+                                    select=semantic(0.25),
                                     zero_refill=zero_refill)
 
     assert not np.array_equal(run(True), run(False))
