@@ -16,13 +16,12 @@ from .attention import (
     spatial_forward,
 )
 from .bench import RunConfig, RunReport, build_config, emit_report, run_benchmark
-from .cache import BLOCK_KINDS, CacheEntry, RollingCache
+from .cache import BLOCK_KINDS, RollingCache
 from .core import CostCounters, Rng, cosine, psnr
 from .denoiser import (
     CameraTrajectory,
     DiffusionSchedule,
     Dims,
-    SamplerConfig,
     ToyModel,
     build_toy_model,
     cached_chain_forward,
@@ -30,13 +29,10 @@ from .denoiser import (
     ddim_update,
     default_trajectory,
     denoise_step,
-    forward_noise,
     model_forward,
     planted_latent,
-    read_latent,
     sample,
     synth_priors,
-    write_latent,
 )
 from .errors import (
     CacheProtocolError,

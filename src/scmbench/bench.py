@@ -1,10 +1,11 @@
 """Run configuration, execution, and machine-readable reporting.
 
 A run is fully determined by its ``RunConfig``: the config echo inside a
-report is enough to reproduce it. Reports separate deterministic content
-from wall-clock-derived content (the ``timing`` section and nothing else),
-so two runs with the same seed produce byte-identical JSON after dropping
-``timing``.
+report is enough to reproduce it. ``RunConfig`` is also the sampler's
+configuration and the one place every setting is checked. Reports
+separate deterministic content from wall-clock-derived content (the
+``timing`` section and nothing else), so two runs with the same seed
+produce byte-identical JSON after dropping ``timing``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .cache import RollingCache
 from .core import CostCounters, Rng, cosine, psnr, tune_allocator
 from .denoiser import (
     Dims,
-    SamplerConfig,
     SampleTrace,
     build_toy_model,
     cosine_schedule,
@@ -70,12 +70,21 @@ class RunConfig:
     def __post_init__(self):
         for f in dataclasses.fields(self):
             _check_type(f.name, f.type, getattr(self, f.name))
-        # Dims and SamplerConfig check their own fields.
+        # Dims checks its own fields.
         try:
             self.dims()
-            self.sampler_config()
         except ParameterError as exc:
             raise UsageError(str(exc)) from exc
+        if self.mode not in MODE_TABLE:
+            raise UsageError(f"mode: unknown value {self.mode!r}")
+        if not 0.0 < self.topk_ratio <= 1.0:
+            raise UsageError(f"topk_ratio: {self.topk_ratio} outside (0, 1]")
+        if self.delta_t < 0:
+            raise UsageError("delta_t: must be >= 0")
+        if self.warmup < 0:
+            raise UsageError("warmup: must be >= 0")
+        if self.alpha_threshold <= 0.0:
+            raise UsageError("alpha_threshold: must be positive")
         if self.steps < 1:
             raise UsageError("steps: must be >= 1")
         if self.layers < 1:
@@ -86,17 +95,6 @@ class RunConfig:
     def dims(self) -> Dims:
         return Dims(self.frames, self.views, self.height, self.width,
                     self.channels, self.n_heads)
-
-    def sampler_config(self) -> SamplerConfig:
-        return SamplerConfig(
-            mode=self.mode,
-            topk_ratio=self.topk_ratio,
-            per_axis_ratio=self.per_axis_ratio,
-            delta_t=self.delta_t,
-            alpha_threshold=self.alpha_threshold,
-            warmup=self.warmup,
-            zero_refill=self.zero_refill,
-        )
 
 
 def _check_type(name: str, kind: str, value) -> None:
@@ -112,13 +110,17 @@ def _check_type(name: str, kind: str, value) -> None:
         ok = isinstance(value, numbers.Integral)
     else:
         ok = isinstance(value, numbers.Real)
-        if ok and not math.isfinite(value):
+        try:
+            finite = ok and math.isfinite(value)
+        except OverflowError:  # an int too large for a float
+            finite = False
+        if ok and not finite:
             raise UsageError(f"{name}: must be finite, got {value!r}")
     if not ok:
         raise UsageError(f"{name}: expected {kind}, got {value!r}")
 
 
-_FIELD_NAMES = {f.name for f in dataclasses.fields(RunConfig)}
+FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
 
 
 def build_config(file_values: dict | None = None,
@@ -129,13 +131,10 @@ def build_config(file_values: dict | None = None,
         if not source:
             continue
         for key, value in source.items():
-            if key not in _FIELD_NAMES:
+            if key not in FIELD_TYPES:
                 raise UsageError(f"{label}: unknown key {key!r}")
             merged[key] = value
-    try:
-        return RunConfig(**merged)
-    except (UsageError, ParameterError) as exc:
-        raise UsageError(str(exc)) from exc
+    return RunConfig(**merged)
 
 
 @dataclass
@@ -156,33 +155,13 @@ class RunReport:
         return self.dense_wall_seconds / self.trace.wall_seconds
 
     def totals(self) -> dict:
-        c = self.counters
-        return {
-            "flops_attention": c.flops_attention,
-            "flops_attention_spatial": c.attention_by_block["spatial"],
-            "flops_attention_camera": c.attention_by_block["camera"],
-            "flops_attention_motion": c.attention_by_block["motion"],
-            "flops_ffn": c.flops_ffn,
-            "flops_mixing": c.flops_mixing,
-            "flops_total": c.flops_total,
-        }
+        return {**self.counters.flops(),
+                "flops_total": self.counters.flops_total}
 
     def to_dict(self) -> dict:
-        steps = [
-            {
-                "step": r.step,
-                "t": r.t,
-                "kind": r.kind,
-                "bypassed_layers": r.bypassed_layers,
-                "flops_attention": r.flops_attention,
-                "flops_attention_spatial": r.flops_attention_spatial,
-                "flops_attention_camera": r.flops_attention_camera,
-                "flops_attention_motion": r.flops_attention_motion,
-                "flops_ffn": r.flops_ffn,
-                "flops_mixing": r.flops_mixing,
-            }
-            for r in self.trace.steps
-        ]
+        # wall_us is clock-derived, so it is reported under timing only.
+        steps = [{k: v for k, v in dataclasses.asdict(r).items()
+                  if k != "wall_us"} for r in self.trace.steps]
         doc = {
             "config": dataclasses.asdict(self.config),
             "steps": steps,
@@ -221,7 +200,7 @@ def _execute(config: RunConfig) -> RunReport:
     schedule = cosine_schedule(config.steps)
     counters = CostCounters()
     z_final, trace = sample(
-        model, priors, schedule, config.sampler_config(),
+        model, priors, schedule, config,
         Rng(config.seed + _SAMPLING_SEED_OFFSET), counters,
     )
     return RunReport(config=config, trace=trace, z_final=z_final,

@@ -24,7 +24,7 @@ import numpy as np
 from .core import CostCounters, cosine, sq_norm
 from .errors import CacheProtocolError, DegenerateInputError
 
-__all__ = ["BLOCK_KINDS", "CacheEntry", "SimilarityRecord", "RollingCache"]
+__all__ = ["BLOCK_KINDS", "SimilarityRecord", "RollingCache"]
 
 BLOCK_KINDS = ("spatial", "camera", "motion")
 
@@ -33,7 +33,6 @@ BLOCK_KINDS = ("spatial", "camera", "motion")
 class CacheEntry:
     kind: str
     value: np.ndarray
-    step_written: int
 
 
 @dataclass
@@ -73,7 +72,7 @@ class RollingCache:
                 f"store into non-empty queue (layer {layer}, step {step})"
             )
         for kind, value in zip(BLOCK_KINDS, (a_s, a_c, a_m)):
-            q.append(CacheEntry(kind, value, step))
+            q.append(CacheEntry(kind, value))
             if self.counters is not None:
                 if from_workspace:
                     self.counters.transfer_workspace(value.size)

@@ -8,30 +8,42 @@ $SCMBENCH_OUTDIR, or in the working directory.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
 from pathlib import Path
 
-from .bench import RunConfig, UsageError, build_config, emit_report, run_benchmark
+from .bench import (FIELD_TYPES, UsageError, build_config, emit_report,
+                    run_benchmark)
 
-_FLOAT_FIELDS = {"topk_ratio", "alpha_threshold", "elevation_deg"}
-_BOOL_FIELDS = {"per_axis_ratio", "zero_refill", "compare_dense"}
+
+def _parse_bool(raw: str) -> bool:
+    lowered = raw.lower()
+    if lowered in ("1", "true", "yes"):
+        return True
+    if lowered in ("0", "false", "no"):
+        return False
+    raise ValueError(raw)
+
+
+# Each field's declared type -> its literal parser and the name used in
+# errors. A bool field is a bare flag; a sweep spells its values.
+_PARSERS = {
+    "int": (int, "int"),
+    "float": (float, "float"),
+    "bool": (_parse_bool, "bool (1/true/yes or 0/false/no)"),
+    "str": (str, "str"),
+}
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    for f in dataclasses.fields(RunConfig):
-        flag = "--" + f.name.replace("_", "-")
-        if f.name in _BOOL_FIELDS:
+    for name, kind in FIELD_TYPES.items():
+        flag = "--" + name.replace("_", "-")
+        if kind == "bool":
             parser.add_argument(flag, action="store_const", const=True,
                                 default=None)
-        elif f.name in _FLOAT_FIELDS:
-            parser.add_argument(flag, type=float, default=None)
-        elif f.name == "mode":
-            parser.add_argument(flag, type=str, default=None)
         else:
-            parser.add_argument(flag, type=int, default=None)
+            parser.add_argument(flag, type=_PARSERS[kind][0], default=None)
     parser.add_argument("--config", type=Path, default=None,
                         help="JSON file with RunConfig keys")
     parser.add_argument("--out", type=Path, default=None,
@@ -41,12 +53,8 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _flag_values(args: argparse.Namespace) -> dict:
-    values = {}
-    for f in dataclasses.fields(RunConfig):
-        v = getattr(args, f.name, None)
-        if v is not None:
-            values[f.name] = v
-    return values
+    return {name: getattr(args, name) for name in FIELD_TYPES
+            if getattr(args, name) is not None}
 
 
 def _file_values(args: argparse.Namespace) -> dict | None:
@@ -55,7 +63,7 @@ def _file_values(args: argparse.Namespace) -> dict | None:
     try:
         with open(args.config) as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
         raise UsageError(f"config file: {exc}") from exc
     if not isinstance(data, dict):
         raise UsageError("config file: top level must be a JSON object")
@@ -106,25 +114,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_bool(raw: str) -> bool:
-    lowered = raw.lower()
-    if lowered in ("1", "true", "yes"):
-        return True
-    if lowered in ("0", "false", "no"):
-        return False
-    raise ValueError(raw)
-
-
 def _parse_sweep_value(param: str, raw: str):
     """One ``--values`` item as the type of ``param``; UsageError if not."""
-    if param in _BOOL_FIELDS:
-        kind, parse = "bool (1/true/yes or 0/false/no)", _parse_bool
-    elif param in _FLOAT_FIELDS:
-        kind, parse = "float", float
-    elif param == "mode":
-        kind, parse = "mode", str
-    else:
-        kind, parse = "int", int
+    parse, kind = _PARSERS[FIELD_TYPES[param]]
     try:
         if raw:
             return parse(raw)
@@ -135,7 +127,7 @@ def _parse_sweep_value(param: str, raw: str):
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     param = args.param
-    if param not in {f.name for f in dataclasses.fields(RunConfig)}:
+    if param not in FIELD_TYPES:
         raise UsageError(f"sweep: unknown parameter {param!r}")
     file_values = _file_values(args)
     base_flags = _flag_values(args)

@@ -116,6 +116,18 @@ class CostCounters:
             )
         self._workspace -= elements
 
+    def flops(self) -> dict[str, int]:
+        """FLOP counts per category, keyed like the report's step fields."""
+        by_block = self.attention_by_block
+        return {
+            "flops_attention": self.flops_attention,
+            "flops_attention_spatial": by_block["spatial"],
+            "flops_attention_camera": by_block["camera"],
+            "flops_attention_motion": by_block["motion"],
+            "flops_ffn": self.flops_ffn,
+            "flops_mixing": self.flops_mixing,
+        }
+
     @property
     def flops_total(self) -> int:
         return self.flops_attention + self.flops_ffn + self.flops_mixing

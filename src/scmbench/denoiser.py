@@ -5,14 +5,15 @@ average along H and W (a convolution stand-in), then its attention chain.
 The network predicts the clean latent directly; the reverse loop applies a
 deterministic clean-prediction update on the variance-preserving schedule,
 so any divergence between runs is attributable to the acceleration path
-alone, never to sampling noise.
+alone, never to sampling noise. :func:`sample` reads its settings from a
+:class:`bench.RunConfig`, which validates them.
 """
 
 from __future__ import annotations
 
-import struct
 import time
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -22,7 +23,6 @@ from .attention import (
     ChainWeights,
     PriorSet,
     camera_forward,
-    chain_forward,
     ffn,
     motion_forward,
     spatial_forward,
@@ -41,6 +41,10 @@ from .scheduler import (
     select_mode,
 )
 
+if TYPE_CHECKING:
+    # bench imports this module, so the config type is only named here.
+    from .bench import RunConfig
+
 __all__ = [
     "Dims",
     "DiffusionSchedule",
@@ -52,17 +56,13 @@ __all__ = [
     "build_toy_model",
     "synth_priors",
     "planted_latent",
-    "forward_noise",
     "ddim_update",
     "cached_chain_forward",
     "model_forward",
     "denoise_step",
-    "SamplerConfig",
     "StepRecord",
     "SampleTrace",
     "sample",
-    "write_latent",
-    "read_latent",
 ]
 
 @dataclass(frozen=True)
@@ -223,14 +223,6 @@ def planted_latent(dims: Dims, w_spatial: BlockParams, k_s: np.ndarray,
     return z.reshape(dims.latent_shape)
 
 
-def forward_noise(z0: np.ndarray, t: int, schedule: DiffusionSchedule,
-                  rng: Rng) -> np.ndarray:
-    """alpha_t * z0 + beta_t * eps with standard-normal eps."""
-    if not 0 <= t <= schedule.total_steps:
-        raise ParameterError(f"t={t} outside [0, {schedule.total_steps}]")
-    return schedule.alpha[t] * z0 + schedule.beta[t] * rng.normal(z0.shape)
-
-
 def ddim_update(z_t: np.ndarray, z0_hat: np.ndarray, t: int,
                 schedule: DiffusionSchedule) -> np.ndarray:
     """Deterministic clean-prediction update from step t to t-1."""
@@ -296,29 +288,6 @@ def mixing(z: np.ndarray, mix: np.ndarray,
     return out.reshape(z.shape)
 
 
-@dataclass
-class SamplerConfig:
-    mode: str = "turbo"
-    topk_ratio: float = 0.2
-    per_axis_ratio: bool = False
-    delta_t: int = 3
-    alpha_threshold: float = 0.9
-    warmup: int = 2
-    zero_refill: bool = False
-
-    def __post_init__(self):
-        if self.mode not in MODE_TABLE:
-            raise ParameterError(f"mode: unknown value {self.mode!r}")
-        if not 0.0 < self.topk_ratio <= 1.0:
-            raise ParameterError(f"topk_ratio: {self.topk_ratio} outside (0, 1]")
-        if self.delta_t < 0:
-            raise ParameterError("delta_t: must be >= 0")
-        if self.warmup < 0:
-            raise ParameterError("warmup: must be >= 0")
-        if self.alpha_threshold <= 0.0:
-            raise ParameterError("alpha_threshold: must be positive")
-
-
 def _reuse_chain(z: np.ndarray, chain: ChainWeights, cache: RollingCache,
                  layer: int, step: int,
                  counters: CostCounters | None) -> np.ndarray:
@@ -339,14 +308,14 @@ def cached_chain_forward(
     z: np.ndarray,
     priors: PriorSet,
     w: ChainWeights,
-    cache: RollingCache,
+    cache: RollingCache | None,
     layer: int,
     step: int,
     counters: CostCounters | None = None,
     select=None,
     zero_refill: bool = False,
 ) -> np.ndarray:
-    """One chain pass for a layer that supersedes its cache entries.
+    """One chain pass for a layer that computes its attention.
 
     ``select(semantic)`` maps the spatial block's semantic map to a
     :class:`pruning.TokenIndexSet`; with it, camera and motion run pruned,
@@ -358,8 +327,9 @@ def cached_chain_forward(
     Each previous-step entry, if any, is compared while it is still cached
     and consumed as soon as its block is superseded, so it never outlives
     that block. The step's own attention outputs then become the entries.
+    With no cache the pass records and stores nothing.
     """
-    stale = cache.has_entries(layer)
+    stale = cache is not None and cache.has_entries(layer)
 
     def supersede(kind: str, out):
         if stale:
@@ -384,8 +354,9 @@ def cached_chain_forward(
             so.out, priors.k_c, w.camera, idx, refill("camera"), counters))
         mo = supersede("motion", pruning.pruned_motion_forward(
             co.out, priors.k_m, w.motion, idx, refill("motion"), counters))
-    cache.store(layer, so.attention, co.attention, mo.attention, step,
-                from_workspace=True)
+    if cache is not None:
+        cache.store(layer, so.attention, co.attention, mo.attention, step,
+                    from_workspace=True)
     return mo.out
 
 
@@ -397,35 +368,29 @@ def model_forward(
     step: int,
     cache: RollingCache | None = None,
     counters: CostCounters | None = None,
-    cfg: SamplerConfig | None = None,
-    random_rng: Rng | None = None,
+    select=None,
+    zero_refill: bool = False,
 ) -> np.ndarray:
     """One full pass over the layers under the given step mode.
 
-    A prune step selects keep lists from the semantic map, or draws them
-    from ``random_rng`` when it is given (ablation).
+    A reuse step reads each layer's cached attention; any other step
+    computes it through :func:`cached_chain_forward`. ``select`` maps the
+    spatial semantic map to keep lists and is used, and required, on a
+    prune step only; ``zero_refill`` zero-fills the pruned complements.
     """
-    cfg = cfg or SamplerConfig(mode="dense")
-    select = None
-    if mode.kind is StepKind.PRUNE:
-        def select(q_s: np.ndarray) -> pruning.TokenIndexSet:
-            if random_rng is not None:
-                return pruning.random_tokens(*q_s.shape, cfg.topk_ratio,
-                                             random_rng, cfg.per_axis_ratio)
-            return pruning.identify_tokens(q_s, cfg.topk_ratio,
-                                           cfg.per_axis_ratio)
-
+    if mode.kind is not StepKind.PRUNE:
+        select = None
+    elif select is None:
+        raise ParameterError("prune step: no keep-list selector given")
     for li, layer in enumerate(model.layers):
         z = mixing(z, layer.mix, counters)
         if li in mode.bypassed_layers:
             continue
         if mode.kind is StepKind.REUSE:
             z = _reuse_chain(z, layer.chain, cache, li, step, counters)
-        elif cache is None and select is None:
-            z, _ = chain_forward(z, priors, layer.chain, counters)
         else:
             z = cached_chain_forward(z, priors, layer.chain, cache, li, step,
-                                     counters, select, cfg.zero_refill)
+                                     counters, select, zero_refill)
     return z
 
 
@@ -438,12 +403,12 @@ def denoise_step(
     mode: StepMode,
     cache: RollingCache | None = None,
     counters: CostCounters | None = None,
-    cfg: SamplerConfig | None = None,
-    random_rng: Rng | None = None,
+    select=None,
+    zero_refill: bool = False,
 ) -> np.ndarray:
     step = schedule.total_steps - t
     z0_hat = model_forward(model, z_t, priors, mode, step, cache, counters,
-                           cfg, random_rng)
+                           select, zero_refill)
     if counters is not None:
         # Clean prediction plus the updated latent.
         counters.acquire_workspace(2 * z_t.size)
@@ -478,11 +443,14 @@ def sample(
     model: ToyModel,
     priors: PriorSet,
     schedule: DiffusionSchedule,
-    cfg: SamplerConfig,
+    cfg: RunConfig,
     rng: Rng,
     counters: CostCounters,
 ) -> tuple[np.ndarray, SampleTrace]:
-    """Run the full reverse loop under the configured acceleration mode."""
+    """Run the full reverse loop under the configured acceleration mode.
+
+    Reads only the sampling fields of ``cfg``, never its shape or seed.
+    """
     n_layers = len(model.layers)
     total = schedule.total_steps
     z = rng.normal(model.dims.latent_shape)
@@ -494,7 +462,18 @@ def sample(
     effective_alpha = cfg.alpha_threshold if spec.bypass else float("inf")
     state = SchedulerState(delta_t=cfg.delta_t, alpha=effective_alpha,
                            warmup=cfg.warmup)
-    random_rng = Rng(model.seed ^ 0x5EED) if spec.random_keep else None
+    # Built once; the pruning functions are looked up per call, so
+    # wrappers installed on the module see every selection.
+    if spec.random_keep:
+        keep_rng = Rng(model.seed ^ 0x5EED)
+
+        def select(q_s: np.ndarray) -> pruning.TokenIndexSet:
+            return pruning.random_tokens(*q_s.shape, cfg.topk_ratio,
+                                         keep_rng, cfg.per_axis_ratio)
+    else:
+        def select(q_s: np.ndarray) -> pruning.TokenIndexSet:
+            return pruning.identify_tokens(q_s, cfg.topk_ratio,
+                                           cfg.per_axis_ratio)
 
     records: list[StepRecord] = []
     last_logged = None
@@ -509,30 +488,22 @@ def sample(
         mode = select_mode(state, step, asr, n_layers,
                            spec.kind(step, cfg.warmup))
 
-        snap = (counters.flops_attention,
-                dict(counters.attention_by_block),
-                counters.flops_ffn, counters.flops_mixing)
+        before = counters.flops()
         log_len = len(cache.similarity_log) if cache is not None else 0
         t0 = time.perf_counter()
         z = denoise_step(model, z, t, priors, schedule, mode, cache, counters,
-                         cfg, random_rng)
+                         select, cfg.zero_refill)
         wall_us = (time.perf_counter() - t0) * 1e6
         counters.release_workspace()
         if cache is not None and len(cache.similarity_log) > log_len:
             last_logged = step
 
-        by_block = counters.attention_by_block
         records.append(StepRecord(
             step=step,
             t=t,
             kind=mode.kind.value,
             bypassed_layers=sorted(mode.bypassed_layers),
-            flops_attention=counters.flops_attention - snap[0],
-            flops_attention_spatial=by_block["spatial"] - snap[1]["spatial"],
-            flops_attention_camera=by_block["camera"] - snap[1]["camera"],
-            flops_attention_motion=by_block["motion"] - snap[1]["motion"],
-            flops_ffn=counters.flops_ffn - snap[2],
-            flops_mixing=counters.flops_mixing - snap[3],
+            **{k: v - before[k] for k, v in counters.flops().items()},
             wall_us=wall_us,
         ))
     wall_seconds = time.perf_counter() - run_start
@@ -544,29 +515,3 @@ def sample(
         wall_seconds=wall_seconds,
         asr_trace=list(state.asr_history),
     )
-
-
-_MAGIC = b"SCMB"
-
-
-def write_latent(path, z: np.ndarray) -> None:
-    """Flat little-endian float64 dump with a shape header."""
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<q", z.ndim))
-        fh.write(struct.pack(f"<{z.ndim}q", *z.shape))
-        fh.write(np.ascontiguousarray(z, dtype="<f8").tobytes())
-
-
-def read_latent(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise ParameterError(f"{path} is not a latent dump")
-        try:
-            ndim = struct.unpack("<q", fh.read(8))[0]
-            shape = struct.unpack(f"<{ndim}q", fh.read(8 * ndim))
-            data = np.frombuffer(fh.read(), dtype="<f8")
-            return data.reshape(shape)
-        except (struct.error, ValueError) as exc:
-            raise ParameterError(f"{path}: truncated or corrupt latent dump "
-                                 f"({exc})") from exc

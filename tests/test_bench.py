@@ -1,16 +1,16 @@
 """Benchmark harness: config precedence, reports, determinism, CLI."""
 
+import dataclasses
 import json
 import math
 
-import dataclasses
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from scmbench import RunConfig, build_config, emit_report, run_benchmark
+from scmbench import cli
 from scmbench.bench import UsageError, _execute
 from scmbench.cli import main
 
@@ -52,8 +52,8 @@ def test_build_config_range_errors():
         build_config(flag_values={"mode": "warp"})
     with pytest.raises(UsageError):
         build_config(flag_values={"steps": 0})
-    # Dims and SamplerConfig check most ranges; RunConfig re-raises their
-    # errors, which still name the field
+    # RunConfig checks every range itself, or re-raises Dims' errors; each
+    # message names the field
     for values in ({"topk_ratio": 0.0}, {"alpha_threshold": -1.0},
                    {"warmup": -1}, {"delta_t": -1}, {"views": 0},
                    {"n_heads": 3}, {"layers": 0}, {"mode": "warp"},
@@ -72,6 +72,7 @@ def test_build_config_range_errors():
     {"elevation_deg": float("-inf")},
     {"per_axis_ratio": 1},
     {"mode": None},
+    {"topk_ratio": 10 ** 400},  # an int too large for a float
 ])
 def test_build_config_rejects_wrong_types(values):
     (key,) = values
@@ -101,6 +102,10 @@ def test_build_config_fuzz(values):
         config = build_config(values)
     except UsageError:
         return
+    assert_declared_types(config)
+
+
+def assert_declared_types(config):
     for name, kind in _FIELD_KINDS.items():
         value = getattr(config, name)
         if kind == "bool":
@@ -244,6 +249,17 @@ def test_cli_bad_config_file(tmp_path, capsys):
     assert main(["run", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("content", [
+    b'{"seed": ' + b"1" * 5000 + b"}",  # past the int literal digit limit
+    b'{"mode": "\xff"}',                 # not UTF-8
+], ids=["int-too-long", "not-utf8"])
+def test_cli_unreadable_config_file(tmp_path, capsys, content):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(content)
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("error: config file")
+
+
 _TINY = ["--frames", "2", "--views", "2", "--height", "4", "--width", "4",
          "--channels", "8", "--layers", "1", "--steps", "2", "--warmup", "1"]
 
@@ -298,3 +314,88 @@ def test_cli_sweep_bool_literals(tmp_path, capsys):
                for p in tmp_path.glob("sweep_*.json")}
     assert written == {"sweep_zero_refill_no.json": False,
                        "sweep_zero_refill_YES.json": True}
+
+
+# One literal per declared type, valid for every field of that type.
+_LITERALS = {"int": "2", "float": "0.5", "bool": "true", "str": "dense"}
+_TYPES = {"int": int, "float": float, "bool": bool, "str": str}
+
+
+@pytest.mark.parametrize("field", dataclasses.fields(RunConfig),
+                         ids=lambda f: f.name)
+def test_cli_parses_each_field_as_its_declared_type(field):
+    flag = "--" + field.name.replace("_", "-")
+    literal = _LITERALS[field.type]
+    argv = ["run", flag] + ([] if field.type == "bool" else [literal])
+    from_flag = cli._flag_values(cli.build_parser().parse_args(argv))
+    from_sweep = cli._parse_sweep_value(field.name, literal)
+    for value in (from_flag[field.name], from_sweep):
+        assert type(value) is _TYPES[field.type]
+        assert getattr(build_config(None, {field.name: value}),
+                       field.name) == value
+
+
+# --- CLI fuzz ---------------------------------------------------------------
+
+class _Reached(Exception):
+    """Raised by the stand-in for run_benchmark: the config was accepted."""
+
+
+def _stub_run(config):
+    assert isinstance(config, RunConfig)
+    assert_declared_types(config)
+    raise _Reached
+
+
+def _exit_code(argv) -> int | None:
+    """main's exit code, argparse's included; None if the stub was reached."""
+    try:
+        return main(argv)
+    except _Reached:
+        return None
+    except SystemExit as exc:
+        return exc.code
+
+
+_SCALAR = st.one_of(st.none(), st.booleans(), st.integers(),
+                    st.floats(), st.text(max_size=6),
+                    st.sampled_from(["dense", "turbo", "random-prune"]))
+_JSON = st.recursive(
+    _SCALAR,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+_LITERAL = st.one_of(
+    st.text(max_size=6), st.integers(-3, 70).map(str), st.floats().map(repr),
+    st.sampled_from(["true", "NO", "dense", "warp", " 1", "1e999", "nan"]),
+)
+_FUZZ = settings(max_examples=300, deadline=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@_FUZZ
+@given(doc=st.one_of(_JSON, st.dictionaries(
+    st.sampled_from(sorted(_FIELD_KINDS)), _JSON, max_size=6)))
+def test_cli_run_config_file_fuzz(tmp_path, monkeypatch, capsys, doc):
+    # Any JSON file either yields a valid config or exit code 2, cleanly.
+    monkeypatch.setattr(cli, "run_benchmark", _stub_run)
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(doc))
+    code = _exit_code(["run", "--config", str(path)])
+    assert code in (None, 2)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@_FUZZ
+@given(param=st.one_of(st.sampled_from(sorted(_FIELD_KINDS)),
+                       st.text(max_size=6)),
+       text=st.one_of(st.text(), st.lists(_LITERAL, min_size=1,
+                                          max_size=4).map(",".join)))
+def test_cli_sweep_values_fuzz(tmp_path, monkeypatch, capsys, param, text):
+    # Any --param/--values pair either yields valid configs or exit code 2.
+    monkeypatch.setattr(cli, "run_benchmark", _stub_run)
+    code = _exit_code(["sweep", "--param", param, "--values", text,
+                       "--out", str(tmp_path)])
+    assert code in (None, 2)
+    assert "Traceback" not in capsys.readouterr().err

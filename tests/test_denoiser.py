@@ -1,4 +1,4 @@
-"""Toy denoiser: schedule, noising, sampler update, layers, sampling loop."""
+"""Toy denoiser: schedule, sampler update, layers, sampling loop."""
 
 import numpy as np
 import pytest
@@ -8,19 +8,17 @@ from scmbench import (
     ParameterError,
     RollingCache,
     Rng,
-    SamplerConfig,
+    RunConfig,
     StepKind,
     build_toy_model,
     cosine_schedule,
     ddim_update,
     default_trajectory,
     Dims,
-    forward_noise,
+    chain_forward,
     model_forward,
-    read_latent,
     sample,
     synth_priors,
-    write_latent,
 )
 from scmbench.denoiser import DiffusionSchedule, mixing, _view_embedding
 from scmbench.scheduler import SchedulerState, StepMode, select_mode
@@ -44,36 +42,7 @@ def test_schedule_rejects_non_vp():
                           np.array([0.0, 0.5, 1.0]))
 
 
-# --- forward_noise / ddim_update ------------------------------------------
-
-def test_forward_noise_t0_identity():
-    s = cosine_schedule(10)
-    z0 = Rng(1).normal((2, 2, 2, 2, 2))
-    assert np.array_equal(forward_noise(z0, 0, s, Rng(2)), z0)
-
-
-def test_forward_noise_range_check():
-    s = cosine_schedule(10)
-    with pytest.raises(ParameterError):
-        forward_noise(np.zeros((1, 1, 1, 1, 1)), 11, s, Rng(0))
-
-
-def test_forward_noise_terminal_variance():
-    s = cosine_schedule(10)  # alpha[10] ~ 0
-    z0 = Rng(3).normal(10 ** 5)
-    z_t = forward_noise(z0, 10, s, Rng(4))
-    assert abs(float(z_t.var()) - 1.0) < 0.03
-
-
-def test_forward_noise_energy():
-    s = cosine_schedule(10)
-    t = 5
-    n = 10 ** 5
-    z0 = Rng(5).normal(n)
-    z_t = forward_noise(z0, t, s, Rng(6))
-    expect = s.alpha[t] ** 2 * float(z0 @ z0) + s.beta[t] ** 2 * n
-    assert abs(float(z_t @ z_t) - expect) / expect < 0.05
-
+# --- ddim_update ----------------------------------------------------------
 
 def test_ddim_identity_network_algebra():
     s = cosine_schedule(10)
@@ -156,13 +125,26 @@ def test_dense_step_equals_reference(small_setup):
     dims, model, priors, z = small_setup
     model3 = build_toy_model(dims, 3, 0)
     dense = StepMode(kind=StepKind.DENSE)
-    # no-cache reference path vs cache-filling path: same output
-    z_ref = model_forward(model3, z, priors, dense, step=0)
+    # reference: each layer's mixing, then its plain chain composition
+    z_ref = z
+    for layer in model3.layers:
+        z_ref, _ = chain_forward(mixing(z_ref, layer.mix), priors, layer.chain)
+    assert np.array_equal(model_forward(model3, z, priors, dense, step=0),
+                          z_ref)
     cache = RollingCache()
     z_cached = model_forward(model3, z, priors, dense, step=0, cache=cache)
-    assert np.array_equal(z_ref, z_cached)
+    assert np.array_equal(z_cached, z_ref)
     for li in range(3):
         assert cache.has_entries(li)
+
+
+def test_prune_step_without_selector_is_rejected(small_setup):
+    dims, model, priors, z = small_setup
+    cache = RollingCache()
+    model_forward(model, z, priors, StepMode(StepKind.DENSE), 0, cache)
+    # never a dense pass recorded as a prune step
+    with pytest.raises(ParameterError, match="selector"):
+        model_forward(model, z, priors, StepMode(StepKind.PRUNE), 1, cache)
 
 
 def test_reuse_step_matches_dense_on_frozen_input(small_setup):
@@ -195,7 +177,7 @@ def test_bypassed_layer_is_identity_for_chain(small_setup):
 def test_sample_dense_mode_trace():
     dims, model, priors, _ = make_setup(2, 2, 4, 4, 8, layers=2)
     schedule = cosine_schedule(4)
-    cfg = SamplerConfig(mode="dense")
+    cfg = RunConfig(mode="dense")
     z, trace = sample(model, priors, schedule, cfg, Rng(2), CostCounters())
     assert [r.kind for r in trace.steps] == ["dense"] * 4
     assert trace.cache is None
@@ -204,7 +186,7 @@ def test_sample_dense_mode_trace():
 def test_sample_deterministic():
     dims, model, priors, _ = make_setup(2, 2, 4, 4, 8, layers=2)
     schedule = cosine_schedule(6)
-    cfg = SamplerConfig(mode="turbo", warmup=2)
+    cfg = RunConfig(mode="turbo", warmup=2)
     z1, t1 = sample(model, priors, schedule, cfg, Rng(2), CostCounters())
     z2, t2 = sample(model, priors, schedule, cfg, Rng(2), CostCounters())
     assert np.array_equal(z1, z2)
@@ -214,7 +196,7 @@ def test_sample_deterministic():
 def test_sample_turbo_step_pattern():
     dims, model, priors, _ = make_setup(2, 2, 4, 4, 8, layers=2)
     schedule = cosine_schedule(6)
-    cfg = SamplerConfig(mode="turbo", warmup=2, alpha_threshold=2.0)
+    cfg = RunConfig(mode="turbo", warmup=2, alpha_threshold=2.0)
     _, trace = sample(model, priors, schedule, cfg, Rng(2), CostCounters())
     assert [r.kind for r in trace.steps] == [
         "dense", "dense", "prune", "reuse", "prune", "reuse"]
@@ -224,10 +206,10 @@ def test_degenerate_turbo_equals_dense_small():
     dims, model, priors, _ = make_setup(2, 2, 4, 4, 8, layers=3)
     schedule = cosine_schedule(6)
     z_t, _ = sample(model, priors, schedule,
-                    SamplerConfig(mode="turbo", topk_ratio=1.0, warmup=6,
-                                  alpha_threshold=1.5),
+                    RunConfig(mode="turbo", topk_ratio=1.0, warmup=6,
+                              alpha_threshold=1.5),
                     Rng(2), CostCounters())
-    z_d, _ = sample(model, priors, schedule, SamplerConfig(mode="dense"),
+    z_d, _ = sample(model, priors, schedule, RunConfig(mode="dense"),
                     Rng(2), CostCounters())
     assert np.array_equal(z_t, z_d)
 
@@ -235,7 +217,7 @@ def test_degenerate_turbo_equals_dense_small():
 def test_single_layer_model_never_bypasses():
     dims, model, priors, _ = make_setup(2, 2, 4, 4, 8, layers=1)
     schedule = cosine_schedule(4)
-    cfg = SamplerConfig(mode="turbo", warmup=1, alpha_threshold=0.5)
+    cfg = RunConfig(mode="turbo", warmup=1, alpha_threshold=0.5)
     _, trace = sample(model, priors, schedule, cfg, Rng(2), CostCounters())
     for _, mode in trace.scheduler.mode_trace:
         assert mode.bypassed_layers == frozenset()
@@ -245,41 +227,8 @@ def test_sample_memory_accounting_balances():
     dims, model, priors, _ = make_setup(2, 2, 4, 4, 8, layers=2)
     schedule = cosine_schedule(6)
     counters = CostCounters()
-    sample(model, priors, schedule, SamplerConfig(mode="turbo", warmup=2),
+    sample(model, priors, schedule, RunConfig(mode="turbo", warmup=2),
            Rng(2), counters)
     # all workspace released; only the final cache entries remain live
     assert counters.live_elements == 2 * 3 * int(np.prod(dims.latent_shape))
 
-
-# --- latent serialization -------------------------------------------------
-
-def test_latent_roundtrip(tmp_path):
-    z = Rng(11).normal((2, 3, 4, 4, 5))
-    path = tmp_path / "z.bin"
-    write_latent(path, z)
-    back = read_latent(path)
-    assert back.shape == z.shape
-    assert np.array_equal(back, z)
-
-
-def test_read_latent_rejects_garbage(tmp_path):
-    path = tmp_path / "junk.bin"
-    path.write_bytes(b"nope" + b"\0" * 64)
-    with pytest.raises(ParameterError):
-        read_latent(path)
-
-
-def test_read_latent_truncated_data_names_the_path(tmp_path):
-    path = tmp_path / "cut.bin"
-    write_latent(path, Rng(12).normal((2, 3)))
-    path.write_bytes(path.read_bytes()[:-3])
-    with pytest.raises(ParameterError, match="cut.bin"):
-        read_latent(path)
-
-
-def test_read_latent_truncated_header_names_the_path(tmp_path):
-    path = tmp_path / "head.bin"
-    write_latent(path, Rng(13).normal((2, 3)))
-    path.write_bytes(path.read_bytes()[:10])
-    with pytest.raises(ParameterError, match="head.bin"):
-        read_latent(path)

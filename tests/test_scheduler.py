@@ -2,7 +2,7 @@
 
 import pytest
 
-from scmbench import (CostCounters, RollingCache, Rng, SamplerConfig,
+from scmbench import (CostCounters, RollingCache, Rng, RunConfig,
                       SchedulerState, StepKind, compute_asr, cosine_schedule,
                       sample, select_mode)
 from scmbench.cache import SimilarityRecord
@@ -68,7 +68,7 @@ def test_modes_at_warmup2(mode):
     kinds, cached, latches = _MODES_AT_WARMUP2[mode]
     _, model, priors, _ = make_setup(2, 2, 4, 4, 8, layers=3)
     # a threshold every logged similarity clears: bypass latches iff allowed
-    cfg = SamplerConfig(mode=mode, warmup=2, alpha_threshold=1e-9)
+    cfg = RunConfig(mode=mode, warmup=2, alpha_threshold=1e-9)
     _, trace = sample(model, priors, cosine_schedule(8), cfg, Rng(2),
                       CostCounters())
     assert "".join(r.kind[0].upper() for r in trace.steps) == kinds
