@@ -39,8 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (CostCounters, scratch, softmax_last_inplace, split_rows,
-                   tile_bounds)
+from .core import CostCounters, softmax_last_inplace, split_rows, tile_bounds
 from .errors import ParameterError, ShapeError
 
 __all__ = [
@@ -123,13 +122,13 @@ def gelu(x: np.ndarray) -> np.ndarray:
     return u
 
 
-def _gelu_inplace(x: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """Overwrite ``x`` with gelu(x), using ``tmp`` as same-shape scratch.
+def _gelu_inplace(x: np.ndarray) -> np.ndarray:
+    """Overwrite ``x`` with gelu(x), with one same-shape temporary.
 
     Evaluation order matches :func:`gelu` exactly, so the results are
     bit-identical.
     """
-    np.multiply(x, x, out=tmp)
+    tmp = x * x
     tmp *= x
     tmp *= 0.044715
     tmp += x
@@ -202,21 +201,20 @@ def _attend_tile(z: np.ndarray, prior: np.ndarray, out: np.ndarray,
     """The whole attention pipeline for one rectangular tile of sequences.
 
     z and out are [ot, it, n, C] with any strides, prior is [ot, it, 1, C]
-    and prior_weight a contiguous [ot, it, n]. Every temporary is a view
-    into this thread's scratch buffers, sized by the tile.
+    and prior_weight a contiguous [ot, it, n]. Every temporary is a plain
+    array sized by the tile.
     """
     ot, it, n, c = z.shape
     t = ot * it
     nh = p.n_heads
     d = c // nh
-    kv = scratch("attn.kv", (ot, it, n + 1, c))
+    kv = np.empty((ot, it, n + 1, c))
     kv[:, :, :n] = z
     kv[:, :, n:] = prior
     # One product for all three projections over every kv row; the queries
     # of the prior rows are never read, which costs less than a second
     # gather of the tokens and two more BLAS calls.
-    qkv = np.matmul(kv.reshape(t * (n + 1), c), w_qkv,
-                    out=scratch("attn.qkv", (t * (n + 1), 3 * c)))
+    qkv = kv.reshape(t * (n + 1), c) @ w_qkv
     heads = qkv.reshape(t, n + 1, 3, nh, d)
     qh = heads[:, :n, 0].transpose(0, 2, 1, 3)      # [t, nh, n, d]
     qh *= 1.0 / math.sqrt(d)
@@ -227,10 +225,10 @@ def _attend_tile(z: np.ndarray, prior: np.ndarray, out: np.ndarray,
     # one chunk of weights stays cache-resident. Per-sequence results do
     # not depend on the chunking, so any chunk size is bit-identical.
     chunk = max(1, _SCORE_CHUNK_ELEMENTS // (nh * n * (n + 1)))
-    scores_buf = scratch("attn.scores", (min(t, chunk), nh, n, n + 1))
-    merged = scratch("attn.merged", (t, n, nh, d))
+    scores_buf = np.empty((min(t, chunk), nh, n, n + 1))
+    merged = np.empty((t, n, nh, d))
     ctx = merged.transpose(0, 2, 1, 3)              # [t, nh, n, d]
-    prior_cols = scratch("attn.prior", (t, nh, n))
+    prior_cols = np.empty((t, nh, n))
     for i in range(0, t, chunk):
         j = min(t, i + chunk)
         sc = scores_buf[: j - i]
@@ -247,8 +245,7 @@ def _attend_tile(z: np.ndarray, prior: np.ndarray, out: np.ndarray,
             # runs a one-row product as a matrix-vector product, which
             # sums in another order, so pad it to two rows.
             rows = np.concatenate((rows, rows))
-        proj = np.matmul(rows, p.wo, out=scratch("attn.out", rows.shape))
-        np.copyto(out, proj[:t * n].reshape(out.shape))
+        np.copyto(out, (rows @ p.wo)[:t * n].reshape(out.shape))
     np.mean(prior_cols, axis=1, out=prior_weight.reshape(t, n))
 
 
@@ -332,10 +329,9 @@ def ffn(x: np.ndarray, p: BlockParams,
             if before_tile is not None:
                 before_tile(i, j)
             if addend is not None:
-                src = np.add(src, addend[i:j], out=scratch("ffn.in", src.shape))
-            hidden = np.matmul(src, p.w1, out=scratch("ffn.hidden",
-                                                      (j - i, 2 * c)))
-            _gelu_inplace(hidden, scratch("ffn.tmp", hidden.shape))
+                src = src + addend[i:j]
+            hidden = src @ p.w1
+            _gelu_inplace(hidden)
             np.matmul(hidden, p.w2, out=out[i:j])
 
     split_rows(m, apply)

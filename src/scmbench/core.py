@@ -12,9 +12,9 @@ hold on any machine:
   the pruned blocks' cache refill, tile by tile) and mixing across the
   CPUs in the process's affinity set, each part on its own thread;
 * each part runs its stage tile by tile (:func:`tile_bounds`, about
-  :data:`_TILE_TOKENS` tokens a tile), with every temporary a view into
-  the thread's one grow-only :func:`scratch` buffer per tag, so a
-  thread's working set is bounded by the tile, not by the latent;
+  :data:`_TILE_TOKENS` tokens a tile), with every temporary a plain
+  array sized by the tile and freed with it, so a thread's working set
+  is bounded by the tile, not by the latent;
 * per-row results do not depend on the split or on the tiles, so outputs
   do not depend on the core count or on ``OPENBLAS_NUM_THREADS``.
 
@@ -27,7 +27,6 @@ from __future__ import annotations
 import ctypes
 import math
 import os
-import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -38,7 +37,6 @@ from .errors import DegenerateInputError, ParameterError, ShapeError
 __all__ = [
     "CostCounters",
     "Rng",
-    "scratch",
     "split_rows",
     "tile_bounds",
     "softmax_last_inplace",
@@ -207,35 +205,6 @@ def tune_allocator() -> None:
         pass
 
 
-class _ScratchPool(threading.local):
-    """Per-thread reusable scratch arrays, one grow-only buffer per tag.
-
-    Every stage runs tile by tile, so each tag only ever needs one tile's
-    worth of elements: the buffer grows to the largest request and smaller
-    ones (remainder tiles, other block shapes) get views of its head. A
-    thread's pool is therefore bounded by the tile size, not by the
-    latent. Callers must only hand out views whose contents die before
-    the same tag is requested again on the same thread; nothing returned
-    to a caller of the public API may alias a scratch buffer.
-    """
-
-    def __init__(self):
-        self.buffers: dict[str, np.ndarray] = {}
-
-
-_POOL = _ScratchPool()
-
-
-def scratch(tag: str, shape: tuple) -> np.ndarray:
-    """A float64 view of the given shape into this thread's ``tag`` buffer."""
-    size = math.prod(shape)
-    buf = _POOL.buffers.get(tag)
-    if buf is None or buf.size < size:
-        buf = np.empty(size)
-        _POOL.buffers[tag] = buf
-    return buf[:size].reshape(shape)
-
-
 def _pin_blas_to_one_thread() -> bool:
     """Set numpy's bundled OpenBLAS to one thread; False if it cannot be found.
 
@@ -290,8 +259,7 @@ def split_rows(n: int, run, rows_per_item: int = 1) -> None:
     Each item weighs ``rows_per_item`` rows. The work is cut into at most
     one part per CPU and at most one part per :data:`_MIN_PART_ROWS` rows;
     the calling thread runs the first part and the pool the rest. ``run``
-    must write only the rows of its own part, take its temporaries from
-    :func:`scratch` (which is per thread), and not call ``split_rows``
+    must write only the rows of its own part and not call ``split_rows``
     itself, so that the result is the same for every split and no part
     waits on a pool it occupies.
     """
@@ -313,7 +281,7 @@ def split_rows(n: int, run, rows_per_item: int = 1) -> None:
 
 
 # Tokens per tile: every stage of a block runs over groups of about this
-# many tokens, so its temporaries fit small per-thread buffers.
+# many tokens, so its temporaries are small and stay in cache.
 _TILE_TOKENS = 1024
 
 

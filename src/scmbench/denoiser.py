@@ -11,6 +11,7 @@ alone, never to sampling noise. :func:`sample` reads its settings from a
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -28,8 +29,7 @@ from .attention import (
     spatial_forward,
 )
 from .cache import BLOCK_KINDS, RollingCache
-from .core import (CostCounters, Rng, assert_finite, scratch, split_rows,
-                   tile_bounds)
+from .core import CostCounters, Rng, assert_finite, split_rows, tile_bounds
 from .errors import ParameterError
 from .scheduler import (
     MODE_TABLE,
@@ -76,6 +76,9 @@ class Dims:
 
     def __post_init__(self):
         for name, value in self.__dict__.items():
+            if (isinstance(value, bool)
+                    or not isinstance(value, numbers.Integral)):
+                raise ParameterError(f"{name}: expected int, got {value!r}")
             if value < 1:
                 raise ParameterError(f"{name}: must be >= 1, got {value}")
         if self.channels % self.n_heads != 0:
@@ -272,11 +275,11 @@ def mixing(z: np.ndarray, mix: np.ndarray,
         for i, j in zip(bounds, bounds[1:]):
             shape = (j - i, h, w, c)
             last = out[i:j]
-            y = last if h == w == 1 else scratch("mix.lin", shape)
+            y = last if h == w == 1 else np.empty(shape)
             np.matmul(rows[i * l:j * l], mix, out=y.reshape(-1, c))
             if h > 1:
                 y = _reflect_avg(y, lambda a, s: a[:, s],
-                                 last if w == 1 else scratch("mix.h", shape))
+                                 last if w == 1 else np.empty(shape))
             if w > 1:
                 _reflect_avg(y, lambda a, s: a[:, :, s], last)
 
@@ -382,6 +385,8 @@ def model_forward(
         select = None
     elif select is None:
         raise ParameterError("prune step: no keep-list selector given")
+    if mode.kind is StepKind.REUSE and cache is None:
+        raise ParameterError("reuse step: no cache given")
     for li, layer in enumerate(model.layers):
         z = mixing(z, layer.mix, counters)
         if li in mode.bypassed_layers:
@@ -460,8 +465,7 @@ def sample(
     spec = MODE_TABLE[cfg.mode]
     cache = RollingCache(counters) if spec.cache else None
     effective_alpha = cfg.alpha_threshold if spec.bypass else float("inf")
-    state = SchedulerState(delta_t=cfg.delta_t, alpha=effective_alpha,
-                           warmup=cfg.warmup)
+    state = SchedulerState(alpha=effective_alpha, warmup=cfg.warmup)
     # Built once; the pruning functions are looked up per call, so
     # wrappers installed on the module see every selection.
     if spec.random_keep:
@@ -476,27 +480,26 @@ def sample(
                                            cfg.per_axis_ratio)
 
     records: list[StepRecord] = []
-    last_logged = None
     run_start = time.perf_counter()
     for step in range(total):
         t = total - step
-        if cache is not None and last_logged is not None:
+        if cache is not None and cache.similarity_log:
+            # Records are appended in step order, so the window ends at
+            # the latest step that logged one.
             exclude = bypass_set(n_layers) if state.bypass_active else frozenset()
-            asr = compute_asr(cache, last_logged, cfg.delta_t, exclude)
+            asr = compute_asr(cache, cache.similarity_log[-1].step,
+                              cfg.delta_t, exclude)
         else:
             asr = 0.0
         mode = select_mode(state, step, asr, n_layers,
                            spec.kind(step, cfg.warmup))
 
         before = counters.flops()
-        log_len = len(cache.similarity_log) if cache is not None else 0
         t0 = time.perf_counter()
         z = denoise_step(model, z, t, priors, schedule, mode, cache, counters,
                          select, cfg.zero_refill)
         wall_us = (time.perf_counter() - t0) * 1e6
         counters.release_workspace()
-        if cache is not None and len(cache.similarity_log) > log_len:
-            last_logged = step
 
         records.append(StepRecord(
             step=step,

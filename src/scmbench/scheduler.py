@@ -75,7 +75,6 @@ class StepMode:
 
 @dataclass
 class SchedulerState:
-    delta_t: int
     alpha: float
     warmup: int
     asr_history: list[tuple[int, float]] = field(default_factory=list)

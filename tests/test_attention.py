@@ -133,7 +133,7 @@ def test_axis_attention_head_divisibility():
 
 
 def test_axis_attention_returns_fresh_arrays():
-    # results must not alias internal scratch across calls
+    # a second call must not overwrite what the first returned
     p = make_block(4, 2, 51)
     z1, pr1 = Rng(52).normal((2, 3, 4)), Rng(53).normal((2, 1, 4))
     out1, pw1 = axis_attention(z1, pr1, p)

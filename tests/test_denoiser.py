@@ -62,6 +62,13 @@ def test_ddim_range_check():
 
 # --- model construction / priors ------------------------------------------
 
+@pytest.mark.parametrize("field, value", [
+    ("frames", 2.5), ("frames", True), ("channels", 8.0), ("frames", "3")])
+def test_dims_rejects_a_non_int_field(field, value):
+    with pytest.raises(ParameterError, match=field):
+        Dims(**{field: value})
+
+
 def test_build_model_deterministic():
     dims = Dims(2, 2, 4, 4, 8, 2)
     a = build_toy_model(dims, 2, 5)
@@ -145,6 +152,12 @@ def test_prune_step_without_selector_is_rejected(small_setup):
     # never a dense pass recorded as a prune step
     with pytest.raises(ParameterError, match="selector"):
         model_forward(model, z, priors, StepMode(StepKind.PRUNE), 1, cache)
+
+
+def test_reuse_step_without_cache_is_rejected(small_setup):
+    dims, model, priors, z = small_setup
+    with pytest.raises(ParameterError, match="cache"):
+        model_forward(model, z, priors, StepMode(StepKind.REUSE), 1)
 
 
 def test_reuse_step_matches_dense_on_frozen_input(small_setup):

@@ -79,8 +79,8 @@ def test_outputs_and_counters_do_not_depend_on_split(split_into, batch):
         assert got == results[0]
 
     # More parts than cores, with the interpreter switching threads as
-    # often as it can: a part that strayed outside its rows, or a scratch
-    # buffer shared between threads, would show as a changed byte.
+    # often as it can: a part that strayed outside its rows, or a buffer
+    # shared between threads, would show as a changed byte.
     split_into(4)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

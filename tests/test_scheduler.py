@@ -83,7 +83,7 @@ def test_bypass_set_excludes_first_last():
 
 
 def test_select_mode_threshold_latches():
-    state = SchedulerState(delta_t=3, alpha=0.9, warmup=2)
+    state = SchedulerState(alpha=0.9, warmup=2)
     m7 = select_mode(state, 7, asr=0.95, total_layers=6,
                      kind=StepKind.REUSE)
     assert state.bypass_active
@@ -95,7 +95,7 @@ def test_select_mode_threshold_latches():
 
 
 def test_select_mode_no_bypass_during_warmup():
-    state = SchedulerState(delta_t=3, alpha=0.9, warmup=2)
+    state = SchedulerState(alpha=0.9, warmup=2)
     m = select_mode(state, 1, asr=1.0, total_layers=6,
                     kind=StepKind.DENSE)
     assert not state.bypass_active
@@ -104,7 +104,7 @@ def test_select_mode_no_bypass_during_warmup():
 
 
 def test_alpha_above_one_never_triggers():
-    state = SchedulerState(delta_t=3, alpha=1.0 + 1e-9, warmup=2)
+    state = SchedulerState(alpha=1.0 + 1e-9, warmup=2)
     for step in range(20):
         select_mode(state, step, asr=1.0, total_layers=6,
                     kind=MODE_TABLE["turbo"].kind(step, state.warmup))
@@ -112,7 +112,7 @@ def test_alpha_above_one_never_triggers():
 
 
 def test_mode_trace_recorded():
-    state = SchedulerState(delta_t=3, alpha=0.9, warmup=1)
+    state = SchedulerState(alpha=0.9, warmup=1)
     for step in range(4):
         select_mode(state, step, asr=0.0, total_layers=4,
                     kind=MODE_TABLE["turbo"].kind(step, state.warmup))

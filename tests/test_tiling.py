@@ -1,29 +1,23 @@
-"""Tiled block pipeline: outputs do not depend on the tile size, scratch
-stays bounded by the tile, and nothing returned aliases scratch."""
+"""Tiled block pipeline: outputs do not depend on the tile size, and each
+stage's working set is bounded by the tile."""
 
-import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from scmbench import (
     Rng,
-    RollingCache,
     axis_attention,
-    camera_forward,
     ffn,
     identify_tokens,
-    model_forward,
-    motion_forward,
     pruned_camera_forward,
     pruned_motion_forward,
-    spatial_forward,
 )
 from scmbench import core
 from scmbench.denoiser import mixing
-from scmbench.scheduler import StepKind, StepMode
 
-from conftest import make_block, make_setup
+from conftest import make_block
 
 F, V, H, W, C = 3, 5, 3, 4, 8
 L = H * W
@@ -123,78 +117,48 @@ def test_ffn_addend_is_the_residual():
     assert np.array_equal(ffn(x, p, addend=a), ffn(x + a, p))
 
 
-def _pool_bytes() -> int:
-    return sum(buf.nbytes for buf in core._POOL.buffers.values())
-
-
-def _run_blocks(scale: int) -> None:
-    """Attention at the three default sequence lengths, FFN with an addend
-    and mixing, all on ``scale`` times a base batch, at C = 64."""
+def _stage_calls(scale: int):
+    """(name, call) for attention at the three default sequence lengths,
+    FFN with an addend and mixing, all on ``scale`` times a base batch at
+    C = 64; every input exists before its call is made."""
     c = 64
     p = make_block(c, 2, 331)
     rng = Rng(332)
+    calls = []
     for n, batch in ((256, 8), (8, 256), (5, 408)):
-        b = batch * scale
-        axis_attention(rng.normal((b, n, c)), rng.normal((b, 1, c)), p)
+        z = rng.normal((batch * scale, n, c))
+        prior = rng.normal((batch * scale, 1, c))
+        calls.append((f"attention n={n}",
+                      lambda z=z, prior=prior: axis_attention(z, prior, p)))
     x = rng.normal((2 * scale, 4, 16, 16, c))
-    ffn(x, p, addend=x)
-    mixing(x, rng.normal((c, c)))
+    mix = rng.normal((c, c))
+    calls.append(("ffn", lambda: (ffn(x, p, addend=x),)))
+    calls.append(("mixing", lambda: (mixing(x, mix),)))
+    return calls
 
 
-def test_scratch_is_bounded_by_the_tile(monkeypatch):
-    # A thread's pool after blocks at B and at 4B sequences: the same
-    # bytes, and no more than a few tiles' worth. A stage that kept a
-    # full-size buffer would grow with the batch.
+def _working_set(call) -> int:
+    """Peak bytes a call allocates beyond what it returns."""
+    before = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    returned = call()
+    peak = tracemalloc.get_traced_memory()[1]
+    return peak - before - sum(a.nbytes for a in returned)
+
+
+def test_working_set_is_bounded_by_the_tile(monkeypatch):
+    # Each stage's temporaries at B and at 4B sequences: the same bytes,
+    # give or take Python objects, and no more than a few tiles' worth.
+    # A stage that made a full-size temporary would grow with the batch.
+    # One part, so the peak is one thread's working set, not two at once.
     monkeypatch.setattr(core, "_PARTS", 1)
-    sizes = []
-
-    def measure():
-        for scale in (1, 4):
-            _run_blocks(scale)
-            sizes.append(_pool_bytes())
-
-    worker = threading.Thread(target=measure)  # starts with an empty pool
-    worker.start()
-    worker.join(timeout=120)
-    assert not worker.is_alive()
-    assert len(sizes) == 2
-    assert sizes[0] == sizes[1]
-    assert sizes[0] < 12 * 2**20
-
-
-def _assert_fresh(*values) -> None:
-    for value in values:
-        for buf in core._POOL.buffers.values():
-            assert value is None or not np.shares_memory(value, buf)
-
-
-def test_returned_values_never_alias_scratch(monkeypatch):
-    # everything runs on this thread, so its pool holds every buffer used
-    monkeypatch.setattr(core, "_PARTS", 1)
-    dims, model, priors, z = make_setup(2, 3, 4, 4, 8, layers=3, seed=340)
-    chain = model.layers[0].chain
-    _assert_fresh(*axis_attention(z.reshape(6, 16, 8),
-                                  priors.k_s.reshape(6, 1, 8), chain.spatial))
-    _assert_fresh(ffn(z, chain.spatial), ffn(z, chain.spatial, addend=z),
-                  mixing(z, model.layers[0].mix))
-    so = spatial_forward(z, priors.k_s, chain.spatial)
-    co = camera_forward(so.out, priors.k_c, chain.camera)
-    mo = motion_forward(co.out, priors.k_m, chain.motion)
-    idx = identify_tokens(so.semantic, 0.5)
-    pco = pruned_camera_forward(so.out, priors.k_c, chain.camera, idx,
-                                co.attention)
-    pmo = pruned_motion_forward(co.out, priors.k_m, chain.motion, idx,
-                                mo.attention)
-    for block in (so, co, mo, pco, pmo):
-        _assert_fresh(block.out, block.attention, block.semantic)
-
-    dense = StepMode(StepKind.DENSE)
-    cache = RollingCache()
-    _assert_fresh(
-        model_forward(model, z, priors, dense, 0),
-        model_forward(model, z, priors, dense, 0, cache),
-        model_forward(model, z, priors, StepMode(StepKind.REUSE), 1, cache),
-        # every chain bypassed: the last mixing output is the result
-        model_forward(model, z, priors,
-                      StepMode(StepKind.DENSE, frozenset({0, 1, 2})), 0),
-    )
+    tracemalloc.start()
+    try:
+        sizes = [{name: _working_set(call)
+                  for name, call in _stage_calls(scale)} for scale in (1, 4)]
+    finally:
+        tracemalloc.stop()
+    for name, small in sizes[0].items():
+        big = sizes[1][name]
+        assert abs(big - small) < 2**20, (name, small, big)
+        assert max(small, big) < 12 * 2**20, (name, small, big)
