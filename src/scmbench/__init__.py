@@ -30,7 +30,6 @@ from .denoiser import (
     default_trajectory,
     denoise_step,
     model_forward,
-    planted_latent,
     sample,
     synth_priors,
 )

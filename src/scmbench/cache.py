@@ -1,22 +1,17 @@
-"""Per-layer FIFO store of the three block attention outputs.
+"""Attention cache with one slot per (layer, block kind).
 
-Each layer owns a queue of at most three entries, always inserted in
-spatial, camera, motion order by :meth:`RollingCache.store` and drained in
-the same order by :meth:`RollingCache.retrieve`. Retrieval releases the
-entry's elements from the live-memory counter; :meth:`RollingCache.peek`
-reads without consuming, which is how a pruning step refills complements
-while the same entry still feeds similarity recording.
-
-Every cosine between a cached entry and its freshly computed counterpart
-is appended to a global similarity log; the bypass scheduler averages over
-that log. The fresh side's squared norm is kept, so the next step's cosine
+A compute step fills a layer's three slots; :meth:`RollingCache.retrieve`
+empties one, in any order, and :meth:`RollingCache.peek` reads one in
+place, as prune steps do to refill complements and reuse steps to read
+their attention. Every cosine between a cached entry and its fresh
+counterpart is appended to a similarity log, which the bypass scheduler
+averages. The fresh side's squared norm is kept, so the next step's cosine
 against the same array, once it is the cached side, skips that pass.
 """
 
 from __future__ import annotations
 
 import csv
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,12 +25,6 @@ BLOCK_KINDS = ("spatial", "camera", "motion")
 
 
 @dataclass
-class CacheEntry:
-    kind: str
-    value: np.ndarray
-
-
-@dataclass
 class SimilarityRecord:
     step: int
     layer: int
@@ -45,62 +34,46 @@ class SimilarityRecord:
 
 
 class RollingCache:
-    """FIFO attention cache, one queue per layer, capacity three."""
+    """Attention cache, one slot per (layer, block kind)."""
 
     def __init__(self, counters: CostCounters | None = None):
-        self._queues: dict[int, deque[CacheEntry]] = {}
+        self._slots: dict[tuple[int, str], np.ndarray] = {}
         self.similarity_log: list[SimilarityRecord] = []
         self.counters = counters
         # (layer, kind) -> the last fresh value compared and its sq_norm
         self._sq_norms: dict[tuple[int, str], tuple[np.ndarray, float]] = {}
 
-    def _queue(self, layer: int) -> deque[CacheEntry]:
-        return self._queues.setdefault(layer, deque())
-
     def store(self, layer: int, a_s: np.ndarray, a_c: np.ndarray,
-              a_m: np.ndarray, step: int, from_workspace: bool = False) -> None:
-        """Insert a full entry set for a layer.
-
-        With ``from_workspace`` the stored tensors were produced during the
-        current step and are already counted as workspace; storing them
-        moves their elements to the persistent side of the live counter
-        instead of acquiring them a second time.
-        """
-        q = self._queue(layer)
-        if q:
+              a_m: np.ndarray, step: int) -> None:
+        """Fill a layer's three empty slots with this step's outputs, moving
+        their elements from workspace to the persistent live count."""
+        if self.has_entries(layer):
             raise CacheProtocolError(
-                f"store into non-empty queue (layer {layer}, step {step})"
+                f"store into filled slots (layer {layer}, step {step})"
             )
+        if self.counters is not None:
+            self.counters.transfer_workspace(a_s.size + a_c.size + a_m.size)
         for kind, value in zip(BLOCK_KINDS, (a_s, a_c, a_m)):
-            q.append(CacheEntry(kind, value))
-            if self.counters is not None:
-                if from_workspace:
-                    self.counters.transfer_workspace(value.size)
-                else:
-                    self.counters.acquire(value.size)
+            self._slots[(layer, kind)] = value
 
     def retrieve(self, layer: int, kind: str) -> np.ndarray:
-        q = self._queue(layer)
-        if not q:
-            raise CacheProtocolError(f"retrieve from empty queue (layer {layer})")
-        if q[0].kind != kind:
-            raise CacheProtocolError(
-                f"retrieve order violation: wanted {kind}, head is {q[0].kind}"
-            )
-        entry = q.popleft()
+        """Empty one slot and return its array."""
+        value = self._slots.pop((layer, kind), None)
+        if value is None:
+            raise CacheProtocolError(f"no cached {kind} entry for layer {layer}")
         if self.counters is not None:
-            self.counters.release(entry.value.size)
-        return entry.value
+            self.counters.release(value.size)
+        return value
 
     def peek(self, layer: int, kind: str) -> np.ndarray:
-        """Read a cached entry without consuming it."""
-        for entry in self._queue(layer):
-            if entry.kind == kind:
-                return entry.value
-        raise CacheProtocolError(f"no cached {kind} entry for layer {layer}")
+        """Read one slot without emptying it."""
+        value = self._slots.get((layer, kind))
+        if value is None:
+            raise CacheProtocolError(f"no cached {kind} entry for layer {layer}")
+        return value
 
     def has_entries(self, layer: int) -> bool:
-        return bool(self._queues.get(layer))
+        return any((layer, kind) in self._slots for kind in BLOCK_KINDS)
 
     def record_similarity(self, layer: int, kind: str, new_value: np.ndarray,
                           step: int) -> float:

@@ -1,4 +1,4 @@
-"""Command-line harness: single runs, parameter sweeps, dense comparison.
+"""Command-line harness: single runs and parameter sweeps.
 
 Precedence for every setting: built-in default < config file (--config,
 JSON with RunConfig keys) < explicit flag. Reports land in --out, or in
@@ -70,13 +70,6 @@ def _file_values(args: argparse.Namespace) -> dict | None:
     return data
 
 
-def _out_path(args: argparse.Namespace, default_name: str) -> Path:
-    if args.out is not None:
-        return args.out
-    outdir = Path(os.environ.get("SCMBENCH_OUTDIR", "."))
-    return outdir / default_name
-
-
 def _summary(report) -> str:
     parts = [
         f"mode={report.config.mode}",
@@ -95,19 +88,7 @@ def _summary(report) -> str:
 def _cmd_run(args: argparse.Namespace) -> int:
     config = build_config(_file_values(args), _flag_values(args))
     report = run_benchmark(config)
-    path = _out_path(args, "report.json")
-    emit_report(report, path, similarity_csv=args.similarity_csv)
-    print(_summary(report))
-    print(f"report: {path}")
-    return 0
-
-
-def _cmd_compare(args: argparse.Namespace) -> int:
-    flags = _flag_values(args)
-    flags["compare_dense"] = True
-    config = build_config(_file_values(args), flags)
-    report = run_benchmark(config)
-    path = _out_path(args, f"compare_{config.mode}.json")
+    path = args.out or Path(os.environ.get("SCMBENCH_OUTDIR", ".")) / "report.json"
     emit_report(report, path, similarity_csv=args.similarity_csv)
     print(_summary(report))
     print(f"report: {path}")
@@ -170,10 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated values")
     p_sweep.set_defaults(func=_cmd_sweep)
-
-    p_cmp = sub.add_parser("compare", help="run with a dense baseline")
-    _add_config_flags(p_cmp)
-    p_cmp.set_defaults(func=_cmd_compare)
 
     return parser
 

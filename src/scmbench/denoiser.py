@@ -55,7 +55,6 @@ __all__ = [
     "ToyModel",
     "build_toy_model",
     "synth_priors",
-    "planted_latent",
     "ddim_update",
     "cached_chain_forward",
     "model_forward",
@@ -206,26 +205,6 @@ def synth_priors(dims: Dims, trajectory: CameraTrajectory, rng: Rng) -> PriorSet
     return PriorSet(k_s=k_s, k_c=k_c, k_m=k_m)
 
 
-def planted_latent(dims: Dims, w_spatial: BlockParams, k_s: np.ndarray,
-                   cells: np.ndarray, rng: Rng, boost: float = 8.0,
-                   background: float = 0.05) -> np.ndarray:
-    """Latent whose listed flat (h, w) cells dominate the semantic map.
-
-    Each planted cell is pushed along the direction that maximizes the
-    head-summed attention score to that (f, v) slice's prior token, so the
-    spatial block assigns those cells near-total prior weight.
-    """
-    f, v, h, w, c = dims.latent_shape
-    z = background * rng.normal(dims.latent_shape).reshape(f, v, h * w, c)
-    for fi in range(f):
-        for vi in range(v):
-            kappa = k_s[fi, vi, 0] @ w_spatial.wk
-            g = w_spatial.wq @ kappa
-            g = g / np.linalg.norm(g)
-            z[fi, vi, cells, :] = boost * g
-    return z.reshape(dims.latent_shape)
-
-
 def ddim_update(z_t: np.ndarray, z0_hat: np.ndarray, t: int,
                 schedule: DiffusionSchedule) -> np.ndarray:
     """Deterministic clean-prediction update from step t to t-1."""
@@ -292,18 +271,12 @@ def mixing(z: np.ndarray, mix: np.ndarray,
 
 
 def _reuse_chain(z: np.ndarray, chain: ChainWeights, cache: RollingCache,
-                 layer: int, step: int,
-                 counters: CostCounters | None) -> np.ndarray:
-    """Eq.-style reuse: FFN(z + cached attention) per block, FIFO order."""
+                 layer: int, counters: CostCounters | None) -> np.ndarray:
+    """Eq.-style reuse: FFN(z + cached attention) per block. The entries
+    are read in place and stay cached for the next compute step."""
     params = (chain.spatial, chain.camera, chain.motion)
-    used = []
     for kind, p in zip(BLOCK_KINDS, params):
-        a = cache.retrieve(layer, kind)
-        z = ffn(z, p, counters, addend=a)
-        used.append(a)
-    # The step's effective attention outputs are exactly the reused values;
-    # re-store them so the next pruning step has a previous-step cache.
-    cache.store(layer, used[0], used[1], used[2], step)
+        z = ffn(z, p, counters, addend=cache.peek(layer, kind))
     return z
 
 
@@ -358,8 +331,7 @@ def cached_chain_forward(
         mo = supersede("motion", pruning.pruned_motion_forward(
             co.out, priors.k_m, w.motion, idx, refill("motion"), counters))
     if cache is not None:
-        cache.store(layer, so.attention, co.attention, mo.attention, step,
-                    from_workspace=True)
+        cache.store(layer, so.attention, co.attention, mo.attention, step)
     return mo.out
 
 
@@ -392,7 +364,7 @@ def model_forward(
         if li in mode.bypassed_layers:
             continue
         if mode.kind is StepKind.REUSE:
-            z = _reuse_chain(z, layer.chain, cache, li, step, counters)
+            z = _reuse_chain(z, layer.chain, cache, li, counters)
         else:
             z = cached_chain_forward(z, priors, layer.chain, cache, li, step,
                                      counters, select, zero_refill)

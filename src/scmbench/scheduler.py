@@ -3,8 +3,8 @@
 :data:`MODE_TABLE` holds every mode. Each runs ``warmup`` fully dense
 steps, then its own kinds on even and odd steps. In turbo, even steps
 prune (which refreshes the cache and logs similarities) and odd steps
-reuse (which consumes it), so every cache entry is written exactly one
-step before it is read.
+reuse (which reads it in place), so every cache entry is written exactly
+one step before a reuse step reads it.
 
 Bypass is driven by the average similarity rate: the mean of all logged
 cosines across block kinds, layers, and the compute steps inside a

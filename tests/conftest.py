@@ -31,6 +31,26 @@ def make_setup(f, v, h, w, c, n_heads=2, layers=1, seed=0):
     return dims, model, priors, z
 
 
+def planted_latent(dims: Dims, w_spatial: BlockParams, k_s: np.ndarray,
+                   cells: np.ndarray, rng: Rng, boost: float = 8.0,
+                   background: float = 0.05) -> np.ndarray:
+    """Latent whose listed flat (h, w) cells dominate the semantic map.
+
+    Each planted cell is pushed along the direction that maximizes the
+    head-summed attention score to that (f, v) slice's prior token, so the
+    spatial block assigns those cells near-total prior weight.
+    """
+    f, v, h, w, c = dims.latent_shape
+    z = background * rng.normal(dims.latent_shape).reshape(f, v, h * w, c)
+    for fi in range(f):
+        for vi in range(v):
+            kappa = k_s[fi, vi, 0] @ w_spatial.wk
+            g = w_spatial.wq @ kappa
+            g = g / np.linalg.norm(g)
+            z[fi, vi, cells, :] = boost * g
+    return z.reshape(dims.latent_shape)
+
+
 @pytest.fixture
 def small_setup():
     return make_setup(2, 2, 4, 4, 8)

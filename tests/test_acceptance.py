@@ -27,7 +27,6 @@ from scmbench import (
     default_trajectory,
     emit_report,
     identify_tokens,
-    planted_latent,
     random_tokens,
     spatial_forward,
     synth_priors,
@@ -43,7 +42,7 @@ from test_pruning import (
     _mask_oracle_motion,
 )
 from scmbench import pruned_camera_forward, pruned_motion_forward
-from conftest import make_setup
+from conftest import make_setup, planted_latent
 
 # Calibrated once against the dense oracle on the default seeded config
 # (seed 0); the comparison tolerance absorbs low-bit kernel variation

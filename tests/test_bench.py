@@ -81,7 +81,22 @@ def test_build_config_rejects_wrong_types(values):
 
 
 def test_build_config_accepts_an_int_for_a_float():
-    assert build_config(None, {"alpha_threshold": 1}).alpha_threshold == 1
+    value = build_config(None, {"alpha_threshold": 1}).alpha_threshold
+    assert value == 1 and type(value) is float
+
+
+def test_int_and_float_configs_give_the_same_report():
+    a, b = small_config(topk_ratio=1), small_config(topk_ratio=1.0)
+    assert a == b
+    docs = [strip_timing(run_benchmark(c).to_dict()) for c in (a, b)]
+    assert json.dumps(docs[0]) == json.dumps(docs[1])
+
+
+def test_numpy_int_seed_runs_as_its_int():
+    config = small_config(seed=np.int64(3), steps=2)
+    assert type(config.seed) is int
+    assert np.array_equal(run_benchmark(config).z_final,
+                          run_benchmark(small_config(seed=3, steps=2)).z_final)
 
 
 _FIELD_KINDS = {f.name: f.type for f in dataclasses.fields(RunConfig)}
@@ -113,8 +128,7 @@ def assert_declared_types(config):
         elif kind == "str":
             assert isinstance(value, str)
         else:
-            assert not isinstance(value, bool)
-            assert isinstance(value, int if kind == "int" else (int, float))
+            assert type(value) is (int if kind == "int" else float)
             assert math.isfinite(value)
 
 
@@ -130,7 +144,6 @@ def test_dense_self_comparison():
     report = run_benchmark(small_config(mode="dense", compare_dense=True))
     assert report.drift_cosine == pytest.approx(1.0, abs=1e-12)
     assert math.isinf(report.drift_psnr_db)
-    assert report.dense_counters.flops_total == report.counters.flops_total
 
 
 def test_totals_equal_step_sums():
@@ -233,10 +246,10 @@ def test_cli_sweep(tmp_path, capsys):
 
 def test_cli_compare(tmp_path):
     out = tmp_path / "c.json"
-    code = main(["compare", "--mode", "turbo", "--frames", "2", "--views",
-                 "2", "--height", "4", "--width", "4", "--channels", "8",
-                 "--layers", "2", "--steps", "6", "--warmup", "2",
-                 "--out", str(out)])
+    code = main(["run", "--compare-dense", "--mode", "turbo", "--frames",
+                 "2", "--views", "2", "--height", "4", "--width", "4",
+                 "--channels", "8", "--layers", "2", "--steps", "6",
+                 "--warmup", "2", "--out", str(out)])
     assert code == 0
     doc = json.loads(out.read_text())
     assert "drift" in doc

@@ -1,4 +1,5 @@
-"""Rolling cache: FIFO protocol, memory accounting, similarity log."""
+"""Rolling cache: one slot per (layer, block kind), memory accounting,
+similarity log. Every test goes through the public methods."""
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from scmbench import (
     BLOCK_KINDS,
     CacheProtocolError,
     CostCounters,
+    ParameterError,
     RollingCache,
     Rng,
 )
@@ -19,10 +21,11 @@ def entries(shape=(2, 2, 2), seed=0):
 
 def test_store_order_and_size():
     cache = RollingCache()
-    cache.store(0, *entries(), step=0)
-    q = cache._queue(0)
-    assert len(q) == 3
-    assert [e.kind for e in q] == list(BLOCK_KINDS)
+    stored = entries()
+    cache.store(0, *stored, step=0)
+    assert cache.has_entries(0) and not cache.has_entries(1)
+    for kind, value in zip(BLOCK_KINDS, stored):
+        assert cache.peek(0, kind) is value
 
 
 def test_double_store_protocol_error():
@@ -36,7 +39,9 @@ def test_live_elements_default_dims_layer():
     counters = CostCounters()
     cache = RollingCache(counters)
     shape = (5, 8, 16, 16, 64)
+    counters.acquire_workspace(3 * int(np.prod(shape)))
     cache.store(0, *entries(shape), step=0)
+    counters.release_workspace()  # the entries outlive the step
     assert counters.live_elements == 3 * 5 * 8 * 16 * 16 * 64 == 1_966_080
 
 
@@ -49,11 +54,23 @@ def test_fifo_roundtrip_bit_exact():
     assert cache.retrieve(1, "motion") is x_m
 
 
-def test_retrieve_order_enforced():
+def test_retrieve_in_any_order_returns_each_array():
+    cache = RollingCache()
+    x_s, x_c, x_m = entries(seed=3)
+    cache.store(1, x_s, x_c, x_m, step=0)
+    assert cache.retrieve(1, "motion") is x_m
+    assert cache.retrieve(1, "spatial") is x_s
+    assert cache.retrieve(1, "camera") is x_c
+    assert not cache.has_entries(1)
+
+
+def test_second_retrieve_of_a_slot_protocol_error():
     cache = RollingCache()
     cache.store(0, *entries(), step=0)
+    cache.retrieve(0, "camera")
     with pytest.raises(CacheProtocolError):
         cache.retrieve(0, "camera")
+    cache.peek(0, "motion")  # the other slots stay filled
 
 
 def test_retrieve_empty_protocol_error():
@@ -65,7 +82,10 @@ def test_memory_conservation():
     counters = CostCounters()
     cache = RollingCache(counters)
     counters.acquire(7)
+    counters.acquire_workspace(3 * 8)
     cache.store(0, *entries(), step=0)
+    counters.release_workspace()
+    assert counters.live_elements == 7 + 3 * 8
     for kind in BLOCK_KINDS:
         cache.retrieve(0, kind)
     assert counters.live_elements == 7
@@ -76,11 +96,13 @@ def test_peek_does_not_consume():
     counters = CostCounters()
     cache = RollingCache(counters)
     x_s, x_c, x_m = entries(seed=4)
+    counters.acquire_workspace(3 * x_s.size)
     cache.store(0, x_s, x_c, x_m, step=0)
     live = counters.live_elements
     assert cache.peek(0, "motion") is x_m
+    assert cache.peek(0, "motion") is x_m
     assert counters.live_elements == live
-    assert len(cache._queue(0)) == 3
+    assert cache.retrieve(0, "motion") is x_m
 
 
 def test_peek_missing_protocol_error():
@@ -93,12 +115,21 @@ def test_store_from_workspace_transfers():
     cache = RollingCache(counters)
     x_s, x_c, x_m = entries(seed=5)
     counters.acquire_workspace(x_s.size * 3)
-    cache.store(0, x_s, x_c, x_m, step=0, from_workspace=True)
+    cache.store(0, x_s, x_c, x_m, step=0)
     peak = counters.peak_live_elements
     counters.release_workspace()
     # stored entries survive the workspace release, and no double count
     assert counters.live_elements == 3 * x_s.size
     assert peak == 3 * x_s.size
+
+
+def test_store_of_uncharged_arrays_into_a_counted_cache_is_rejected():
+    counters = CostCounters()
+    cache = RollingCache(counters)
+    with pytest.raises(ParameterError):
+        cache.store(0, *entries(), step=0)
+    assert not cache.has_entries(0)
+    assert counters.live_elements == 0
 
 
 def test_record_similarity_identical():

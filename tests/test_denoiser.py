@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from scmbench import (
+    BLOCK_KINDS,
     CostCounters,
     ParameterError,
     RollingCache,
@@ -170,6 +171,38 @@ def test_reuse_step_matches_dense_on_frozen_input(small_setup):
     # same latent again: cached attention equals the would-be fresh one
     z_reuse = model_forward(model3, z, priors, reuse, step=1, cache=cache)
     assert np.max(np.abs(z_reuse - z_dense)) < 1e-9
+
+
+def test_reuse_step_reads_the_cache_in_place(small_setup, monkeypatch):
+    dims, model, priors, z = small_setup
+    model3 = build_toy_model(dims, 3, 0)
+    counters = CostCounters()
+    cache = RollingCache(counters)
+    model_forward(model3, z, priors, StepMode(StepKind.DENSE), step=0,
+                  cache=cache, counters=counters)
+    counters.release_workspace()
+    live = counters.live_elements
+    before = {(li, kind): cache.peek(li, kind)
+              for li in range(3) for kind in BLOCK_KINDS}
+    calls = []
+
+    def spy(name):
+        original = getattr(RollingCache, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in ("store", "retrieve"):
+        monkeypatch.setattr(RollingCache, name, spy(name))
+    model_forward(model3, z, priors, StepMode(StepKind.REUSE), step=1,
+                  cache=cache, counters=counters)
+    counters.release_workspace()
+    assert calls == []
+    assert counters.live_elements == live
+    for (li, kind), value in before.items():
+        assert cache.peek(li, kind) is value
 
 
 def test_bypassed_layer_is_identity_for_chain(small_setup):

@@ -13,7 +13,6 @@ from scmbench import (
     chain_forward,
     identify_tokens,
     motion_forward,
-    planted_latent,
     pruned_camera_forward,
     pruned_motion_forward,
     random_tokens,
@@ -21,7 +20,7 @@ from scmbench import (
     token_count,
 )
 
-from conftest import make_setup
+from conftest import make_setup, planted_latent
 
 
 def complement(row, length):
