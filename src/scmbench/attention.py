@@ -21,15 +21,17 @@ rest of the attention from a cached entry inside the FFN's tiles.
 
 Layout discipline: every batched matmul runs over identical-shaped slices
 regardless of batch size, which keeps pruned and dense paths bit-identical
-on shared sequences. Each stage runs tile by tile over groups of about
-``core._TILE_TOKENS`` tokens: attention does its whole pipeline (kv
-concat, fused Q/K/V projection, scores, softmax, weighted sum, head merge,
-output projection) per tile, the FFN adds the residual per tile, and
-camera and motion read their sequences from the [F, V, H, W, C] layout
-through transposed views and get their attention back in that layout's
-memory order. No full-size temporary or transposed copy is made, every
-attention output is contiguous in the latent's layout, and per-row
-results do not depend on the tile size.
+on shared sequences. A tile is the only unit of work: each stage cuts
+its whole range into tiles of about ``core._TILE_TOKENS`` tokens, where
+an attention sequence weighs its tokens or its score elements divided by
+:data:`_SCORES_PER_TOKEN`, whichever is more. Attention runs its whole
+pipeline (kv concat, fused Q/K/V projection, scores, softmax, weighted
+sum, head merge, output projection) once per tile, the FFN adds the
+residual per tile, and camera and motion read their sequences from the
+[F, V, H, W, C] layout through transposed views and get their attention
+back in that layout's memory order. No full-size temporary or transposed
+copy is made, every attention output is contiguous in the latent's
+layout, and per-row results do not depend on the tiles.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CostCounters, softmax_last_inplace, split_rows, tile_bounds
+from .core import CostCounters, run_tiles, softmax_last_inplace, tiles
 from .errors import ParameterError, ShapeError
 
 __all__ = [
@@ -108,9 +110,10 @@ class BlockOutput:
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
-# Score elements per softmax chunk inside a tile; results are independent
-# of it, it only bounds the scores buffer.
-_SCORE_CHUNK_ELEMENTS = 256 * 1024
+# Score elements that weigh as much as one token when attention is tiled:
+# a tile holds about _TILE_TOKENS * _SCORES_PER_TOKEN score elements (256K,
+# 2 MiB) or one sequence, whichever is more.
+_SCORES_PER_TOKEN = 256
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
@@ -162,37 +165,23 @@ def _attention_workspace(batch: int, n: int, c: int, n_heads: int) -> int:
     return q + kv + scores + out
 
 
-def _batch_tiles(lo: int, hi: int, inner: int,
-                 n: int) -> list[tuple[int, int, int, int]]:
-    """Tiles (o0, o1, i0, i1) covering flat batch indices lo:hi in order.
+def _batch_tiles(outer: int, inner: int,
+                 weight: int) -> list[tuple[int, int, int, int]]:
+    """Tiles (o0, o1, i0, i1) covering the [O, I] sequence grid in
+    row-major order, each sequence weighing ``weight`` tokens.
 
-    The flat index of (o, i) is o * inner + i. A tile is either part of
-    one outer row or a group of whole rows, so its sequences form a
-    rectangle of the [O, I] batch grid. Rows of few tokens are grouped,
-    which saves one tile's fixed cost per row: small latents, whose camera
-    and motion rows hold 128-256 tokens, run about 5% faster for it.
+    A tile is either part of one outer row or a group of whole rows, so
+    it is a rectangle of the grid. Rows of few tokens are grouped, which
+    saves one tile's fixed cost per row: small latents, whose camera and
+    motion rows hold 128-256 tokens, run about 5% faster for it.
     """
-    tiles = []
-
-    def row(o: int, i: int, j: int) -> None:
-        b = tile_bounds(i, j, n)
-        tiles.extend((o, o + 1, t0, t1) for t0, t1 in zip(b, b[1:]))
-
-    first, last = -(-lo // inner), hi // inner   # whole rows first:last
-    if first > last:
-        row(lo // inner, lo % inner, hi % inner)
-        return tiles
-    if lo % inner:
-        row(lo // inner, lo % inner, inner)
-    groups = tile_bounds(first, last, inner * n)
-    for g0, g1 in zip(groups, groups[1:]):
-        if g1 - g0 == 1:
-            row(g0, 0, inner)
+    grid = []
+    for o0, o1 in tiles(outer, inner * weight):
+        if o1 - o0 > 1:
+            grid.append((o0, o1, 0, inner))
         else:
-            tiles.append((g0, g1, 0, inner))
-    if hi % inner:
-        row(last, 0, hi % inner)
-    return tiles
+            grid.extend((o0, o1, i0, i1) for i0, i1 in tiles(inner, weight))
+    return grid
 
 
 def _attend_tile(z: np.ndarray, prior: np.ndarray, out: np.ndarray,
@@ -201,8 +190,10 @@ def _attend_tile(z: np.ndarray, prior: np.ndarray, out: np.ndarray,
     """The whole attention pipeline for one rectangular tile of sequences.
 
     z and out are [ot, it, n, C] with any strides, prior is [ot, it, 1, C]
-    and prior_weight a contiguous [ot, it, n]. Every temporary is a plain
-    array sized by the tile.
+    and prior_weight a contiguous [ot, it, n]. Scores, softmax and the
+    weighted sum run once over the whole tile, whose size
+    :func:`axis_attention` bounds by its tokens and by its score elements.
+    Every temporary is a plain array sized by the tile.
     """
     ot, it, n, c = z.shape
     t = ot * it
@@ -221,32 +212,21 @@ def _attend_tile(z: np.ndarray, prior: np.ndarray, out: np.ndarray,
     kht = heads[:, :, 1].transpose(0, 2, 3, 1)      # [t, nh, d, n+1]
     vh = heads[:, :, 2].transpose(0, 2, 1, 3)       # [t, nh, n+1, d]
 
-    # Scores, softmax, and the weighted sum run in batch chunks sized so
-    # one chunk of weights stays cache-resident. Per-sequence results do
-    # not depend on the chunking, so any chunk size is bit-identical.
-    chunk = max(1, _SCORE_CHUNK_ELEMENTS // (nh * n * (n + 1)))
-    scores_buf = np.empty((min(t, chunk), nh, n, n + 1))
+    scores = softmax_last_inplace(qh @ kht)         # [t, nh, n, n+1]
     merged = np.empty((t, n, nh, d))
-    ctx = merged.transpose(0, 2, 1, 3)              # [t, nh, n, d]
-    prior_cols = np.empty((t, nh, n))
-    for i in range(0, t, chunk):
-        j = min(t, i + chunk)
-        sc = scores_buf[: j - i]
-        np.matmul(qh[i:j], kht[i:j], out=sc)
-        softmax_last_inplace(sc)                      # [j-i, nh, n, n+1]
-        np.copyto(prior_cols[i:j], sc[:, :, :, -1])
-        np.matmul(sc, vh[i:j], out=ctx[i:j])
+    np.matmul(scores, vh, out=merged.transpose(0, 2, 1, 3))
     rows = merged.reshape(t * n, c)
     if out.flags.c_contiguous and t * n > 1:
         np.matmul(rows, p.wo, out=out.reshape(t * n, c))
     else:
         if t * n == 1:
-            # One one-token sequence, left alone by a part boundary: BLAS
-            # runs a one-row product as a matrix-vector product, which
-            # sums in another order, so pad it to two rows.
+            # The whole call is one one-token sequence, as at all dims 1
+            # (tiles hold two tokens where the call has them): BLAS runs a
+            # one-row product as a matrix-vector product, which sums in
+            # another order, so pad it to two rows.
             rows = np.concatenate((rows, rows))
         np.copyto(out, (rows @ p.wo)[:t * n].reshape(out.shape))
-    np.mean(prior_cols, axis=1, out=prior_weight.reshape(t, n))
+    np.mean(scores[..., -1], axis=1, out=prior_weight.reshape(t, n))
 
 
 def axis_attention(z_seq: np.ndarray, prior_token: np.ndarray, p: BlockParams,
@@ -262,6 +242,9 @@ def axis_attention(z_seq: np.ndarray, prior_token: np.ndarray, p: BlockParams,
     softmax mass on the prior token). The attended output is a fresh array
     laid out in memory like z_seq, so for a transposed view of a latent it
     is contiguous in the latent's own order.
+
+    The batch grid runs over the cores as rectangular tiles
+    (:func:`_batch_tiles`), each attended in one pass.
     """
     if z_seq.ndim not in (3, 4) or prior_token.ndim != z_seq.ndim \
             or prior_token.shape[-2] != 1:
@@ -278,16 +261,15 @@ def axis_attention(z_seq: np.ndarray, prior_token: np.ndarray, p: BlockParams,
         views = (z_seq[None], prior_token[None], out[None], prior_weight[None])
     else:
         views = (z_seq, prior_token, out, prior_weight)
-    inner = views[0].shape[1]
     w_qkv = np.concatenate((p.wq, p.wk, p.wv), axis=1)
 
-    def attend(lo: int, hi: int) -> None:
-        # The part writes only the rows of sequences lo:hi of both outputs.
-        for o0, o1, i0, i1 in _batch_tiles(lo, hi, inner, n):
-            _attend_tile(*(a[o0:o1, i0:i1] for a in views), p, w_qkv)
+    def attend(o0: int, o1: int, i0: int, i1: int) -> None:
+        # The tile writes only the rows of its own sequences of both outputs.
+        _attend_tile(*(a[o0:o1, i0:i1] for a in views), p, w_qkv)
 
+    weight = max(n, p.n_heads * n * (n + 1) // _SCORES_PER_TOKEN)
+    run_tiles(_batch_tiles(*views[0].shape[:2], weight), attend)
     b = math.prod(batch)
-    split_rows(b, attend, rows_per_item=n)
     if counters is not None:
         counters.add_attention(attention_flop_count(b, n, c, p.n_heads),
                                block=block)
@@ -320,21 +302,19 @@ def ffn(x: np.ndarray, p: BlockParams,
     m = rows.shape[0]
     out = np.empty((m, c))
 
-    def apply(lo: int, hi: int) -> None:
+    def apply(i: int, j: int) -> None:
         # Tile-sized row groups keep the hidden activation cache-resident;
         # tokenwise results are independent of the tiles and the split.
-        bounds = tile_bounds(lo, hi)
-        for i, j in zip(bounds, bounds[1:]):
-            src = rows[i:j]
-            if before_tile is not None:
-                before_tile(i, j)
-            if addend is not None:
-                src = src + addend[i:j]
-            hidden = src @ p.w1
-            _gelu_inplace(hidden)
-            np.matmul(hidden, p.w2, out=out[i:j])
+        src = rows[i:j]
+        if before_tile is not None:
+            before_tile(i, j)
+        if addend is not None:
+            src = src + addend[i:j]
+        hidden = src @ p.w1
+        _gelu_inplace(hidden)
+        np.matmul(hidden, p.w2, out=out[i:j])
 
-    split_rows(m, apply)
+    run_tiles(tiles(m), apply)
     if counters is not None:
         counters.add_ffn(ffn_flop_count(m, c))
         counters.acquire_workspace(m * 3 * c)

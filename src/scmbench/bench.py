@@ -20,7 +20,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .cache import RollingCache
 from .core import CostCounters, Rng, cosine, psnr, tune_allocator
 from .denoiser import (
     Dims,
@@ -229,7 +228,9 @@ def run_benchmark(config: RunConfig) -> RunReport:
 
 
 def emit_report(report: RunReport, path, similarity_csv: bool = False) -> None:
-    """Write the JSON report plus a sibling per-step CSV trace.
+    """Write the JSON report plus a sibling per-step CSV trace, and with
+    ``similarity_csv`` a sibling CSV of the similarity log (header only in
+    a mode with no cache, so that every report gets one).
 
     JSON key order is construction order and therefore stable; re-emitting
     the same report is byte-identical.
@@ -253,7 +254,12 @@ def emit_report(report: RunReport, path, similarity_csv: bool = False) -> None:
                 r.flops_attention, r.flops_ffn, r.flops_mixing,
                 f"{r.wall_us:.1f}",
             ])
-    if similarity_csv and isinstance(report.trace.cache, RollingCache):
-        report.trace.cache.write_similarity_csv(
-            path.with_name(path.stem + "_similarity.csv")
-        )
+    if similarity_csv:
+        cache = report.trace.cache
+        log = [] if cache is None else cache.similarity_log
+        with open(path.with_name(path.stem + "_similarity.csv"), "w",
+                  newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["step", "layer", "kind", "cosine"])
+            writer.writerows([r.step, r.layer, r.kind, repr(r.value)]
+                             for r in log)

@@ -11,7 +11,6 @@ against the same array, once it is the cached side, skips that pass.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,10 +92,3 @@ class RollingCache:
             SimilarityRecord(step, layer, kind, value, degenerate)
         )
         return value
-
-    def write_similarity_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "layer", "kind", "cosine"])
-            for rec in self.similarity_log:
-                writer.writerow([rec.step, rec.layer, rec.kind, repr(rec.value)])

@@ -36,7 +36,7 @@ _PARSERS = {
 }
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+def _add_config_flags(parser: argparse.ArgumentParser, out_help: str) -> None:
     for name, kind in FIELD_TYPES.items():
         flag = "--" + name.replace("_", "-")
         if kind == "bool":
@@ -46,8 +46,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
             parser.add_argument(flag, type=_PARSERS[kind][0], default=None)
     parser.add_argument("--config", type=Path, default=None,
                         help="JSON file with RunConfig keys")
-    parser.add_argument("--out", type=Path, default=None,
-                        help="report path (default: <outdir>/report.json)")
+    parser.add_argument("--out", type=Path, default=None, help=out_help)
     parser.add_argument("--similarity-csv", action="store_true",
                         help="also dump the similarity log as CSV")
 
@@ -142,11 +141,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="execute one configured run")
-    _add_config_flags(p_run)
+    _add_config_flags(p_run, "report path (default: <outdir>/report.json)")
     p_run.set_defaults(func=_cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="run one config per swept value")
-    _add_config_flags(p_sweep)
+    _add_config_flags(p_sweep, "directory for the reports (default: <outdir>)")
     p_sweep.add_argument("--param", required=True)
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated values")

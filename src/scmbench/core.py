@@ -1,6 +1,6 @@
 """Deterministic dense-tensor primitives: softmax, cosine and PSNR, a
-seeded PRNG, cost instrumentation, and the row split and tiling that
-spread the hot loops over the available cores.
+seeded PRNG, cost instrumentation, and the tiling that spreads the hot
+loops over the available cores.
 
 Everything is float64 and bit-deterministic: the same inputs produce
 bit-identical outputs on every call. The thread policy is what makes that
@@ -8,15 +8,16 @@ hold on any machine:
 
 * numpy's OpenBLAS is pinned to one thread, process-wide, when this module
   is imported, so every matmul row is computed in one fixed order;
-* :func:`split_rows` splits the rows of attention, FFN (which also runs
-  the pruned blocks' cache refill, tile by tile) and mixing across the
-  CPUs in the process's affinity set, each part on its own thread;
-* each part runs its stage tile by tile (:func:`tile_bounds`, about
-  :data:`_TILE_TOKENS` tokens a tile), with every temporary a plain
-  array sized by the tile and freed with it, so a thread's working set
-  is bounded by the tile, not by the latent;
-* per-row results do not depend on the split or on the tiles, so outputs
-  do not depend on the core count or on ``OPENBLAS_NUM_THREADS``.
+* a tile is the only unit of work: attention, FFN (which also runs the
+  pruned blocks' cache refill) and mixing cut their whole range into
+  tiles of about :data:`_TILE_TOKENS` tokens (:func:`tiles`), with every
+  temporary a plain array sized by the tile and freed with it, so a
+  thread's working set is bounded by the tile, not by the latent;
+* :func:`run_tiles` runs a stage's tiles in one contiguous run per CPU
+  in the process's affinity set, each run on its own thread;
+* per-row results do not depend on the tiles or on how they are split
+  over threads, so outputs do not depend on the core count or on
+  ``OPENBLAS_NUM_THREADS``.
 
 All array values flowing through public operations are finite; callers can
 assert this cheaply with :func:`assert_finite`.
@@ -37,8 +38,8 @@ from .errors import DegenerateInputError, ParameterError, ShapeError
 __all__ = [
     "CostCounters",
     "Rng",
-    "split_rows",
-    "tile_bounds",
+    "tiles",
+    "run_tiles",
     "softmax_last_inplace",
     "tune_allocator",
     "cosine",
@@ -225,13 +226,13 @@ def _pin_blas_to_one_thread() -> bool:
     return False
 
 
-# Row-split width: the CPUs this process may run on, or 1 when BLAS could
+# Runs per stage: the CPUs this process may run on, or 1 when BLAS could
 # not be pinned (a multi-threaded BLAS under parallel callers would
 # oversubscribe the cores).
 _PARTS = len(os.sched_getaffinity(0)) if _pin_blas_to_one_thread() else 1
-# Fewest rows worth a part of their own; smaller jobs run serially on the
-# calling thread, where a dispatch would cost more than it saves.
-_MIN_PART_ROWS = 1024
+# Tokens per tile: every stage of a block runs over groups of about this
+# many tokens, so its temporaries are small and stay in cache.
+_TILE_TOKENS = 1024
 
 _executor = None
 _executor_workers = 0
@@ -253,54 +254,51 @@ def _workers(n: int):
     return _executor
 
 
-def split_rows(n: int, run, rows_per_item: int = 1) -> None:
-    """Call ``run(start, stop)`` over contiguous parts covering range(n).
+def tiles(n: int, weight: int = 1) -> list[tuple[int, int]]:
+    """Near-equal contiguous tiles (start, stop) covering range(n).
 
-    Each item weighs ``rows_per_item`` rows. The work is cut into at most
-    one part per CPU and at most one part per :data:`_MIN_PART_ROWS` rows;
-    the calling thread runs the first part and the pool the rest. ``run``
-    must write only the rows of its own part and not call ``split_rows``
-    itself, so that the result is the same for every split and no part
-    waits on a pool it occupies.
+    An item weighs ``weight`` tokens. A tile holds at least
+    ``_TILE_TOKENS // weight`` items and fewer than twice that, and at
+    least one item and two tokens where the range has them. BLAS runs a
+    one-row matmul as a matrix-vector product, which sums in another
+    order, so tiles of two or more rows keep per-row results the same for
+    every tiling.
     """
-    parts = min(_PARTS, n, n * rows_per_item // _MIN_PART_ROWS)
-    if parts <= 1:
-        run(0, n)
+    per_tile = max(_TILE_TOKENS // weight, -(-2 // weight))
+    count = max(1, n // per_tile)
+    bounds = [n * i // count for i in range(count + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
+def run_tiles(tile_list: list[tuple], run) -> None:
+    """Call ``run(*tile)`` for every tile of ``tile_list``.
+
+    The tiles are cut into at most one contiguous run per CPU; the calling
+    thread takes the first run and the pool the rest, so a stage of one
+    tile runs serially on the calling thread. ``run`` must write only the
+    rows of its own tile and not call ``run_tiles`` itself, so that the
+    result is the same for every split and no run waits on a pool it
+    occupies.
+    """
+    def run_span(a: int, b: int) -> None:
+        for tile in tile_list[a:b]:
+            run(*tile)
+
+    runs = min(_PARTS, len(tile_list))
+    if runs <= 1:
+        run_span(0, len(tile_list))
         return
-    bounds = [n * i // parts for i in range(parts + 1)]
-    pool = _workers(parts - 1)
-    futures = [pool.submit(run, bounds[i], bounds[i + 1])
-               for i in range(1, parts)]
+    bounds = [len(tile_list) * i // runs for i in range(runs + 1)]
+    pool = _workers(runs - 1)
+    futures = [pool.submit(run_span, bounds[i], bounds[i + 1])
+               for i in range(1, runs)]
     try:
-        run(bounds[0], bounds[1])
+        run_span(bounds[0], bounds[1])
     finally:
         for fut in futures:
-            fut.exception()  # waits for the part, even if this one failed
+            fut.exception()  # waits for the run, even if this one failed
     for fut in futures:
         fut.result()
-
-
-# Tokens per tile: every stage of a block runs over groups of about this
-# many tokens, so its temporaries are small and stay in cache.
-_TILE_TOKENS = 1024
-
-
-def tile_bounds(lo: int, hi: int, tokens_per_item: int = 1) -> list[int]:
-    """Bounds of near-equal contiguous tiles covering range(lo, hi).
-
-    An item weighs ``tokens_per_item`` tokens. A tile holds at least
-    ``_TILE_TOKENS // tokens_per_item`` items and fewer than twice that,
-    and at least one item and two tokens where the range has them. BLAS
-    runs a one-row matmul as a matrix-vector product, which sums in
-    another order, so tiles of two or more rows keep per-row results the
-    same for every tiling. Consecutive entries of the returned list
-    delimit one tile.
-    """
-    if hi <= lo:
-        return [lo]
-    per_tile = max(_TILE_TOKENS // tokens_per_item, -(-2 // tokens_per_item))
-    count = max(1, (hi - lo) // per_tile)
-    return [lo + (hi - lo) * i // count for i in range(count + 1)]
 
 
 def softmax_last_inplace(x: np.ndarray) -> np.ndarray:

@@ -29,7 +29,7 @@ from .attention import (
     spatial_forward,
 )
 from .cache import BLOCK_KINDS, RollingCache
-from .core import CostCounters, Rng, assert_finite, split_rows, tile_bounds
+from .core import CostCounters, Rng, assert_finite, run_tiles, tiles
 from .errors import ParameterError
 from .scheduler import (
     MODE_TABLE,
@@ -247,22 +247,20 @@ def mixing(z: np.ndarray, mix: np.ndarray,
     rows = z.reshape(g * l, c)
     out = np.empty((g, h, w, c))
 
-    def apply(lo: int, hi: int) -> None:
-        # Each (f, v) slice is mixed on its own; a part touches only the
+    def apply(i: int, j: int) -> None:
+        # Each (f, v) slice is mixed on its own; a tile touches only the
         # rows of its slices.
-        bounds = tile_bounds(lo, hi, l)
-        for i, j in zip(bounds, bounds[1:]):
-            shape = (j - i, h, w, c)
-            last = out[i:j]
-            y = last if h == w == 1 else np.empty(shape)
-            np.matmul(rows[i * l:j * l], mix, out=y.reshape(-1, c))
-            if h > 1:
-                y = _reflect_avg(y, lambda a, s: a[:, s],
-                                 last if w == 1 else np.empty(shape))
-            if w > 1:
-                _reflect_avg(y, lambda a, s: a[:, :, s], last)
+        shape = (j - i, h, w, c)
+        last = out[i:j]
+        y = last if h == w == 1 else np.empty(shape)
+        np.matmul(rows[i * l:j * l], mix, out=y.reshape(-1, c))
+        if h > 1:
+            y = _reflect_avg(y, lambda a, s: a[:, s],
+                             last if w == 1 else np.empty(shape))
+        if w > 1:
+            _reflect_avg(y, lambda a, s: a[:, :, s], last)
 
-    split_rows(g, apply, rows_per_item=l)
+    run_tiles(tiles(g, l), apply)
     if counters is not None:
         n = f * v * h * w
         counters.add_mixing(2 * n * c * c + 6 * n * c)

@@ -1,5 +1,6 @@
 """Benchmark harness: config precedence, reports, determinism, CLI."""
 
+import argparse
 import dataclasses
 import json
 import math
@@ -242,6 +243,39 @@ def test_cli_sweep(tmp_path, capsys):
     assert code == 0
     assert (tmp_path / "sweep_topk_ratio_0.5.json").exists()
     assert (tmp_path / "sweep_topk_ratio_1.0.json").exists()
+
+
+_SIM_HEADER = "step,layer,kind,cosine\n"
+
+
+def test_cli_similarity_csv_in_every_mode(tmp_path):
+    # a mode with no cache still gets its similarity CSV, header only, so
+    # a sweep over modes writes one per report
+    small = ["--frames", "2", "--views", "2", "--height", "4", "--width",
+             "4", "--channels", "8", "--layers", "2", "--steps", "4"]
+    assert main(["run", "--mode", "dense", "--similarity-csv", *small,
+                 "--out", str(tmp_path / "r.json")]) == 0
+    assert (tmp_path / "r_similarity.csv").read_text() == _SIM_HEADER
+    assert main(["sweep", "--param", "mode", "--values", "dense,cache-only",
+                 "--similarity-csv", *small, "--out", str(tmp_path)]) == 0
+    dense = tmp_path / "sweep_mode_dense_similarity.csv"
+    cached = tmp_path / "sweep_mode_cache-only_similarity.csv"
+    assert dense.read_text() == _SIM_HEADER
+    assert cached.read_text().startswith(_SIM_HEADER)
+    assert len(cached.read_text().splitlines()) > 1
+
+
+def _out_help(command: str) -> str:
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return next(a.help for a in sub.choices[command]._actions
+                if "--out" in a.option_strings)
+
+
+def test_cli_out_help_names_each_subcommands_output():
+    assert _out_help("run") == "report path (default: <outdir>/report.json)"
+    assert _out_help("sweep") == \
+        "directory for the reports (default: <outdir>)"
 
 
 def test_cli_compare(tmp_path):

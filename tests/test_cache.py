@@ -11,6 +11,9 @@ from scmbench import (
     ParameterError,
     RollingCache,
     Rng,
+    RunConfig,
+    emit_report,
+    run_benchmark,
 )
 
 
@@ -198,12 +201,14 @@ def test_log_growth_per_compute_step():
 
 
 def test_similarity_csv(tmp_path):
-    cache = RollingCache()
-    x_s, x_c, x_m = entries(seed=8)
-    cache.store(0, x_s, x_c, x_m, step=0)
-    cache.record_similarity(0, "spatial", x_s.copy(), step=1)
-    path = tmp_path / "sim.csv"
-    cache.write_similarity_csv(path)
-    lines = path.read_text().strip().splitlines()
+    # the report writer dumps the run's similarity log, one row a record
+    report = run_benchmark(RunConfig(frames=2, views=2, height=4, width=4,
+                                     channels=8, layers=2, steps=4,
+                                     mode="cache-only"))
+    emit_report(report, tmp_path / "r.json", similarity_csv=True)
+    lines = (tmp_path / "r_similarity.csv").read_text().strip().splitlines()
     assert lines[0] == "step,layer,kind,cosine"
-    assert len(lines) == 2
+    log = report.trace.cache.similarity_log
+    assert len(log) > 0
+    assert lines[1:] == [f"{r.step},{r.layer},{r.kind},{r.value!r}"
+                         for r in log]

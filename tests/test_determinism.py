@@ -1,9 +1,10 @@
 """Thread policy: outputs do not depend on the BLAS thread count or on how
-many parts the rows are split into."""
+many runs the tiles are split into."""
 
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -45,10 +46,11 @@ def test_final_latent_does_not_depend_on_blas_threads():
 
 @pytest.fixture
 def split_into(monkeypatch):
-    """Force the row split to a given part count, down to one row a part."""
+    """Force the tiles into a given number of runs, with tiles so small
+    that tiny inputs still split into many of them."""
     def force(parts: int) -> None:
         monkeypatch.setattr(core, "_PARTS", parts)
-        monkeypatch.setattr(core, "_MIN_PART_ROWS", 1)
+        monkeypatch.setattr(core, "_TILE_TOKENS", 1)
     return force
 
 
@@ -98,23 +100,27 @@ def test_split_covers_every_row_once(split_into):
     def mark(lo, hi):
         seen[lo:hi] += 1
 
-    core.split_rows(10, mark)
+    core.run_tiles(core.tiles(10), mark)
     assert seen.tolist() == [1] * 10
 
 
 def test_split_reraises_a_failing_part(split_into):
     split_into(2)
 
+    # four one-row tiles in two runs: only the pool's run fails
     def fail_second_half(lo, hi):
-        if lo > 0:
+        if lo >= 2:
             raise RuntimeError("part failed")
 
     with pytest.raises(RuntimeError, match="part failed"):
-        core.split_rows(4, fail_second_half)
+        core.run_tiles(core.tiles(4), fail_second_half)
 
 
 def test_small_jobs_run_serially_on_the_calling_thread(monkeypatch):
+    # Fewer than two tiles' worth of tokens is one tile, run in place.
     monkeypatch.setattr(core, "_PARTS", 2)
+    n = 2 * core._TILE_TOKENS - 1
     calls = []
-    core.split_rows(core._MIN_PART_ROWS, lambda lo, hi: calls.append((lo, hi)))
-    assert calls == [(0, core._MIN_PART_ROWS)]
+    core.run_tiles(core.tiles(n), lambda lo, hi: calls.append(
+        (lo, hi, threading.get_ident())))
+    assert calls == [(0, n, threading.get_ident())]

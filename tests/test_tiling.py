@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from scmbench import (
     Rng,
@@ -15,6 +17,7 @@ from scmbench import (
     pruned_motion_forward,
 )
 from scmbench import core
+from scmbench.attention import _batch_tiles
 from scmbench.denoiser import mixing
 
 from conftest import make_block
@@ -58,36 +61,54 @@ def _tiled_outputs():
 
 @pytest.fixture
 def split_into(monkeypatch):
+    """Force the tiles into a given number of runs, with tiles so small
+    that tiny inputs still split into many of them."""
     def force(parts: int) -> None:
         monkeypatch.setattr(core, "_PARTS", parts)
-        monkeypatch.setattr(core, "_MIN_PART_ROWS", 1)
+        monkeypatch.setattr(core, "_TILE_TOKENS", 1)
     return force
 
 
 def test_outputs_do_not_depend_on_tile_size_or_split(monkeypatch, split_into):
     want = None
     # one token (so one sequence a tile), an odd size, the default, and
-    # more than any part holds
+    # more than the whole input holds
     for tile in (1, 23, core._TILE_TOKENS, 10**9):
-        monkeypatch.setattr(core, "_TILE_TOKENS", tile)
         for parts in (1, 2, 3):
             split_into(parts)
+            monkeypatch.setattr(core, "_TILE_TOKENS", tile)
             got = _tiled_outputs()
             if want is None:
                 want = got
             assert got == want, (tile, parts)
 
 
-def test_one_token_sequences_split_mid_row(split_into):
-    # [3, 3] batch of one-token sequences in two parts: the second part
-    # starts one sequence into row 1, so that sequence is a tile alone
+@given(outer=st.integers(1, 6), inner=st.integers(1, 6),
+       weight=st.integers(1, 5), tile=st.integers(1, 12))
+def test_batch_tiles_cover_the_grid_in_rectangles(outer, inner, weight, tile):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_TILE_TOKENS", tile)
+        got = _batch_tiles(outer, inner, weight)
+    cells = []
+    for o0, o1, i0, i1 in got:
+        # part of one row, or whole rows
+        assert 0 <= o0 < o1 <= outer and 0 <= i0 < i1 <= inner
+        assert o1 - o0 == 1 or (i0, i1) == (0, inner)
+        assert (o1 - o0) * (i1 - i0) * weight >= min(2, outer * inner * weight)
+        cells += [o * inner + i for o in range(o0, o1) for i in range(i0, i1)]
+    assert cells == list(range(outer * inner))
+
+
+def test_one_token_call_matches_its_row_in_a_batch_of_two():
+    # a call that is one one-token sequence is a one-row tile, which the
+    # output projection pads to two rows; in a batch of two the same
+    # sequence shares a two-row tile
     p = make_block(C, 2, 306)
-    z = Rng(307).normal((3, 3, 1, C))
-    prior = Rng(308).normal((3, 3, 1, C))
-    split_into(1)
-    want = [a.tobytes() for a in axis_attention(z, prior, p)]
-    split_into(2)
-    assert [a.tobytes() for a in axis_attention(z, prior, p)] == want
+    z = Rng(307).normal((2, 1, C))
+    prior = Rng(308).normal((2, 1, C))
+    one = axis_attention(z[:1], prior[:1], p)
+    two = axis_attention(z, prior, p)
+    assert [a.tobytes() for a in one] == [a[:1].tobytes() for a in two]
 
 
 def test_strided_layouts_match_contiguous_copies(monkeypatch):
