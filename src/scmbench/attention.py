@@ -254,6 +254,9 @@ def axis_attention(z_seq: np.ndarray, prior_token: np.ndarray, p: BlockParams,
     if prior_token.shape != (*batch, 1, c):
         raise ShapeError(f"prior shape {prior_token.shape} != "
                          f"{(*batch, 1, c)}")
+    if n == 0 or 0 in batch:
+        raise ShapeError(f"axis_attention: empty input, z_seq shape "
+                         f"{z_seq.shape}")
     p.head_dim()  # raises unless n_heads divides C
     out = np.empty_like(z_seq, dtype=np.float64)
     prior_weight = np.empty((*batch, n))

@@ -3,7 +3,9 @@
 A compute step fills a layer's three slots; :meth:`RollingCache.retrieve`
 empties one, in any order, and :meth:`RollingCache.peek` reads one in
 place, as prune steps do to refill complements and reuse steps to read
-their attention. Every cosine between a cached entry and its fresh
+their attention. :meth:`RollingCache.evict` empties every slot of layers
+that nothing reads again, as the sampler does for the bypassed layers
+once bypass latches. Every cosine between a cached entry and its fresh
 counterpart is appended to a similarity log, which the bypass scheduler
 averages. The fresh side's squared norm is kept, so the next step's cosine
 against the same array, once it is the cached side, skips that pass.
@@ -33,7 +35,11 @@ class SimilarityRecord:
 
 
 class RollingCache:
-    """Attention cache, one slot per (layer, block kind)."""
+    """Attention cache, one slot per (layer, block kind).
+
+    A slot holds its entry until a compute step supersedes it or
+    :meth:`evict` empties its layer.
+    """
 
     def __init__(self, counters: CostCounters | None = None):
         self._slots: dict[tuple[int, str], np.ndarray] = {}
@@ -70,6 +76,19 @@ class RollingCache:
         if value is None:
             raise CacheProtocolError(f"no cached {kind} entry for layer {layer}")
         return value
+
+    def evict(self, layers) -> None:
+        """Empty every slot of ``layers`` and forget their norms.
+
+        Each slot is emptied through :meth:`retrieve`, so the live count
+        falls by its elements; the norms go too, since each one holds the
+        array it was taken of.
+        """
+        for layer in layers:
+            for kind in BLOCK_KINDS:
+                if (layer, kind) in self._slots:
+                    self.retrieve(layer, kind)
+                self._sq_norms.pop((layer, kind), None)
 
     def has_entries(self, layer: int) -> bool:
         return any((layer, kind) in self._slots for kind in BLOCK_KINDS)

@@ -302,35 +302,46 @@ def cached_chain_forward(
     and consumed as soon as its block is superseded, so it never outlives
     that block. The step's own attention outputs then become the entries.
     With no cache the pass records and stores nothing.
+
+    The pass holds only what is still read: the current block's output,
+    which is the next block's input, the spatial semantic map and, with a
+    cache, the attention arrays it is about to store. Each block's output
+    is dropped once the next block has used it, so with no cache no
+    attention outlives its block's FFN.
     """
     stale = cache is not None and cache.has_entries(layer)
+    fresh = []
 
-    def supersede(kind: str, out):
+    def supersede(kind: str, out) -> np.ndarray:
         if stale:
             cache.record_similarity(layer, kind, out.attention, step)
             cache.retrieve(layer, kind)
-        return out
+        if cache is not None:
+            fresh.append(out.attention)
+        return out.out
 
     def refill(kind: str) -> np.ndarray:
         cached = cache.peek(layer, kind)
         return np.zeros_like(cached) if zero_refill else cached
 
-    so = supersede("spatial",
-                   spatial_forward(z, priors.k_s, w.spatial, counters))
+    so = spatial_forward(z, priors.k_s, w.spatial, counters)
+    semantic = so.semantic
+    z = supersede("spatial", so)
+    del so
     if select is None:
-        co = supersede("camera",
-                       camera_forward(so.out, priors.k_c, w.camera, counters))
-        mo = supersede("motion",
-                       motion_forward(co.out, priors.k_m, w.motion, counters))
+        z = supersede("camera",
+                      camera_forward(z, priors.k_c, w.camera, counters))
+        z = supersede("motion",
+                      motion_forward(z, priors.k_m, w.motion, counters))
     else:
-        idx = select(so.semantic)
-        co = supersede("camera", pruning.pruned_camera_forward(
-            so.out, priors.k_c, w.camera, idx, refill("camera"), counters))
-        mo = supersede("motion", pruning.pruned_motion_forward(
-            co.out, priors.k_m, w.motion, idx, refill("motion"), counters))
+        idx = select(semantic)
+        z = supersede("camera", pruning.pruned_camera_forward(
+            z, priors.k_c, w.camera, idx, refill("camera"), counters))
+        z = supersede("motion", pruning.pruned_motion_forward(
+            z, priors.k_m, w.motion, idx, refill("motion"), counters))
     if cache is not None:
-        cache.store(layer, so.attention, co.attention, mo.attention, step)
-    return mo.out
+        cache.store(layer, *fresh, step)
+    return z
 
 
 def model_forward(
@@ -425,6 +436,8 @@ def sample(
     """Run the full reverse loop under the configured acceleration mode.
 
     Reads only the sampling fields of ``cfg``, never its shape or seed.
+    When bypass latches, the bypassed layers' cache entries are evicted:
+    bypass never un-latches, so nothing reads them again.
     """
     n_layers = len(model.layers)
     total = schedule.total_steps
@@ -461,8 +474,11 @@ def sample(
                               cfg.delta_t, exclude)
         else:
             asr = 0.0
+        was_latched = state.bypass_active
         mode = select_mode(state, step, asr, n_layers,
                            spec.kind(step, cfg.warmup))
+        if cache is not None and state.bypass_active and not was_latched:
+            cache.evict(mode.bypassed_layers)
 
         before = counters.flops()
         t0 = time.perf_counter()

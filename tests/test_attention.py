@@ -1,6 +1,7 @@
 """Attention blocks, FFN, and the chained composition."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -284,6 +285,16 @@ def test_axis_block_rejects_a_wrong_prior_and_a_pruned_spatial_block(
     with pytest.raises(ParameterError, match="never pruned"):
         axis_block(z, "spatial", priors.k_s, w, keep=np.zeros((2, 1), int),
                    cached=z)
+
+
+@pytest.mark.parametrize("shape", [(0, 4, 8), (3, 0, 4, 8), (2, 0, 8)],
+                         ids=["empty batch", "empty inner batch",
+                              "empty sequence"])
+def test_axis_attention_rejects_empty_input(shape):
+    p = make_block(8, 2, 91)
+    prior = np.zeros((*shape[:-2], 1, 8))
+    with pytest.raises(ShapeError, match=re.escape(str(shape))):
+        axis_attention(np.zeros(shape), prior, p)
 
 
 # --- chain ----------------------------------------------------------------

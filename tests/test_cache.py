@@ -48,7 +48,7 @@ def test_live_elements_default_dims_layer():
     assert counters.live_elements == 3 * 5 * 8 * 16 * 16 * 64 == 1_966_080
 
 
-def test_fifo_roundtrip_bit_exact():
+def test_retrieve_returns_each_stored_array():
     cache = RollingCache()
     x_s, x_c, x_m = entries(seed=3)
     cache.store(1, x_s, x_c, x_m, step=0)
@@ -133,6 +133,44 @@ def test_store_of_uncharged_arrays_into_a_counted_cache_is_rejected():
         cache.store(0, *entries(), step=0)
     assert not cache.has_entries(0)
     assert counters.live_elements == 0
+
+
+def test_evict_empties_the_layers_and_forgets_their_norms():
+    counters = CostCounters()
+    cache = RollingCache(counters)
+    for layer in (0, 1, 2):
+        counters.acquire_workspace(3 * 8)
+        cache.store(layer, *entries(seed=layer), step=0)
+        counters.release_workspace()
+        cache.record_similarity(layer, "camera", cache.peek(layer, "camera"),
+                                step=0)
+    cache.evict({1, 2, 5})  # an empty layer is skipped
+    assert [cache.has_entries(layer) for layer in (0, 1, 2)] == \
+        [True, False, False]
+    assert list(cache._sq_norms) == [(0, "camera")]
+    assert counters.live_elements == 3 * 8
+
+
+def test_bypass_latch_evicts_the_bypassed_layers():
+    # Turbo latches at these dims; bypass never un-latches, so the
+    # bypassed layers' entries are dead and the latch frees them.
+    shape = dict(frames=2, views=2, height=4, width=4, channels=8, layers=4,
+                 steps=8)
+    turbo = run_benchmark(RunConfig(mode="turbo", **shape))
+    assert turbo.trace.scheduler.bypass_active
+    bypassed = set().union(*(r.bypassed_layers for r in turbo.trace.steps))
+    assert bypassed == {1, 2}
+    cache = turbo.trace.cache
+    assert not any(cache.has_entries(layer) for layer in bypassed)
+    assert not any(layer in bypassed for layer, _ in cache._sq_norms)
+    held = sum(cache.peek(layer, kind).size for layer in (0, 3)
+               for kind in BLOCK_KINDS)
+    assert turbo.counters.live_elements == held
+
+    # prune-only never latches and keeps every layer's slots
+    prune = run_benchmark(RunConfig(mode="prune-only", **shape))
+    assert not prune.trace.scheduler.bypass_active
+    assert all(prune.trace.cache.has_entries(layer) for layer in range(4))
 
 
 def test_record_similarity_identical():

@@ -1,5 +1,6 @@
-"""Tiled block pipeline: outputs do not depend on the tile size, and each
-stage's working set is bounded by the tile."""
+"""Tiled block pipeline: outputs do not depend on the tile size, each
+stage's working set is bounded by the tile, and a chain pass holds only
+the latents it still reads."""
 
 import tracemalloc
 
@@ -9,8 +10,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from scmbench import (
+    RollingCache,
     Rng,
     axis_attention,
+    cached_chain_forward,
     ffn,
     identify_tokens,
     pruned_camera_forward,
@@ -20,7 +23,7 @@ from scmbench import core
 from scmbench.attention import _batch_tiles
 from scmbench.denoiser import mixing
 
-from conftest import make_block
+from conftest import make_block, make_setup
 
 F, V, H, W, C = 3, 5, 3, 4, 8
 L = H * W
@@ -183,3 +186,30 @@ def test_working_set_is_bounded_by_the_tile(monkeypatch):
         big = sizes[1][name]
         assert abs(big - small) < 2**20, (name, small, big)
         assert max(small, big) < 12 * 2**20, (name, small, big)
+
+
+def test_chain_working_set_is_four_latents_at_most(monkeypatch):
+    # A chain pass holds the current block's input, attention and output,
+    # and a tile's temporaries; with a cache, also the attention it is
+    # about to store, each in place of the stale entry it releases. A pass
+    # that kept every block's output and attention to the end would peak
+    # at 6.5 latents with no cache and 4.5 with a stale one.
+    monkeypatch.setattr(core, "_PARTS", 1)
+    _, model, priors, z = make_setup(5, 8, 16, 16, 64, seed=341)
+    chain = model.layers[0].chain
+    cache = RollingCache()
+    tracemalloc.start()
+    try:
+        # Traced from the first store on, so that freeing a stale entry
+        # counts.
+        cached_chain_forward(z, priors, chain, cache, 0, 0)
+        peaks = {}
+        for name, c in (("no cache", None), ("stale cache", cache)):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            cached_chain_forward(z, priors, chain, c, 0, 1)
+            peaks[name] = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    for name, peak in peaks.items():
+        assert peak <= 4 * z.nbytes, (name, peak / z.nbytes)
