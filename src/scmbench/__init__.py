@@ -9,9 +9,7 @@ from .attention import (
     PriorSet,
     axis_attention,
     camera_forward,
-    chain_forward,
     ffn,
-    gelu,
     motion_forward,
     spatial_forward,
 )

@@ -1,5 +1,4 @@
-"""The spatial / camera / motion attention blocks and their chained
-composition.
+"""The spatial / camera / motion attention blocks.
 
 A latent is a float64 array of shape [F, V, H, W, C]. Each block runs
 prior-augmented multi-head self-attention along one axis:
@@ -49,14 +48,12 @@ __all__ = [
     "ChainWeights",
     "PriorSet",
     "BlockOutput",
-    "gelu",
     "ffn",
     "axis_attention",
     "axis_block",
     "spatial_forward",
     "camera_forward",
     "motion_forward",
-    "chain_forward",
     "attention_flop_count",
     "ffn_flop_count",
 ]
@@ -116,20 +113,10 @@ _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _SCORES_PER_TOKEN = 256
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
-    """tanh-form GELU: 0.5 * x * (1 + tanh(sqrt(2/pi) * (x + 0.044715 x^3)))."""
-    u = _SQRT_2_OVER_PI * (x + 0.044715 * (x * x * x))
-    np.tanh(u, out=u)
-    u += 1.0
-    u *= 0.5 * x
-    return u
-
-
 def _gelu_inplace(x: np.ndarray) -> np.ndarray:
-    """Overwrite ``x`` with gelu(x), with one same-shape temporary.
-
-    Evaluation order matches :func:`gelu` exactly, so the results are
-    bit-identical.
+    """Overwrite ``x`` with the tanh-form GELU, with one same-shape
+    temporary: 0.5 * x * (1 + tanh(sqrt(2/pi) * (x + 0.044715 x^3))),
+    evaluated in that order (x^3 as (x * x) * x).
     """
     tmp = x * x
     tmp *= x
@@ -424,16 +411,3 @@ def motion_forward(z: np.ndarray, k_m: np.ndarray, w: BlockParams,
                    counters: CostCounters | None = None) -> BlockOutput:
     """Attention along the F axis for each (v, h, w)."""
     return axis_block(z, "motion", k_m, w, counters)
-
-
-def chain_forward(
-    z: np.ndarray,
-    priors: PriorSet,
-    w: ChainWeights,
-    counters: CostCounters | None = None,
-) -> tuple[np.ndarray, tuple[BlockOutput, BlockOutput, BlockOutput]]:
-    """spatial -> camera -> motion composition; returns all block outputs."""
-    so = spatial_forward(z, priors.k_s, w.spatial, counters)
-    co = camera_forward(so.out, priors.k_c, w.camera, counters)
-    mo = motion_forward(co.out, priors.k_m, w.motion, counters)
-    return mo.out, (so, co, mo)

@@ -58,13 +58,11 @@ class RunConfig:
     seed: int = 0
     mode: str = "turbo"
     topk_ratio: float = 0.2
-    per_axis_ratio: bool = False
     delta_t: int = 3
     alpha_threshold: float = 0.9
     warmup: int = 2
     zero_refill: bool = False
     compare_dense: bool = False
-    elevation_deg: float = 30.0
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
@@ -198,11 +196,8 @@ class RunReport:
 def _execute(config: RunConfig) -> RunReport:
     dims = config.dims()
     model = build_toy_model(dims, config.layers, config.seed)
-    priors = synth_priors(
-        dims,
-        default_trajectory(config.views, config.elevation_deg),
-        Rng(config.seed + _PRIORS_SEED_OFFSET),
-    )
+    priors = synth_priors(dims, default_trajectory(config.views),
+                          Rng(config.seed + _PRIORS_SEED_OFFSET))
     schedule = cosine_schedule(config.steps)
     counters = CostCounters()
     z_final, trace = sample(

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import ctypes
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -139,6 +140,16 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _U53 = 2.0 ** -53
 
 
+def _draw_count(shape) -> int:
+    """Exact element count of an int or a tuple shape; MemoryError when
+    numpy cannot hold that many 64-bit words (np.prod would wrap)."""
+    n = (int(shape) if isinstance(shape, numbers.Integral)
+         else math.prod(map(int, shape)))
+    if 8 * (n + 1) > np.iinfo(np.intp).max:
+        raise MemoryError(f"{n} random draws: more than numpy can allocate")
+    return n
+
+
 class Rng:
     """Counter-based SplitMix64 stream with Box-Muller normals.
 
@@ -163,13 +174,13 @@ class Rng:
 
     def uniform(self, shape) -> np.ndarray:
         """i.i.d. uniforms in [0, 1) from the top 53 bits of each word."""
-        n = int(np.prod(shape)) if np.ndim(shape) else int(shape)
+        n = _draw_count(shape)
         u = (self.next_u64(n) >> np.uint64(11)).astype(np.float64) * _U53
         return u.reshape(shape)
 
     def normal(self, shape) -> np.ndarray:
         """i.i.d. standard normals via Box-Muller, row-major fill order."""
-        n = int(np.prod(shape))
+        n = _draw_count(shape)
         pairs = (n + 1) // 2
         words = self.next_u64(2 * pairs)
         # u1 in (0, 1] so log() is safe; u2 in [0, 1).

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -123,9 +123,10 @@ class CameraTrajectory:
     azimuths_deg: np.ndarray
 
 
-def default_trajectory(views: int, elevation_deg: float = 30.0) -> CameraTrajectory:
+def default_trajectory(views: int) -> CameraTrajectory:
+    """Views evenly spaced in azimuth, all at 30 degrees elevation."""
     return CameraTrajectory(
-        elevations_deg=np.full(views, float(elevation_deg)),
+        elevations_deg=np.full(views, 30.0),
         azimuths_deg=np.arange(views) * (360.0 / views),
     )
 
@@ -422,7 +423,7 @@ class SampleTrace:
     scheduler: SchedulerState
     cache: RollingCache | None
     wall_seconds: float
-    asr_trace: list[tuple[int, float]] = field(default_factory=list)
+    asr_trace: list[tuple[int, float]]
 
 
 def sample(
@@ -455,14 +456,13 @@ def sample(
         keep_rng = Rng(model.seed ^ 0x5EED)
 
         def select(q_s: np.ndarray) -> pruning.TokenIndexSet:
-            return pruning.random_tokens(*q_s.shape, cfg.topk_ratio,
-                                         keep_rng, cfg.per_axis_ratio)
+            return pruning.random_tokens(*q_s.shape, cfg.topk_ratio, keep_rng)
     else:
         def select(q_s: np.ndarray) -> pruning.TokenIndexSet:
-            return pruning.identify_tokens(q_s, cfg.topk_ratio,
-                                           cfg.per_axis_ratio)
+            return pruning.identify_tokens(q_s, cfg.topk_ratio)
 
     records: list[StepRecord] = []
+    asr_trace: list[tuple[int, float]] = []
     run_start = time.perf_counter()
     for step in range(total):
         t = total - step
@@ -474,6 +474,7 @@ def sample(
                               cfg.delta_t, exclude)
         else:
             asr = 0.0
+        asr_trace.append((step, asr))
         was_latched = state.bypass_active
         mode = select_mode(state, step, asr, n_layers,
                            spec.kind(step, cfg.warmup))
@@ -502,5 +503,5 @@ def sample(
         scheduler=state,
         cache=cache,
         wall_seconds=wall_seconds,
-        asr_trace=list(state.asr_history),
+        asr_trace=asr_trace,
     )

@@ -42,17 +42,11 @@ class TokenIndexSet:
     i_m: np.ndarray  # [V, K]
 
 
-def token_count(h: int, w: int, ratio: float, per_axis: bool = False) -> int:
-    """Number of kept spatial positions for a pruning ratio.
-
-    Default reading: a fraction of the H*W positions. The per-axis reading
-    (ratio applied to H and W independently) is kept for the ablation
-    sweep.
-    """
+def token_count(h: int, w: int, ratio: float) -> int:
+    """Number of kept spatial positions for a pruning ratio: the fraction
+    ``ratio`` of the H*W positions, rounded up, and at least one."""
     if not 0.0 < ratio <= 1.0:
         raise ParameterError(f"ratio {ratio} outside (0, 1]")
-    if per_axis:
-        return max(1, math.ceil(ratio * h)) * max(1, math.ceil(ratio * w))
     return max(1, math.ceil(ratio * h * w))
 
 
@@ -62,25 +56,24 @@ def _row_topk(scores: np.ndarray, k: int) -> np.ndarray:
     return np.sort(order, axis=-1)
 
 
-def identify_tokens(q_s: np.ndarray, ratio: float,
-                    per_axis: bool = False) -> TokenIndexSet:
+def identify_tokens(q_s: np.ndarray, ratio: float) -> TokenIndexSet:
     """Select kept tokens from the spatial semantic map [F, V, H, W]."""
     if q_s.ndim != 4:
         raise ShapeError(f"semantic map must be [F,V,H,W], got {q_s.shape}")
     f, v, h, w = q_s.shape
     l = h * w
-    k = token_count(h, w, ratio, per_axis)
+    k = token_count(h, w, ratio)
     flat = q_s.reshape(f, v, l)
     i_c = _row_topk(flat.mean(axis=1), k)  # mean over views, per frame
     i_m = _row_topk(flat.mean(axis=0), k)  # mean over frames, per view
     return TokenIndexSet(i_c, i_m)
 
 
-def random_tokens(f: int, v: int, h: int, w: int, ratio: float, rng: Rng,
-                  per_axis: bool = False) -> TokenIndexSet:
+def random_tokens(f: int, v: int, h: int, w: int, ratio: float,
+                  rng: Rng) -> TokenIndexSet:
     """Uniformly random keep lists with the same structure (ablation)."""
     l = h * w
-    k = token_count(h, w, ratio, per_axis)
+    k = token_count(h, w, ratio)
     def draw(rows: int) -> np.ndarray:
         out = np.empty((rows, k), dtype=np.int64)
         for r in range(rows):

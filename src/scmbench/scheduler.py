@@ -77,7 +77,6 @@ class StepMode:
 class SchedulerState:
     alpha: float
     warmup: int
-    asr_history: list[tuple[int, float]] = field(default_factory=list)
     bypass_active: bool = False
     mode_trace: list[tuple[int, StepMode]] = field(default_factory=list)
 
@@ -114,6 +113,5 @@ def select_mode(state: SchedulerState, step: int, asr: float,
         state.bypass_active = True
     layers = bypass_set(total_layers) if state.bypass_active else frozenset()
     mode = StepMode(kind=kind, bypassed_layers=layers)
-    state.asr_history.append((step, asr))
     state.mode_trace.append((step, mode))
     return mode

@@ -1,16 +1,50 @@
 """Shared helpers for the test suite."""
 
+import math
+
 import numpy as np
 import pytest
 
 from scmbench import (
+    BlockOutput,
     BlockParams,
+    ChainWeights,
+    CostCounters,
     Dims,
+    PriorSet,
     Rng,
     build_toy_model,
+    camera_forward,
     default_trajectory,
+    motion_forward,
+    spatial_forward,
     synth_priors,
 )
+
+
+_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+
+
+def gelu(x: np.ndarray) -> np.ndarray:
+    """tanh-form GELU: 0.5 * x * (1 + tanh(sqrt(2/pi) * (x + 0.044715 x^3)))."""
+    u = _SQRT_2_OVER_PI * (x + 0.044715 * (x * x * x))
+    np.tanh(u, out=u)
+    u += 1.0
+    u *= 0.5 * x
+    return u
+
+
+def chain_forward(
+    z: np.ndarray,
+    priors: PriorSet,
+    w: ChainWeights,
+    counters: CostCounters | None = None,
+) -> tuple[np.ndarray, tuple[BlockOutput, BlockOutput, BlockOutput]]:
+    """spatial -> camera -> motion composition; returns all block outputs."""
+    so = spatial_forward(z, priors.k_s, w.spatial, counters)
+    co = camera_forward(so.out, priors.k_c, w.camera, counters)
+    mo = motion_forward(co.out, priors.k_m, w.motion, counters)
+    return mo.out, (so, co, mo)
 
 
 def make_block(c: int, n_heads: int, seed: int) -> BlockParams:

@@ -15,15 +15,13 @@ from scmbench import (
     ShapeError,
     axis_attention,
     camera_forward,
-    chain_forward,
     ffn,
-    gelu,
     motion_forward,
     spatial_forward,
 )
 from scmbench.attention import attention_flop_count, axis_block, ffn_flop_count
 
-from conftest import make_block, make_setup
+from conftest import chain_forward, gelu, make_block, make_setup
 
 
 # --- independent transcription oracle -------------------------------------

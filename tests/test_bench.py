@@ -32,7 +32,6 @@ def test_defaults_match_contract():
     assert c.topk_ratio == 0.2
     assert c.delta_t == 3
     assert c.alpha_threshold == 0.9
-    assert c.elevation_deg == 30.0
 
 
 def test_build_config_precedence():
@@ -70,8 +69,8 @@ def test_build_config_range_errors():
     {"topk_ratio": True},
     {"alpha_threshold": float("nan")},
     {"alpha_threshold": float("inf")},
-    {"elevation_deg": float("-inf")},
-    {"per_axis_ratio": 1},
+    {"topk_ratio": float("-inf")},
+    {"zero_refill": 1},
     {"mode": None},
     {"topk_ratio": 10 ** 400},  # an int too large for a float
 ])
@@ -221,6 +220,25 @@ def test_cli_usage_error_exit_code(capsys):
     assert "topk_ratio" in capsys.readouterr().err
 
 
+def assert_one_error_line(err: str) -> None:
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+# Each size fails at once under any overcommit setting: 2**62 frames are
+# past numpy's size limit, and at H = W = 10**6 one prior (2.27 PiB) is
+# past the 128 TiB user address space.
+@pytest.mark.parametrize("dims", [
+    ["--frames", str(2 ** 62)],
+    ["--height", "1000000", "--width", "1000000"],
+], ids=["frames", "height-width"])
+def test_cli_run_reports_an_oversized_config_in_one_line(tmp_path, capsys,
+                                                         dims):
+    out = tmp_path / "r.json"
+    assert main(["run", *dims, "--steps", "1", "--out", str(out)]) == 2
+    assert_one_error_line(capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_cli_config_file_precedence(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({**SMALL, "mode": "dense",
@@ -316,7 +334,7 @@ _TINY = ["--frames", "2", "--views", "2", "--height", "4", "--width", "4",
     ("frames", "2,2.5", "'2.5'"),
     ("topk_ratio", "0.5,half", "'half'"),  # float
     ("zero_refill", "maybe", "'maybe'"),   # bool
-    ("per_axis_ratio", "true,2", "'2'"),
+    ("compare_dense", "true,2", "'2'"),
     ("frames", "1,,2", "''"),          # empty item
     ("mode", "dense,", "''"),
 ])
@@ -327,6 +345,14 @@ def test_cli_sweep_rejects_bad_values(tmp_path, capsys, param, values, bad):
     err = capsys.readouterr().err
     assert param in err and bad in err
     assert not list(tmp_path.iterdir())  # rejected before any run
+
+
+def test_cli_sweep_reports_an_oversized_config_in_one_line(tmp_path, capsys):
+    code = main(["sweep", "--param", "frames", "--values", f"2,{2 ** 62}",
+                 *_TINY, "--out", str(tmp_path)])
+    assert code == 2
+    assert_one_error_line(capsys.readouterr().err)
+    assert (tmp_path / "sweep_frames_2.json").exists()
 
 
 def test_cli_sweep_rejects_a_bad_value_before_any_run(tmp_path, capsys):

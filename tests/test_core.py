@@ -157,6 +157,14 @@ def test_uniform_range():
     assert np.all((u >= 0.0) & (u < 1.0))
 
 
+def test_rng_counts_draws_exactly():
+    # np.prod of this shape wraps to 0; the exact count, 2**71, is past
+    # what numpy can allocate, so both draws refuse it before allocating.
+    for draw in (Rng(0).normal, Rng(0).uniform):
+        with pytest.raises(MemoryError, match=str(2 ** 71)):
+            draw((2 ** 62, 8, 1, 64))
+
+
 # --- psnr -----------------------------------------------------------------
 
 def test_psnr_identical():

@@ -16,7 +16,6 @@ from scmbench import (
     ddim_update,
     default_trajectory,
     Dims,
-    chain_forward,
     model_forward,
     sample,
     synth_priors,
@@ -24,7 +23,7 @@ from scmbench import (
 from scmbench.denoiser import DiffusionSchedule, mixing, _view_embedding
 from scmbench.scheduler import SchedulerState, StepMode, select_mode
 
-from conftest import make_setup
+from conftest import chain_forward, make_setup
 
 
 # --- schedule -------------------------------------------------------------

@@ -10,7 +10,6 @@ from scmbench import (
     Rng,
     cached_chain_forward,
     camera_forward,
-    chain_forward,
     identify_tokens,
     motion_forward,
     pruned_camera_forward,
@@ -20,7 +19,7 @@ from scmbench import (
     token_count,
 )
 
-from conftest import make_setup, planted_latent
+from conftest import chain_forward, make_setup, planted_latent
 
 
 def complement(row, length):
@@ -39,7 +38,6 @@ def test_token_count_rounding():
     assert token_count(4, 4, 0.2) == 4      # ceil(0.2 * 16)
     assert token_count(16, 16, 0.2) == 52   # ceil(0.2 * 256)
     assert token_count(4, 4, 1.0) == 16
-    assert token_count(4, 4, 0.2, per_axis=True) == 1
 
 
 def test_token_count_range():
