@@ -108,8 +108,8 @@ class BlockOutput:
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 # Score elements that weigh as much as one token when attention is tiled:
-# a tile holds about _TILE_TOKENS * _SCORES_PER_TOKEN score elements (256K,
-# 2 MiB) or one sequence, whichever is more.
+# a tile holds about _TILE_TOKENS * _SCORES_PER_TOKEN score elements (128K,
+# 1 MiB) or one sequence, whichever is more.
 _SCORES_PER_TOKEN = 256
 
 

@@ -9,10 +9,12 @@ hold on any machine:
 * numpy's OpenBLAS is pinned to one thread, process-wide, when this module
   is imported, so every matmul row is computed in one fixed order;
 * a tile is the only unit of work: attention, FFN (which also runs the
-  pruned blocks' cache refill) and mixing cut their whole range into
-  tiles of about :data:`_TILE_TOKENS` tokens (:func:`tiles`), with every
-  temporary a plain array sized by the tile and freed with it, so a
-  thread's working set is bounded by the tile, not by the latent;
+  pruned blocks' cache refill), mixing and the sampler's update cut their
+  whole range into tiles of about :data:`_TILE_TOKENS` (512) tokens
+  (:func:`tiles`), with every temporary a plain array sized by the tile
+  and freed with it, so a thread's working set is bounded by the tile,
+  not by the latent; :class:`Rng` likewise draws in chunks straight
+  into its output;
 * :func:`run_tiles` runs a stage's tiles in one contiguous run per CPU
   in the process's affinity set, each run on its own thread;
 * per-row results do not depend on the tiles or on how they are split
@@ -138,15 +140,19 @@ _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _U53 = 2.0 ** -53
+# Values drawn per pass of Rng.uniform and Rng.normal (even, so a normal
+# chunk is whole pairs): its temporaries are a few chunk-sized arrays.
+_DRAW_CHUNK = 1 << 14
 
 
-def _draw_count(shape) -> int:
-    """Exact element count of an int or a tuple shape; MemoryError when
-    numpy cannot hold that many 64-bit words (np.prod would wrap)."""
+def _element_count(shape, what: str = "random draws") -> int:
+    """Exact element count of an int or a tuple shape; MemoryError, naming
+    the count as ``what``, when numpy cannot hold that many 64-bit words
+    (np.prod would wrap, and np.arange and np.empty raise ValueError)."""
     n = (int(shape) if isinstance(shape, numbers.Integral)
          else math.prod(map(int, shape)))
     if 8 * (n + 1) > np.iinfo(np.intp).max:
-        raise MemoryError(f"{n} random draws: more than numpy can allocate")
+        raise MemoryError(f"{n} {what}: more than numpy can allocate")
     return n
 
 
@@ -174,24 +180,35 @@ class Rng:
 
     def uniform(self, shape) -> np.ndarray:
         """i.i.d. uniforms in [0, 1) from the top 53 bits of each word."""
-        n = _draw_count(shape)
-        u = (self.next_u64(n) >> np.uint64(11)).astype(np.float64) * _U53
-        return u.reshape(shape)
+        n = _element_count(shape)
+        out = np.empty(n)
+        for a in range(0, n, _DRAW_CHUNK):
+            b = min(a + _DRAW_CHUNK, n)
+            np.multiply((self.next_u64(b - a) >> np.uint64(11))
+                        .astype(np.float64), _U53, out=out[a:b])
+        return out.reshape(shape)
 
     def normal(self, shape) -> np.ndarray:
-        """i.i.d. standard normals via Box-Muller, row-major fill order."""
-        n = _draw_count(shape)
-        pairs = (n + 1) // 2
-        words = self.next_u64(2 * pairs)
-        # u1 in (0, 1] so log() is safe; u2 in [0, 1).
-        u1 = ((words[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * _U53
-        u2 = (words[1::2] >> np.uint64(11)).astype(np.float64) * _U53
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = 2.0 * np.pi * u2
-        out = np.empty(2 * pairs)
-        out[0::2] = r * np.cos(theta)
-        out[1::2] = r * np.sin(theta)
-        return out[:n].reshape(shape)
+        """i.i.d. standard normals via Box-Muller, row-major fill order.
+
+        Drawn :data:`_DRAW_CHUNK` values (whole pairs) at a time straight
+        into the output; an odd count drops the last pair's second value.
+        """
+        n = _element_count(shape)
+        out = np.empty(n)
+        for a in range(0, n, _DRAW_CHUNK):
+            b = min(a + _DRAW_CHUNK, n)
+            words = self.next_u64(b - a + (b - a) % 2)
+            # u1 in (0, 1] so log() is safe; u2 in [0, 1).
+            u1 = ((words[0::2] >> np.uint64(11)).astype(np.float64)
+                  + 1.0) * _U53
+            u2 = (words[1::2] >> np.uint64(11)).astype(np.float64) * _U53
+            r = np.sqrt(-2.0 * np.log(u1))
+            theta = 2.0 * np.pi * u2
+            np.multiply(r, np.cos(theta), out=out[a:b:2])
+            odd = (b - a) // 2
+            np.multiply(r[:odd], np.sin(theta[:odd]), out=out[a + 1:b:2])
+        return out.reshape(shape)
 
 
 _ALLOCATOR_TUNED = False
@@ -203,7 +220,8 @@ def tune_allocator() -> None:
     Large transient arrays then come from malloc's free list instead of
     fresh kernel pages, which removes page-fault overhead from the hot
     loop. Purely a performance knob: results are unaffected, and the call
-    is a no-op where glibc is unavailable.
+    is a no-op where glibc is unavailable. The heap is then never trimmed,
+    so the largest transient of a run sets its peak resident set.
     """
     global _ALLOCATOR_TUNED
     if _ALLOCATOR_TUNED:
@@ -242,8 +260,11 @@ def _pin_blas_to_one_thread() -> bool:
 # oversubscribe the cores).
 _PARTS = len(os.sched_getaffinity(0)) if _pin_blas_to_one_thread() else 1
 # Tokens per tile: every stage of a block runs over groups of about this
-# many tokens, so its temporaries are small and stay in cache.
-_TILE_TOKENS = 1024
+# many tokens, so its temporaries are small and stay in cache. 512 halves
+# the tile temporaries of 1024 at no run time a sweep could resolve; 256
+# cuts the 512-token stages of small latents into two tiles and ran them
+# about a third slower.
+_TILE_TOKENS = 512
 
 _executor = None
 _executor_workers = 0

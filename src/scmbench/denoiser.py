@@ -29,8 +29,9 @@ from .attention import (
     spatial_forward,
 )
 from .cache import BLOCK_KINDS, RollingCache
-from .core import CostCounters, Rng, assert_finite, run_tiles, tiles
-from .errors import ParameterError
+from .core import (CostCounters, Rng, _element_count, assert_finite,
+                   run_tiles, tiles)
+from .errors import ParameterError, ShapeError
 from .scheduler import (
     MODE_TABLE,
     SchedulerState,
@@ -109,7 +110,8 @@ class DiffusionSchedule:
 
 
 def cosine_schedule(total_steps: int) -> DiffusionSchedule:
-    t = np.arange(total_steps + 1) / total_steps
+    n = _element_count(total_steps + 1, "schedule points")
+    t = np.arange(n) / total_steps
     return DiffusionSchedule(
         total_steps=total_steps,
         alpha=np.cos(0.5 * np.pi * t),
@@ -208,12 +210,30 @@ def synth_priors(dims: Dims, trajectory: CameraTrajectory, rng: Rng) -> PriorSet
 
 def ddim_update(z_t: np.ndarray, z0_hat: np.ndarray, t: int,
                 schedule: DiffusionSchedule) -> np.ndarray:
-    """Deterministic clean-prediction update from step t to t-1."""
+    """Deterministic clean-prediction update from step t to t-1:
+    ``a_prev*z0_hat + (b_prev/b_t)*(z_t - a_t*z0_hat)`` per element, in
+    that order, tile by tile into one fresh output."""
     if not 1 <= t <= schedule.total_steps:
         raise ParameterError(f"t={t} outside [1, {schedule.total_steps}]")
+    if z0_hat.shape != z_t.shape:
+        raise ShapeError(f"z0_hat shape {z0_hat.shape} != {z_t.shape}")
     a_prev, b_prev = schedule.alpha[t - 1], schedule.beta[t - 1]
     a_t, b_t = schedule.alpha[t], schedule.beta[t]
-    return a_prev * z0_hat + (b_prev / b_t) * (z_t - a_t * z0_hat)
+    ratio = b_prev / b_t
+    c = z_t.shape[-1]
+    zt_rows, z0_rows = z_t.reshape(-1, c), z0_hat.reshape(-1, c)
+    out = np.empty(zt_rows.shape)
+
+    def apply(i: int, j: int) -> None:
+        z0, o = z0_rows[i:j], out[i:j]
+        np.multiply(a_prev, z0, out=o)
+        tmp = a_t * z0
+        np.subtract(zt_rows[i:j], tmp, out=tmp)
+        tmp *= ratio
+        o += tmp
+
+    run_tiles(tiles(len(out)), apply)
+    return out.reshape(z_t.shape)
 
 
 def _reflect_avg(y: np.ndarray, axis_view, out: np.ndarray) -> np.ndarray:
@@ -269,10 +289,13 @@ def mixing(z: np.ndarray, mix: np.ndarray,
     return out.reshape(z.shape)
 
 
-def _reuse_chain(z: np.ndarray, chain: ChainWeights, cache: RollingCache,
+def _reuse_chain(held: list, chain: ChainWeights, cache: RollingCache,
                  layer: int, counters: CostCounters | None) -> np.ndarray:
     """Eq.-style reuse: FFN(z + cached attention) per block. The entries
-    are read in place and stay cached for the next compute step."""
+    are read in place and stay cached for the next compute step. The
+    latent comes in the one-element list ``held``, which is emptied, so
+    each block's input dies once its FFN has read it."""
+    z = held.pop()
     params = (chain.spatial, chain.camera, chain.motion)
     for kind, p in zip(BLOCK_KINDS, params):
         z = ffn(z, p, counters, addend=cache.peek(layer, kind))
@@ -280,7 +303,7 @@ def _reuse_chain(z: np.ndarray, chain: ChainWeights, cache: RollingCache,
 
 
 def cached_chain_forward(
-    z: np.ndarray,
+    z: np.ndarray | list,
     priors: PriorSet,
     w: ChainWeights,
     cache: RollingCache | None,
@@ -308,8 +331,13 @@ def cached_chain_forward(
     which is the next block's input, the spatial semantic map and, with a
     cache, the attention arrays it is about to store. Each block's output
     is dropped once the next block has used it, so with no cache no
-    attention outlives its block's FFN.
+    attention outlives its block's FFN. ``z`` may come in a one-element
+    list, which the pass empties: a caller that hands the latent over so
+    holds no reference to it, and it dies once the spatial block has read
+    it.
     """
+    if isinstance(z, list):
+        z = z.pop()
     stale = cache is not None and cache.has_entries(layer)
     fresh = []
 
@@ -370,14 +398,17 @@ def model_forward(
     if mode.kind is StepKind.REUSE and cache is None:
         raise ParameterError("reuse step: no cache given")
     for li, layer in enumerate(model.layers):
-        z = mixing(z, layer.mix, counters)
+        # Handed over in a list the chain pass empties: this frame holds
+        # neither the layer's input nor its mixing output while it runs.
+        held = [mixing(z, layer.mix, counters)]
+        del z
         if li in mode.bypassed_layers:
-            continue
-        if mode.kind is StepKind.REUSE:
-            z = _reuse_chain(z, layer.chain, cache, li, counters)
+            z = held.pop()
+        elif mode.kind is StepKind.REUSE:
+            z = _reuse_chain(held, layer.chain, cache, li, counters)
         else:
-            z = cached_chain_forward(z, priors, layer.chain, cache, li, step,
-                                     counters, select, zero_refill)
+            z = cached_chain_forward(held, priors, layer.chain, cache, li,
+                                     step, counters, select, zero_refill)
     return z
 
 

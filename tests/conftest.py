@@ -1,6 +1,7 @@
 """Shared helpers for the test suite."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,6 +46,48 @@ def chain_forward(
     co = camera_forward(so.out, priors.k_c, w.camera, counters)
     mo = motion_forward(co.out, priors.k_m, w.motion, counters)
     return mo.out, (so, co, mo)
+
+
+def normal_reference(seed: int, shape) -> np.ndarray:
+    """``Rng(seed).normal(shape)`` drawn in one pass: Box-Muller over every
+    pair at once, from the word stream of ``Rng.next_u64``."""
+    n = math.prod(shape) if isinstance(shape, tuple) else shape
+    pairs = (n + 1) // 2
+    words = Rng(seed).next_u64(2 * pairs)
+    u1 = ((words[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0 ** -53
+    u2 = (words[1::2] >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+    r = np.sqrt(-2.0 * np.log(u1))
+    theta = 2.0 * np.pi * u2
+    out = np.empty(2 * pairs)
+    out[0::2] = r * np.cos(theta)
+    out[1::2] = r * np.sin(theta)
+    return out[:n].reshape(shape)
+
+
+def uniform_reference(seed: int, shape) -> np.ndarray:
+    """``Rng(seed).uniform(shape)`` drawn in one pass."""
+    n = math.prod(shape) if isinstance(shape, tuple) else shape
+    words = Rng(seed).next_u64(n)
+    return ((words >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+            ).reshape(shape)
+
+
+def ddim_reference(z_t: np.ndarray, z0_hat: np.ndarray, t: int,
+                   schedule) -> np.ndarray:
+    """The clean-prediction update as one whole-array expression."""
+    a_prev, b_prev = schedule.alpha[t - 1], schedule.beta[t - 1]
+    a_t, b_t = schedule.alpha[t], schedule.beta[t]
+    return a_prev * z0_hat + (b_prev / b_t) * (z_t - a_t * z0_hat)
+
+
+def working_set(call) -> int:
+    """Peak bytes a call allocates beyond what it returns, a tuple of
+    arrays; tracemalloc must be tracing."""
+    before = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    returned = call()
+    peak = tracemalloc.get_traced_memory()[1]
+    return peak - before - sum(a.nbytes for a in returned)
 
 
 def make_block(c: int, n_heads: int, seed: int) -> BlockParams:

@@ -224,17 +224,18 @@ def assert_one_error_line(err: str) -> None:
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
-# Each size fails at once under any overcommit setting: 2**62 frames are
-# past numpy's size limit, and at H = W = 10**6 one prior (2.27 PiB) is
-# past the 128 TiB user address space.
+# Each size fails at once under any overcommit setting: 2**62 frames or
+# schedule steps are past numpy's size limit, and at H = W = 10**6 one
+# prior (2.27 PiB) is past the 128 TiB user address space.
 @pytest.mark.parametrize("dims", [
     ["--frames", str(2 ** 62)],
     ["--height", "1000000", "--width", "1000000"],
-], ids=["frames", "height-width"])
+    ["--steps", str(2 ** 62)],
+], ids=["frames", "height-width", "steps"])
 def test_cli_run_reports_an_oversized_config_in_one_line(tmp_path, capsys,
                                                          dims):
     out = tmp_path / "r.json"
-    assert main(["run", *dims, "--steps", "1", "--out", str(out)]) == 2
+    assert main(["run", "--steps", "1", *dims, "--out", str(out)]) == 2
     assert_one_error_line(capsys.readouterr().err)
     assert not out.exists()
 
@@ -348,11 +349,13 @@ def test_cli_sweep_rejects_bad_values(tmp_path, capsys, param, values, bad):
 
 
 def test_cli_sweep_reports_an_oversized_config_in_one_line(tmp_path, capsys):
-    code = main(["sweep", "--param", "frames", "--values", f"2,{2 ** 62}",
-                 *_TINY, "--out", str(tmp_path)])
-    assert code == 2
-    assert_one_error_line(capsys.readouterr().err)
-    assert (tmp_path / "sweep_frames_2.json").exists()
+    for param in ("frames", "steps"):
+        out = tmp_path / param
+        code = main(["sweep", "--param", param, "--values", f"2,{2 ** 62}",
+                     *_TINY, "--out", str(out)])
+        assert code == 2, param
+        assert_one_error_line(capsys.readouterr().err)
+        assert (out / f"sweep_{param}_2.json").exists(), param
 
 
 def test_cli_sweep_rejects_a_bad_value_before_any_run(tmp_path, capsys):

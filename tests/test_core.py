@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scmbench import CostCounters, ParameterError, Rng, cosine, psnr
-from scmbench.core import PSNR_INF, softmax_last_inplace, sq_norm
+from scmbench import CostCounters, Dims, ParameterError, Rng, cosine, psnr
+from scmbench.core import (PSNR_INF, _DRAW_CHUNK, softmax_last_inplace,
+                           sq_norm)
 from scmbench.pruning import _row_topk
 from scmbench.errors import DegenerateInputError
+
+from conftest import normal_reference, uniform_reference
 
 
 # --- softmax --------------------------------------------------------------
@@ -144,6 +147,24 @@ def test_rng_batching_invariance():
     r = Rng(77)
     parts = np.concatenate([r.next_u64(3), r.next_u64(7)])
     assert np.array_equal(whole, parts)
+
+
+@pytest.mark.parametrize("seed", [0, 7919])
+@pytest.mark.parametrize("shape", [
+    1, 2, 3, _DRAW_CHUNK - 1, _DRAW_CHUNK, _DRAW_CHUNK + 1,
+    2 * _DRAW_CHUNK + 3, Dims().latent_shape])
+def test_chunked_draws_match_one_pass_draws(seed, shape):
+    # The draws run a chunk at a time; the values, and the words the
+    # stream has consumed after them (two per normal pair), are those of
+    # one pass.
+    n = math.prod(shape) if isinstance(shape, tuple) else shape
+    for draw, reference, used in (
+            ("normal", normal_reference, 2 * ((n + 1) // 2)),
+            ("uniform", uniform_reference, n)):
+        rng = Rng(seed)
+        got = getattr(rng, draw)(shape)
+        assert got.tobytes() == reference(seed, shape).tobytes(), draw
+        assert rng.next_u64(1)[0] == Rng(seed).next_u64(used + 1)[-1], draw
 
 
 def test_randn_statistics():

@@ -10,6 +10,7 @@ from scmbench import (
     RollingCache,
     Rng,
     RunConfig,
+    ShapeError,
     StepKind,
     build_toy_model,
     cosine_schedule,
@@ -23,7 +24,9 @@ from scmbench import (
 from scmbench.denoiser import DiffusionSchedule, mixing, _view_embedding
 from scmbench.scheduler import SchedulerState, StepMode, select_mode
 
-from conftest import chain_forward, make_setup
+from scmbench import core
+
+from conftest import chain_forward, ddim_reference, make_setup
 
 
 # --- schedule -------------------------------------------------------------
@@ -54,10 +57,29 @@ def test_ddim_identity_network_algebra():
     assert np.max(np.abs(got - coeff * z)) < 1e-12
 
 
+@pytest.mark.parametrize("tile", [1, None])
+@pytest.mark.parametrize("shape", [(1, 8), (3, 5, 7), Dims().latent_shape],
+                         ids=["one-row", "odd", "default"])
+def test_tiled_ddim_update_matches_the_closed_form(monkeypatch, shape, tile):
+    if tile is not None:
+        monkeypatch.setattr(core, "_TILE_TOKENS", tile)
+    s = cosine_schedule(10)
+    z_t, z0_hat = Rng(8).normal(shape), Rng(9).normal(shape)
+    for t in (1, 4, 10):
+        got = ddim_update(z_t, z0_hat, t, s)
+        want = ddim_reference(z_t, z0_hat, t, s)
+        assert got.shape == shape and got.tobytes() == want.tobytes(), t
+
+
 def test_ddim_range_check():
     s = cosine_schedule(10)
     with pytest.raises(ParameterError):
         ddim_update(np.zeros(2), np.zeros(2), 0, s)
+
+
+def test_ddim_rejects_a_prediction_of_another_shape():
+    with pytest.raises(ShapeError, match="z0_hat"):
+        ddim_update(np.zeros((4, 8)), np.zeros((2, 8)), 1, cosine_schedule(10))
 
 
 # --- model construction / priors ------------------------------------------

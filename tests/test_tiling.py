@@ -1,7 +1,9 @@
 """Tiled block pipeline: outputs do not depend on the tile size, each
-stage's working set is bounded by the tile, and a chain pass holds only
-the latents it still reads."""
+stage's working set is bounded by the tile, a chain pass holds only the
+latents it still reads, and neither the latent draw nor a step's update
+makes a full-size temporary."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -10,11 +12,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from scmbench import (
+    Dims,
     RollingCache,
     Rng,
+    StepKind,
     axis_attention,
     cached_chain_forward,
+    cosine_schedule,
+    ddim_update,
+    denoise_step,
     ffn,
+    model_forward,
     identify_tokens,
     pruned_camera_forward,
     pruned_motion_forward,
@@ -22,8 +30,9 @@ from scmbench import (
 from scmbench import core
 from scmbench.attention import _batch_tiles
 from scmbench.denoiser import mixing
+from scmbench.scheduler import StepMode
 
-from conftest import make_block, make_setup
+from conftest import make_block, make_setup, working_set
 
 F, V, H, W, C = 3, 5, 3, 4, 8
 L = H * W
@@ -161,15 +170,6 @@ def _stage_calls(scale: int):
     return calls
 
 
-def _working_set(call) -> int:
-    """Peak bytes a call allocates beyond what it returns."""
-    before = tracemalloc.get_traced_memory()[0]
-    tracemalloc.reset_peak()
-    returned = call()
-    peak = tracemalloc.get_traced_memory()[1]
-    return peak - before - sum(a.nbytes for a in returned)
-
-
 def test_working_set_is_bounded_by_the_tile(monkeypatch):
     # Each stage's temporaries at B and at 4B sequences: the same bytes,
     # give or take Python objects, and no more than a few tiles' worth.
@@ -178,7 +178,7 @@ def test_working_set_is_bounded_by_the_tile(monkeypatch):
     monkeypatch.setattr(core, "_PARTS", 1)
     tracemalloc.start()
     try:
-        sizes = [{name: _working_set(call)
+        sizes = [{name: working_set(call)
                   for name, call in _stage_calls(scale)} for scale in (1, 4)]
     finally:
         tracemalloc.stop()
@@ -213,3 +213,60 @@ def test_chain_working_set_is_four_latents_at_most(monkeypatch):
         tracemalloc.stop()
     for name, peak in peaks.items():
         assert peak <= 4 * z.nbytes, (name, peak / z.nbytes)
+
+
+@pytest.fixture
+def traced_serial(monkeypatch):
+    """tracemalloc on, and one part, so a peak is one thread's."""
+    monkeypatch.setattr(core, "_PARTS", 1)
+    tracemalloc.start()
+    yield
+    tracemalloc.stop()
+
+
+LATENT = Dims().latent_shape
+LATENT_BYTES = 8 * math.prod(LATENT)
+
+
+def _peak_latents(call) -> float:
+    """Peak a call allocates, its output included, in default latents;
+    the call returns one latent."""
+    return 1 + working_set(lambda: (call(),)) / LATENT_BYTES
+
+
+def test_latent_draw_peaks_at_one_and_a_half_latents(traced_serial):
+    # Drawn a chunk at a time into the output; a one-pass draw held 4.5
+    # latents (words, both uniforms, r and theta, the output).
+    peak = _peak_latents(lambda: Rng(0).normal(LATENT))
+    assert peak <= 1.5, peak
+
+
+def test_ddim_update_peaks_at_one_latent_and_a_tile(traced_serial):
+    # Tile by tile into the output; the whole-array expression held 3.
+    z_t, z0_hat = Rng(1).normal(LATENT), Rng(2).normal(LATENT)
+    schedule = cosine_schedule(8)
+    peak = _peak_latents(lambda: ddim_update(z_t, z0_hat, 3, schedule))
+    assert peak <= 1.1, peak
+
+
+def test_dense_step_peaks_at_three_and_a_half_latents(traced_serial):
+    # Above its input: a block's input, attention and output, and a
+    # tile's temporaries. A model_forward that held the mixing output
+    # through the chain pass peaked at 4.5.
+    _, model, priors, z = make_setup(*LATENT, seed=351)
+    schedule = cosine_schedule(8)
+    peak = _peak_latents(lambda: denoise_step(
+        model, z, 8, priors, schedule, StepMode(StepKind.DENSE)))
+    assert peak <= 3.5, peak
+
+
+def test_reuse_pass_peaks_at_two_and_a_half_latents(traced_serial):
+    # Above its input: one block's input and output, and a tile's
+    # temporaries. A model_forward that held the mixing output through
+    # the pass peaked at 3.5.
+    _, model, priors, z = make_setup(*LATENT, seed=361)
+    cache = RollingCache()
+    model_forward(model, z, priors, StepMode(StepKind.DENSE), 0, cache)
+    peak = _peak_latents(lambda: model_forward(
+        model, z, priors, StepMode(StepKind.REUSE), 1, cache))
+    assert peak <= 2.5, peak
