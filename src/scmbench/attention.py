@@ -40,7 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CostCounters, run_tiles, softmax_last_inplace, tiles
+from .core import (CostCounters, out_array, run_tiles, softmax_last_inplace,
+                   tiles)
 from .errors import ParameterError, ShapeError
 
 __all__ = [
@@ -101,7 +102,7 @@ class PriorSet:
 @dataclass
 class BlockOutput:
     out: np.ndarray        # [F, V, H, W, C], post-FFN
-    attention: np.ndarray  # [F, V, H, W, C], pre-FFN attention result
+    attention: np.ndarray | None  # [F, V, H, W, C], pre-FFN attention result
     semantic: np.ndarray | None = None  # [F, V, H, W], spatial block only
 
 
@@ -173,14 +174,16 @@ def _batch_tiles(outer: int, inner: int,
 
 def _attend_tile(z: np.ndarray, prior: np.ndarray, out: np.ndarray,
                  prior_weight: np.ndarray, p: BlockParams,
-                 w_qkv: np.ndarray) -> None:
+                 w_qkv: np.ndarray, residual: bool) -> None:
     """The whole attention pipeline for one rectangular tile of sequences.
 
     z and out are [ot, it, n, C] with any strides, prior is [ot, it, 1, C]
     and prior_weight a contiguous [ot, it, n]. Scores, softmax and the
     weighted sum run once over the whole tile, whose size
     :func:`axis_attention` bounds by its tokens and by its score elements.
-    Every temporary is a plain array sized by the tile.
+    Every temporary is a plain array sized by the tile. ``out`` gets the
+    attention, or with ``residual`` z + attention; it may be z itself,
+    whose rows are copied before anything is written.
     """
     ot, it, n, c = z.shape
     t = ot * it
@@ -203,22 +206,25 @@ def _attend_tile(z: np.ndarray, prior: np.ndarray, out: np.ndarray,
     merged = np.empty((t, n, nh, d))
     np.matmul(scores, vh, out=merged.transpose(0, 2, 1, 3))
     rows = merged.reshape(t * n, c)
-    if out.flags.c_contiguous and t * n > 1:
+    if t * n == 1:
+        # The whole call is one one-token sequence, as at all dims 1
+        # (tiles hold two tokens where the call has them): BLAS runs a
+        # one-row product as a matrix-vector product, which sums in
+        # another order, so pad it to two rows.
+        rows = np.concatenate((rows, rows))
+    if residual:
+        np.add(z, (rows @ p.wo)[:t * n].reshape(out.shape), out=out)
+    elif out.flags.c_contiguous and t * n > 1:
         np.matmul(rows, p.wo, out=out.reshape(t * n, c))
     else:
-        if t * n == 1:
-            # The whole call is one one-token sequence, as at all dims 1
-            # (tiles hold two tokens where the call has them): BLAS runs a
-            # one-row product as a matrix-vector product, which sums in
-            # another order, so pad it to two rows.
-            rows = np.concatenate((rows, rows))
         np.copyto(out, (rows @ p.wo)[:t * n].reshape(out.shape))
     np.mean(scores[..., -1], axis=1, out=prior_weight.reshape(t, n))
 
 
 def axis_attention(z_seq: np.ndarray, prior_token: np.ndarray, p: BlockParams,
                    counters: CostCounters | None = None,
-                   block: str | None = None
+                   block: str | None = None,
+                   residual_out: np.ndarray | None = None
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Multi-head attention over one axis with the prior as an extra key.
 
@@ -229,6 +235,13 @@ def axis_attention(z_seq: np.ndarray, prior_token: np.ndarray, p: BlockParams,
     softmax mass on the prior token). The attended output is a fresh array
     laid out in memory like z_seq, so for a transposed view of a latent it
     is contiguous in the latent's own order.
+
+    With ``residual_out``, an array of z_seq's shape (z_seq itself is
+    allowed), each tile writes z_seq + attention over its own sequences'
+    rows of it instead, and it is returned in place of the attended
+    output: the block's residual sum, made without a full-size attention
+    array. The caller must own it. Every tile copies its sequences before
+    it writes them, and no tile reads another's rows.
 
     The batch grid runs over the cores as rectangular tiles
     (:func:`_batch_tiles`), each attended in one pass.
@@ -245,7 +258,11 @@ def axis_attention(z_seq: np.ndarray, prior_token: np.ndarray, p: BlockParams,
         raise ShapeError(f"axis_attention: empty input, z_seq shape "
                          f"{z_seq.shape}")
     p.head_dim()  # raises unless n_heads divides C
-    out = np.empty_like(z_seq, dtype=np.float64)
+    residual = residual_out is not None
+    if residual and residual_out.shape != z_seq.shape:
+        raise ShapeError(f"residual_out shape {residual_out.shape} != "
+                         f"{z_seq.shape}")
+    out = residual_out if residual else np.empty_like(z_seq, dtype=np.float64)
     prior_weight = np.empty((*batch, n))
     if z_seq.ndim == 3:
         views = (z_seq[None], prior_token[None], out[None], prior_weight[None])
@@ -255,7 +272,7 @@ def axis_attention(z_seq: np.ndarray, prior_token: np.ndarray, p: BlockParams,
 
     def attend(o0: int, o1: int, i0: int, i1: int) -> None:
         # The tile writes only the rows of its own sequences of both outputs.
-        _attend_tile(*(a[o0:o1, i0:i1] for a in views), p, w_qkv)
+        _attend_tile(*(a[o0:o1, i0:i1] for a in views), p, w_qkv, residual)
 
     weight = max(n, p.n_heads * n * (n + 1) // _SCORES_PER_TOKEN)
     run_tiles(_batch_tiles(*views[0].shape[:2], weight), attend)
@@ -270,14 +287,19 @@ def axis_attention(z_seq: np.ndarray, prior_token: np.ndarray, p: BlockParams,
 def ffn(x: np.ndarray, p: BlockParams,
         counters: CostCounters | None = None,
         addend: np.ndarray | None = None,
-        before_tile=None) -> np.ndarray:
+        before_tile=None,
+        out: np.ndarray | None = None) -> np.ndarray:
     """Two-layer C -> 2C -> C map with GELU, applied tokenwise to x + addend.
 
-    The sum with ``addend`` (the block's residual, same shape as x) is
-    taken tile by tile, so no full-size sum is ever made. The result has
-    x's shape and is always a fresh array. Every block passes its
-    residual; ``addend`` defaults to none so that ``ffn(x, p)`` stays the
-    plain tokenwise FFN the oracle tests and direct callers use.
+    The sum with ``addend`` (the block's attention, same shape as x) is
+    taken tile by tile, so no full-size sum is ever made. A block whose
+    attention is already in x (see :func:`axis_block`) passes none, and
+    ``ffn(x, p)`` is the plain tokenwise FFN the oracle tests use.
+
+    The result, of x's shape, goes to ``out``, or to a fresh array when
+    ``out`` is None; x is written only when it is ``out``. ``out`` may be
+    x itself: each tile takes its rows of x + addend into a temporary
+    before it writes them.
 
     ``before_tile(i, j)``, when given, is called on the tile's thread just
     before flat rows i:j of ``addend`` are read, so a caller can fill
@@ -290,7 +312,8 @@ def ffn(x: np.ndarray, p: BlockParams,
             raise ShapeError(f"addend shape {addend.shape} != {x.shape}")
         addend = addend.reshape(-1, c)
     m = rows.shape[0]
-    out = np.empty((m, c))
+    result = out_array(out, x.shape)
+    out = result.reshape(m, c)
 
     def apply(i: int, j: int) -> None:
         # Tile-sized row groups keep the hidden activation cache-resident;
@@ -308,7 +331,7 @@ def ffn(x: np.ndarray, p: BlockParams,
     if counters is not None:
         counters.add_ffn(ffn_flop_count(m, c))
         counters.acquire_workspace(m * 3 * c)
-    return out.reshape(x.shape)
+    return result
 
 
 # Per axis, the transpose of the [F, V, L, C] latent that makes each
@@ -321,7 +344,9 @@ _AXES = {"spatial": (0, 1, 2, 3), "camera": (0, 2, 1, 3),
 def axis_block(z: np.ndarray, axis: str, prior: np.ndarray, w: BlockParams,
                counters: CostCounters | None = None,
                keep: np.ndarray | None = None,
-               cached: np.ndarray | None = None) -> BlockOutput:
+               cached: np.ndarray | None = None,
+               out: np.ndarray | None = None,
+               return_attention: bool = True) -> BlockOutput:
     """One SCM block: attention along ``axis``, then FFN(z + attention).
 
     ``axis`` is "spatial", "camera" or "motion" and ``prior`` is that
@@ -337,6 +362,14 @@ def axis_block(z: np.ndarray, axis: str, prior: np.ndarray, w: BlockParams,
     FFN's tiles: each tile copies its rows of ``cached`` and overwrites the
     attended ones among them just before the FFN adds them, so no serial
     full-size copy or scatter is made.
+
+    The block output goes to ``out``, or to a fresh array when ``out`` is
+    None; z is written only when it is ``out``, which a caller passes only
+    for a latent it owns. With ``return_attention`` False, an unpruned
+    block builds no full-size attention: each attention tile writes
+    z + attention straight into its rows of the output, the FFN then runs
+    over the output in place, and ``BlockOutput.attention`` is None. A
+    pruned block always returns its refilled attention.
 
     Only the spatial block reports the semantic map [F, V, H, W], the
     mean weight each query puts on the prior token.
@@ -355,7 +388,14 @@ def axis_block(z: np.ndarray, axis: str, prior: np.ndarray, w: BlockParams,
     grid = (f, v, l)
     prior = prior.reshape(grid[axes[0]], grid[axes[1]], 1, c)
     refill = None
-    if keep is None:
+    if keep is None and not return_attention:
+        out = out_array(out, z.shape)
+        _, pw = axis_attention(
+            z.reshape(grid + (c,)).transpose(axes), prior, w, counters,
+            block=axis,
+            residual_out=out.reshape(grid + (c,)).transpose(axes))
+        z, attention = out, None
+    elif keep is None:
         att, pw = axis_attention(z.reshape(f, v, l, c).transpose(axes), prior,
                                  w, counters, block=axis)
         attention = att.transpose(np.argsort(axes)).reshape(z.shape)
@@ -388,26 +428,36 @@ def axis_block(z: np.ndarray, axis: str, prior: np.ndarray, w: BlockParams,
             new[dst[a:b]] = src[order[a:b]]
 
     if counters is not None:
-        counters.acquire_workspace(attention.size)
+        # Modeled as a full-size attention array whether or not one is made.
+        counters.acquire_workspace(z.size)
     semantic = pw.reshape(f, v, h, ww) if axis == "spatial" else None
     return BlockOutput(out=ffn(z, w, counters, addend=attention,
-                               before_tile=refill),
+                               before_tile=refill, out=out),
                        attention=attention, semantic=semantic)
 
 
 def spatial_forward(z: np.ndarray, k_s: np.ndarray, w: BlockParams,
-                    counters: CostCounters | None = None) -> BlockOutput:
+                    counters: CostCounters | None = None,
+                    out: np.ndarray | None = None,
+                    return_attention: bool = True) -> BlockOutput:
     """Attention along the flattened H*W axis for each (f, v)."""
-    return axis_block(z, "spatial", k_s, w, counters)
+    return axis_block(z, "spatial", k_s, w, counters, out=out,
+                      return_attention=return_attention)
 
 
 def camera_forward(z: np.ndarray, k_c: np.ndarray, w: BlockParams,
-                   counters: CostCounters | None = None) -> BlockOutput:
+                   counters: CostCounters | None = None,
+                   out: np.ndarray | None = None,
+                   return_attention: bool = True) -> BlockOutput:
     """Attention along the V axis for each (f, h, w)."""
-    return axis_block(z, "camera", k_c, w, counters)
+    return axis_block(z, "camera", k_c, w, counters, out=out,
+                      return_attention=return_attention)
 
 
 def motion_forward(z: np.ndarray, k_m: np.ndarray, w: BlockParams,
-                   counters: CostCounters | None = None) -> BlockOutput:
+                   counters: CostCounters | None = None,
+                   out: np.ndarray | None = None,
+                   return_attention: bool = True) -> BlockOutput:
     """Attention along the F axis for each (v, h, w)."""
-    return axis_block(z, "motion", k_m, w, counters)
+    return axis_block(z, "motion", k_m, w, counters, out=out,
+                      return_attention=return_attention)

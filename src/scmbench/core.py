@@ -43,6 +43,7 @@ __all__ = [
     "Rng",
     "tiles",
     "run_tiles",
+    "out_array",
     "softmax_last_inplace",
     "tune_allocator",
     "cosine",
@@ -331,6 +332,23 @@ def run_tiles(tile_list: list[tuple], run) -> None:
             fut.exception()  # waits for the run, even if this one failed
     for fut in futures:
         fut.result()
+
+
+def out_array(out: np.ndarray | None, shape) -> np.ndarray:
+    """A stage's destination: ``out``, checked to be a C-contiguous
+    float64 array of ``shape``, or a fresh array when ``out`` is None.
+
+    A caller passes ``out`` only for an array it owns and no longer needs,
+    typically the stage's own input, which the stage then writes over.
+    """
+    if out is None:
+        return np.empty(shape)
+    if (out.shape != tuple(shape) or out.dtype != np.float64
+            or not out.flags.c_contiguous):
+        raise ShapeError(f"out must be a C-contiguous float64 array of "
+                         f"shape {tuple(shape)}, got {out.dtype} "
+                         f"{out.shape}")
+    return out
 
 
 def softmax_last_inplace(x: np.ndarray) -> np.ndarray:

@@ -30,7 +30,7 @@ from .attention import (
 )
 from .cache import BLOCK_KINDS, RollingCache
 from .core import (CostCounters, Rng, _element_count, assert_finite,
-                   run_tiles, tiles)
+                   out_array, run_tiles, tiles)
 from .errors import ParameterError, ShapeError
 from .scheduler import (
     MODE_TABLE,
@@ -101,6 +101,10 @@ class DiffusionSchedule:
         t = self.total_steps
         if len(self.alpha) != t + 1 or len(self.beta) != t + 1:
             raise ParameterError("schedule arrays must have length T+1")
+        # Every check below is a comparison that NaN would pass.
+        if not (np.all(np.isfinite(self.alpha))
+                and np.all(np.isfinite(self.beta))):
+            raise ParameterError("schedule arrays must be finite")
         if abs(self.alpha[0] - 1.0) > 1e-12 or abs(self.beta[0]) > 1e-12:
             raise ParameterError("schedule endpoints: alpha[0]=1, beta[0]=0")
         if np.any(np.diff(self.alpha) > 1e-12) or np.any(np.diff(self.beta) < -1e-12):
@@ -110,6 +114,8 @@ class DiffusionSchedule:
 
 
 def cosine_schedule(total_steps: int) -> DiffusionSchedule:
+    if total_steps < 1:
+        raise ParameterError(f"total_steps must be >= 1, got {total_steps}")
     n = _element_count(total_steps + 1, "schedule points")
     t = np.arange(n) / total_steps
     return DiffusionSchedule(
@@ -209,10 +215,15 @@ def synth_priors(dims: Dims, trajectory: CameraTrajectory, rng: Rng) -> PriorSet
 
 
 def ddim_update(z_t: np.ndarray, z0_hat: np.ndarray, t: int,
-                schedule: DiffusionSchedule) -> np.ndarray:
+                schedule: DiffusionSchedule,
+                out: np.ndarray | None = None) -> np.ndarray:
     """Deterministic clean-prediction update from step t to t-1:
     ``a_prev*z0_hat + (b_prev/b_t)*(z_t - a_t*z0_hat)`` per element, in
-    that order, tile by tile into one fresh output."""
+    that order, tile by tile into ``out``, or into a fresh array when
+    ``out`` is None. ``out`` may be z_t or z0_hat (even when they are one
+    array): each tile takes ``a_t*z0_hat`` and ``z_t - ...`` before it
+    writes ``a_prev*z0_hat``. The inputs are written only through
+    ``out``."""
     if not 1 <= t <= schedule.total_steps:
         raise ParameterError(f"t={t} outside [1, {schedule.total_steps}]")
     if z0_hat.shape != z_t.shape:
@@ -222,18 +233,19 @@ def ddim_update(z_t: np.ndarray, z0_hat: np.ndarray, t: int,
     ratio = b_prev / b_t
     c = z_t.shape[-1]
     zt_rows, z0_rows = z_t.reshape(-1, c), z0_hat.reshape(-1, c)
-    out = np.empty(zt_rows.shape)
+    result = out_array(out, z_t.shape)
+    out = result.reshape(zt_rows.shape)
 
     def apply(i: int, j: int) -> None:
         z0, o = z0_rows[i:j], out[i:j]
-        np.multiply(a_prev, z0, out=o)
         tmp = a_t * z0
         np.subtract(zt_rows[i:j], tmp, out=tmp)
         tmp *= ratio
+        np.multiply(a_prev, z0, out=o)
         o += tmp
 
     run_tiles(tiles(len(out)), apply)
-    return out.reshape(z_t.shape)
+    return result
 
 
 def _reflect_avg(y: np.ndarray, axis_view, out: np.ndarray) -> np.ndarray:
@@ -257,16 +269,20 @@ def _reflect_avg(y: np.ndarray, axis_view, out: np.ndarray) -> np.ndarray:
 
 
 def mixing(z: np.ndarray, mix: np.ndarray,
-           counters: CostCounters | None = None) -> np.ndarray:
+           counters: CostCounters | None = None,
+           out: np.ndarray | None = None) -> np.ndarray:
     """Channelwise linear map, then 3-point reflect-padded averaging.
 
     Runs tile by tile over groups of (f, v) slices; the last stage of each
-    tile writes straight into the fresh output.
+    tile writes straight into ``out``, or into a fresh array when ``out``
+    is None. ``out`` may be z itself: a tile's first stage reads all of
+    its rows before the last one writes them.
     """
     f, v, h, w, c = z.shape
     g, l = f * v, h * w
     rows = z.reshape(g * l, c)
-    out = np.empty((g, h, w, c))
+    result = out_array(out, z.shape)
+    out = result.reshape(g, h, w, c)
 
     def apply(i: int, j: int) -> None:
         # Each (f, v) slice is mixed on its own; a tile touches only the
@@ -286,24 +302,24 @@ def mixing(z: np.ndarray, mix: np.ndarray,
         n = f * v * h * w
         counters.add_mixing(2 * n * c * c + 6 * n * c)
         counters.acquire_workspace(2 * n * c)
-    return out.reshape(z.shape)
+    return result
 
 
-def _reuse_chain(held: list, chain: ChainWeights, cache: RollingCache,
-                 layer: int, counters: CostCounters | None) -> np.ndarray:
+def _reuse_chain(z: np.ndarray, chain: ChainWeights, cache: RollingCache,
+                 layer: int, counters: CostCounters | None,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """Eq.-style reuse: FFN(z + cached attention) per block. The entries
     are read in place and stay cached for the next compute step. The
-    latent comes in the one-element list ``held``, which is emptied, so
-    each block's input dies once its FFN has read it."""
-    z = held.pop()
+    first block writes to ``out`` (a fresh array when None), and every
+    later block writes over that."""
     params = (chain.spatial, chain.camera, chain.motion)
     for kind, p in zip(BLOCK_KINDS, params):
-        z = ffn(z, p, counters, addend=cache.peek(layer, kind))
+        z = out = ffn(z, p, counters, addend=cache.peek(layer, kind), out=out)
     return z
 
 
 def cached_chain_forward(
-    z: np.ndarray | list,
+    z: np.ndarray,
     priors: PriorSet,
     w: ChainWeights,
     cache: RollingCache | None,
@@ -312,6 +328,7 @@ def cached_chain_forward(
     counters: CostCounters | None = None,
     select=None,
     zero_refill: bool = False,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """One chain pass for a layer that computes its attention.
 
@@ -327,17 +344,13 @@ def cached_chain_forward(
     that block. The step's own attention outputs then become the entries.
     With no cache the pass records and stores nothing.
 
-    The pass holds only what is still read: the current block's output,
-    which is the next block's input, the spatial semantic map and, with a
-    cache, the attention arrays it is about to store. Each block's output
-    is dropped once the next block has used it, so with no cache no
-    attention outlives its block's FFN. ``z`` may come in a one-element
-    list, which the pass empties: a caller that hands the latent over so
-    holds no reference to it, and it dies once the spatial block has read
-    it.
+    The pass owns one working latent: the spatial block writes its output
+    to ``out`` (a fresh array when None, so a plain call never writes z),
+    and every later block writes over that. Besides it, the pass holds
+    only the spatial semantic map and, with a cache, the attention arrays
+    it is about to store. With no cache, no full-size attention is made:
+    each block adds its attention into its output's rows tile by tile.
     """
-    if isinstance(z, list):
-        z = z.pop()
     stale = cache is not None and cache.has_entries(layer)
     fresh = []
 
@@ -353,21 +366,23 @@ def cached_chain_forward(
         cached = cache.peek(layer, kind)
         return np.zeros_like(cached) if zero_refill else cached
 
-    so = spatial_forward(z, priors.k_s, w.spatial, counters)
+    stored = cache is not None
+    so = spatial_forward(z, priors.k_s, w.spatial, counters, out=out,
+                         return_attention=stored)
     semantic = so.semantic
     z = supersede("spatial", so)
     del so
     if select is None:
-        z = supersede("camera",
-                      camera_forward(z, priors.k_c, w.camera, counters))
-        z = supersede("motion",
-                      motion_forward(z, priors.k_m, w.motion, counters))
+        z = supersede("camera", camera_forward(
+            z, priors.k_c, w.camera, counters, out=z, return_attention=stored))
+        z = supersede("motion", motion_forward(
+            z, priors.k_m, w.motion, counters, out=z, return_attention=stored))
     else:
         idx = select(semantic)
         z = supersede("camera", pruning.pruned_camera_forward(
-            z, priors.k_c, w.camera, idx, refill("camera"), counters))
+            z, priors.k_c, w.camera, idx, refill("camera"), counters, out=z))
         z = supersede("motion", pruning.pruned_motion_forward(
-            z, priors.k_m, w.motion, idx, refill("motion"), counters))
+            z, priors.k_m, w.motion, idx, refill("motion"), counters, out=z))
     if cache is not None:
         cache.store(layer, *fresh, step)
     return z
@@ -398,17 +413,16 @@ def model_forward(
     if mode.kind is StepKind.REUSE and cache is None:
         raise ParameterError("reuse step: no cache given")
     for li, layer in enumerate(model.layers):
-        # Handed over in a list the chain pass empties: this frame holds
-        # neither the layer's input nor its mixing output while it runs.
-        held = [mixing(z, layer.mix, counters)]
-        del z
+        # Layer 0 mixes the caller's latent into a fresh one, which this
+        # pass owns; every later stage writes over it.
+        z = mixing(z, layer.mix, counters, out=z if li else None)
         if li in mode.bypassed_layers:
-            z = held.pop()
-        elif mode.kind is StepKind.REUSE:
-            z = _reuse_chain(held, layer.chain, cache, li, counters)
+            continue
+        if mode.kind is StepKind.REUSE:
+            z = _reuse_chain(z, layer.chain, cache, li, counters, out=z)
         else:
-            z = cached_chain_forward(held, priors, layer.chain, cache, li,
-                                     step, counters, select, zero_refill)
+            z = cached_chain_forward(z, priors, layer.chain, cache, li, step,
+                                     counters, select, zero_refill, out=z)
     return z
 
 
@@ -424,13 +438,18 @@ def denoise_step(
     select=None,
     zero_refill: bool = False,
 ) -> np.ndarray:
+    """One reverse step from t to t-1; z_t is not written.
+
+    The clean prediction is a fresh latent that this step owns, and the
+    update writes z_{t-1} over it.
+    """
     step = schedule.total_steps - t
     z0_hat = model_forward(model, z_t, priors, mode, step, cache, counters,
                            select, zero_refill)
     if counters is not None:
         # Clean prediction plus the updated latent.
         counters.acquire_workspace(2 * z_t.size)
-    return ddim_update(z_t, z0_hat, t, schedule)
+    return ddim_update(z_t, z0_hat, t, schedule, out=z0_hat)
 
 
 @dataclass

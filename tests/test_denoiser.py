@@ -45,6 +45,19 @@ def test_schedule_rejects_non_vp():
                           np.array([0.0, 0.5, 1.0]))
 
 
+def test_cosine_schedule_rejects_zero_steps():
+    # t / total_steps would be 0/0: an all-NaN schedule
+    with pytest.raises(ParameterError, match="total_steps"):
+        cosine_schedule(0)
+
+
+def test_schedule_rejects_nan():
+    # each ordering and variance check is a comparison NaN passes
+    with pytest.raises(ParameterError, match="finite"):
+        DiffusionSchedule(2, np.array([1.0, np.nan, 0.0]),
+                          np.array([0.0, np.nan, 1.0]))
+
+
 # --- ddim_update ----------------------------------------------------------
 
 def test_ddim_identity_network_algebra():

@@ -1,7 +1,8 @@
 """Tiled block pipeline: outputs do not depend on the tile size, each
 stage's working set is bounded by the tile, a chain pass holds only the
-latents it still reads, and neither the latent draw nor a step's update
-makes a full-size temporary."""
+latents it still reads, neither the latent draw nor a step's update
+makes a full-size temporary, and a stage writes over a latent only when
+its owner passes it as ``out``, with the bytes a fresh call gives."""
 
 import math
 import tracemalloc
@@ -13,6 +14,9 @@ from hypothesis import strategies as st
 
 from scmbench import (
     Dims,
+    camera_forward,
+    motion_forward,
+    spatial_forward,
     RollingCache,
     Rng,
     StepKind,
@@ -249,24 +253,131 @@ def test_ddim_update_peaks_at_one_latent_and_a_tile(traced_serial):
     assert peak <= 1.1, peak
 
 
-def test_dense_step_peaks_at_three_and_a_half_latents(traced_serial):
-    # Above its input: a block's input, attention and output, and a
-    # tile's temporaries. A model_forward that held the mixing output
-    # through the chain pass peaked at 4.5.
+def test_dense_step_peaks_at_one_point_six_latents(traced_serial):
+    # Above its input: the one latent the step owns, which every stage
+    # writes over, and a tile's temporaries. A step whose stages each
+    # returned a fresh latent, with a full-size attention array per
+    # block, peaked at 3.28.
     _, model, priors, z = make_setup(*LATENT, seed=351)
     schedule = cosine_schedule(8)
     peak = _peak_latents(lambda: denoise_step(
         model, z, 8, priors, schedule, StepMode(StepKind.DENSE)))
-    assert peak <= 3.5, peak
+    assert peak <= 1.6, peak
 
 
-def test_reuse_pass_peaks_at_two_and_a_half_latents(traced_serial):
-    # Above its input: one block's input and output, and a tile's
-    # temporaries. A model_forward that held the mixing output through
-    # the pass peaked at 3.5.
+def test_reuse_pass_peaks_at_one_point_three_latents(traced_serial):
+    # Above its input: the one latent the pass owns, which each FFN
+    # writes over, and a tile's temporaries. A pass whose FFNs each
+    # returned a fresh latent peaked at 2.25.
     _, model, priors, z = make_setup(*LATENT, seed=361)
     cache = RollingCache()
     model_forward(model, z, priors, StepMode(StepKind.DENSE), 0, cache)
     peak = _peak_latents(lambda: model_forward(
         model, z, priors, StepMode(StepKind.REUSE), 1, cache))
-    assert peak <= 2.5, peak
+    assert peak <= 1.3, peak
+
+
+def _stages(f, v, h, w, c, seed):
+    """(name, call) for every stage that can write over the latent it is
+    given: ``call(out=None)`` returns a fresh result, and a call whose
+    ``out`` is the stage's own input writes the result over it. Each
+    call reads its inputs from a dict it is handed, so a test can pass
+    copies."""
+    p = make_block(c, 2, seed)
+    rng = Rng(seed + 1)
+    idx = identify_tokens(rng.uniform((f, v, h, w)), 0.4)
+    k_s = rng.normal((f, v, 1, c))
+    k_c, k_m = rng.normal((f, h, w, c)), rng.normal((v, h, w, c))
+    mix = rng.normal((c, c))
+    schedule = cosine_schedule(8)
+    seq = lambda a: a.reshape(f, v, h * w, c).transpose(0, 2, 1, 3)
+
+    def attention_sum(a, out):
+        # camera attention plus its input, taken with residual_out in place
+        z, prior = a["z"], seq(a["att"])[:, :, :1]
+        if out is not None:
+            axis_attention(seq(z), prior, p, residual_out=seq(out))
+            return out
+        att = axis_attention(seq(z), prior, p)[0]
+        return z + att.transpose(0, 2, 1, 3).reshape(z.shape)
+
+    return [
+        ("ffn", lambda a, out: ffn(a["z"], p, addend=a["att"], out=out)),
+        ("ffn without addend", lambda a, out: ffn(a["z"], p, out=out)),
+        ("mixing", lambda a, out: mixing(a["z"], mix, out=out)),
+        ("ddim_update", lambda a, out: ddim_update(a["z"], a["att"], 3,
+                                                   schedule, out=out)),
+        ("axis_attention", lambda a, out: attention_sum(a, out)),
+        *[(f"{fwd.__name__} return_attention={keep}",
+           lambda a, out, fwd=fwd, prior=prior, keep=keep:
+               fwd(a["z"], prior, p, out=out, return_attention=keep).out)
+          for fwd, prior in ((spatial_forward, k_s), (camera_forward, k_c),
+                             (motion_forward, k_m))
+          for keep in (True, False)],
+        ("pruned_camera_forward", lambda a, out: pruned_camera_forward(
+            a["z"], k_c, p, idx, a["att"], out=out).out),
+        ("pruned_motion_forward", lambda a, out: pruned_motion_forward(
+            a["z"], k_m, p, idx, a["att"], out=out).out),
+    ]
+
+
+def _inputs(shape, seed):
+    return {"z": Rng(seed).normal(shape), "att": Rng(seed + 1).normal(shape)}
+
+
+def test_plain_calls_leave_their_inputs_untouched():
+    shape = (F, V, H, W, C)
+    for name, call in _stages(*shape, seed=371):
+        a = _inputs(shape, 372)
+        before = {k: x.tobytes() for k, x in a.items()}
+        call(a, None)
+        assert {k: x.tobytes() for k, x in a.items()} == before, name
+
+
+@pytest.mark.parametrize("shape", [(F, V, H, W, C), (F, V, 1, 1, C),
+                                   (1, 1, 1, 1, C)],
+                         ids=["odd", "H=W=1", "one token"])
+def test_in_place_calls_match_fresh_ones(shape):
+    # One token: every attention call is one one-token sequence, which the
+    # output projection pads to two rows.
+    for name, call in _stages(*shape, seed=381):
+        fresh = call(_inputs(shape, 382), None).tobytes()
+        a = _inputs(shape, 382)
+        got = call(a, a["z"])
+        assert got.tobytes() == fresh, name
+        assert np.shares_memory(got, a["z"]), name
+
+
+def test_ddim_update_over_its_own_input():
+    # z_t is z0_hat, written over, and each of the two given as out
+    schedule = cosine_schedule(8)
+    z_t, z0_hat = Rng(391).normal(LATENT), Rng(392).normal(LATENT)
+    for t in (1, 8):
+        same = ddim_update(z_t, z_t, t, schedule).tobytes()
+        z = z_t.copy()
+        assert ddim_update(z, z, t, schedule, out=z).tobytes() == same, t
+        fresh = ddim_update(z_t, z0_hat, t, schedule).tobytes()
+        for which in (0, 1):
+            pair = [z_t.copy(), z0_hat.copy()]
+            got = ddim_update(*pair, t, schedule, out=pair[which])
+            assert got.tobytes() == fresh, (t, which)
+
+
+def test_chain_in_place_matches_fresh():
+    # A pass that owns its latent, with a stale cache and no cache, pruned
+    # and dense, gives the plain call's bytes.
+    _, model, priors, z = make_setup(2, 3, 4, 4, 8, seed=395)
+    chain = model.layers[0].chain
+    select = lambda q: identify_tokens(q, 0.4)
+    for name, sel in (("dense", None), ("pruned", select)):
+        for cached in (False, True):
+            outs = []
+            for in_place in (False, True):
+                cache = RollingCache() if cached or sel else None
+                if cache is not None:
+                    cached_chain_forward(z, priors, chain, cache, 0, 0)
+                a = z.copy()
+                outs.append(cached_chain_forward(
+                    a, priors, chain, cache, 0, 1, select=sel,
+                    out=a if in_place else None).tobytes())
+            assert outs[0] == outs[1], (name, cached)
