@@ -31,6 +31,13 @@ residual per tile, and camera and motion read their sequences from the
 back in that layout's memory order. No full-size temporary or transposed
 copy is made, every attention output is contiguous in the latent's
 layout, and per-row results do not depend on the tiles.
+
+Ownership: every stage writes its result to ``out``, or to a fresh array
+when ``out`` is None, and writes its inputs only when one of them is
+``out``. A caller passes ``out`` only for a latent it owns and no longer
+needs, so a step holds one working latent that each stage writes over.
+When no cache stores a block's attention, the block never builds it at
+full size: each attention tile adds it into its own rows of the output.
 """
 
 from __future__ import annotations
@@ -388,16 +395,17 @@ def axis_block(z: np.ndarray, axis: str, prior: np.ndarray, w: BlockParams,
     grid = (f, v, l)
     prior = prior.reshape(grid[axes[0]], grid[axes[1]], 1, c)
     refill = None
+
+    def sequences(a: np.ndarray) -> np.ndarray:
+        return a.reshape(f, v, l, c).transpose(axes)
+
     if keep is None and not return_attention:
         out = out_array(out, z.shape)
-        _, pw = axis_attention(
-            z.reshape(grid + (c,)).transpose(axes), prior, w, counters,
-            block=axis,
-            residual_out=out.reshape(grid + (c,)).transpose(axes))
+        _, pw = axis_attention(sequences(z), prior, w, counters, block=axis,
+                               residual_out=sequences(out))
         z, attention = out, None
     elif keep is None:
-        att, pw = axis_attention(z.reshape(f, v, l, c).transpose(axes), prior,
-                                 w, counters, block=axis)
+        att, pw = axis_attention(sequences(z), prior, w, counters, block=axis)
         attention = att.transpose(np.argsort(axes)).reshape(z.shape)
     else:
         if cached is None or cached.shape != z.shape:

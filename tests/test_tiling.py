@@ -19,6 +19,7 @@ from scmbench import (
     spatial_forward,
     RollingCache,
     Rng,
+    ShapeError,
     StepKind,
     axis_attention,
     cached_chain_forward,
@@ -363,21 +364,29 @@ def test_ddim_update_over_its_own_input():
             assert got.tobytes() == fresh, (t, which)
 
 
+def test_out_must_be_a_contiguous_float64_array_of_the_shape():
+    p = make_block(C, 2, 397)
+    z = Rng(398).normal((F, V, H, W, C))
+    for bad in (np.empty((F, V, H, W, C + 1)), np.empty((C, W, H, V, F)).T,
+                np.empty(z.shape, dtype=np.float32)):
+        with pytest.raises(ShapeError, match="out"):
+            ffn(z, p, out=bad)
+
+
 def test_chain_in_place_matches_fresh():
     # A pass that owns its latent, with a stale cache and no cache, pruned
     # and dense, gives the plain call's bytes.
     _, model, priors, z = make_setup(2, 3, 4, 4, 8, seed=395)
     chain = model.layers[0].chain
     select = lambda q: identify_tokens(q, 0.4)
-    for name, sel in (("dense", None), ("pruned", select)):
-        for cached in (False, True):
-            outs = []
-            for in_place in (False, True):
-                cache = RollingCache() if cached or sel else None
-                if cache is not None:
-                    cached_chain_forward(z, priors, chain, cache, 0, 0)
-                a = z.copy()
-                outs.append(cached_chain_forward(
-                    a, priors, chain, cache, 0, 1, select=sel,
-                    out=a if in_place else None).tobytes())
-            assert outs[0] == outs[1], (name, cached)
+    for sel, cached in ((None, False), (None, True), (select, True)):
+        outs = []
+        for in_place in (False, True):
+            cache = RollingCache() if cached else None
+            if cached:
+                cached_chain_forward(z, priors, chain, cache, 0, 0)
+            a = z.copy()
+            outs.append(cached_chain_forward(
+                a, priors, chain, cache, 0, 1, select=sel,
+                out=a if in_place else None).tobytes())
+        assert outs[0] == outs[1], (sel, cached)
