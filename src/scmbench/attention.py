@@ -109,7 +109,9 @@ class PriorSet:
 @dataclass
 class BlockOutput:
     out: np.ndarray        # [F, V, H, W, C], post-FFN
-    attention: np.ndarray | None  # [F, V, H, W, C], pre-FFN attention result
+    # [F, V, H, W, C], pre-FFN attention result; None when the block was
+    # asked not to return it (see axis_block)
+    attention: np.ndarray | None
     semantic: np.ndarray | None = None  # [F, V, H, W], spatial block only
 
 
@@ -403,6 +405,7 @@ def axis_block(z: np.ndarray, axis: str, prior: np.ndarray, w: BlockParams,
         out = out_array(out, z.shape)
         _, pw = axis_attention(sequences(z), prior, w, counters, block=axis,
                                residual_out=sequences(out))
+        # The FFN reads z + attention from out and writes over it.
         z, attention = out, None
     elif keep is None:
         att, pw = axis_attention(sequences(z), prior, w, counters, block=axis)

@@ -280,10 +280,10 @@ def test_reuse_pass_peaks_at_one_point_three_latents(traced_serial):
 
 def _stages(f, v, h, w, c, seed):
     """(name, call) for every stage that can write over the latent it is
-    given: ``call(out=None)`` returns a fresh result, and a call whose
-    ``out`` is the stage's own input writes the result over it. Each
-    call reads its inputs from a dict it is handed, so a test can pass
-    copies."""
+    given. ``call(inputs, None)`` returns a fresh result, and
+    ``call(inputs, inputs["z"])`` writes it over the stage's input. A call
+    reads its latent and second operand from the dict ``inputs``
+    ("z" and "att"), so a test can hand each call fresh copies."""
     p = make_block(c, 2, seed)
     rng = Rng(seed + 1)
     idx = identify_tokens(rng.uniform((f, v, h, w)), 0.4)
