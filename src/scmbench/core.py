@@ -15,10 +15,10 @@ hold on any machine:
   and freed with it, so a thread's working set is bounded by the tile,
   not by the latent; :class:`Rng` likewise draws in chunks straight
   into its output;
-* :func:`run_tiles` runs a stage's tiles in one contiguous run per CPU
-  in the process's affinity set, each run on its own thread;
-* per-row results do not depend on the tiles or on how they are split
-  over threads, so outputs do not depend on the core count or on
+* :func:`run_tiles` hands a stage's tiles out one at a time from one
+  queue, which one thread per CPU in the process's affinity set drains;
+* per-row results do not depend on the tiles or on which thread runs
+  each, so outputs do not depend on the core count or on
   ``OPENBLAS_NUM_THREADS``.
 
 All array values flowing through public operations are finite; callers can
@@ -31,6 +31,7 @@ import ctypes
 import math
 import numbers
 import os
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -256,7 +257,7 @@ def _pin_blas_to_one_thread() -> bool:
     return False
 
 
-# Runs per stage: the CPUs this process may run on, or 1 when BLAS could
+# Drainers per stage: the CPUs this process may run on, or 1 when BLAS could
 # not be pinned (a multi-threaded BLAS under parallel callers would
 # oversubscribe the cores).
 _PARTS = len(os.sched_getaffinity(0)) if _pin_blas_to_one_thread() else 1
@@ -268,22 +269,17 @@ _PARTS = len(os.sched_getaffinity(0)) if _pin_blas_to_one_thread() else 1
 _TILE_TOKENS = 512
 
 _executor = None
-_executor_workers = 0
 
 
-def _workers(n: int):
-    """The persistent pool, started on first use, with at least n workers."""
-    global _executor, _executor_workers
-    # Imported here, not at the top, so that importing scmbench stays as
-    # cheap as it was before the pool existed.
-    from concurrent.futures import ThreadPoolExecutor
+def _pool():
+    """The persistent pool, started on first use."""
+    global _executor
+    if _executor is None:
+        # Imported here, not at the top, so that importing scmbench stays
+        # as cheap as it was before the pool existed.
+        from concurrent.futures import ThreadPoolExecutor
 
-    if _executor_workers < n:
-        if _executor is not None:
-            _executor.shutdown()
-        _executor = ThreadPoolExecutor(max_workers=n,
-                                       thread_name_prefix="scmbench")
-        _executor_workers = n
+        _executor = ThreadPoolExecutor(thread_name_prefix="scmbench")
     return _executor
 
 
@@ -304,32 +300,34 @@ def tiles(n: int, weight: int = 1) -> list[tuple[int, int]]:
 
 
 def run_tiles(tile_list: list[tuple], run) -> None:
-    """Call ``run(*tile)`` for every tile of ``tile_list``.
+    """Call ``run(*tile)`` once for every tile of ``tile_list``.
 
-    The tiles are cut into at most one contiguous run per CPU; the calling
-    thread takes the first run and the pool the rest, so a stage of one
-    tile runs serially on the calling thread. ``run`` must write only the
-    rows of its own tile and not call ``run_tiles`` itself, so that the
-    result is the same for every split and no run waits on a pool it
-    occupies.
+    The tiles form one queue, which ``min(_PARTS, len(tile_list))``
+    drainers empty: the calling thread and the rest on the pool. A thread
+    that finishes a tile takes the next one, so a stalled thread holds up
+    only the tile it is on, and a stage of one tile runs on the calling
+    thread. ``run`` must write only the rows of its own tile and not call
+    ``run_tiles`` itself, so that the result is the same whichever thread
+    runs a tile and no drainer waits on a pool it occupies.
     """
-    def run_span(a: int, b: int) -> None:
-        for tile in tile_list[a:b]:
+    queue = iter(tile_list)
+    lock = threading.Lock()
+
+    def drain() -> None:
+        while True:
+            with lock:  # hands each tile out once, with or without a GIL
+                tile = next(queue, None)
+            if tile is None:
+                return
             run(*tile)
 
-    runs = min(_PARTS, len(tile_list))
-    if runs <= 1:
-        run_span(0, len(tile_list))
-        return
-    bounds = [len(tile_list) * i // runs for i in range(runs + 1)]
-    pool = _workers(runs - 1)
-    futures = [pool.submit(run_span, bounds[i], bounds[i + 1])
-               for i in range(1, runs)]
+    futures = [_pool().submit(drain)
+               for _ in range(min(_PARTS, len(tile_list)) - 1)]
     try:
-        run_span(bounds[0], bounds[1])
+        drain()
     finally:
         for fut in futures:
-            fut.exception()  # waits for the run, even if this one failed
+            fut.exception()  # waits for the drainer, even if this one failed
     for fut in futures:
         fut.result()
 

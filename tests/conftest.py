@@ -21,6 +21,7 @@ from scmbench import (
     spatial_forward,
     synth_priors,
 )
+from scmbench import core
 
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -131,3 +132,13 @@ def planted_latent(dims: Dims, w_spatial: BlockParams, k_s: np.ndarray,
 @pytest.fixture
 def small_setup():
     return make_setup(2, 2, 4, 4, 8)
+
+
+@pytest.fixture
+def split_into(monkeypatch):
+    """Force a given number of drainers onto each stage's tile queue, with
+    tiles so small that tiny inputs still cut into many of them."""
+    def force(parts: int) -> None:
+        monkeypatch.setattr(core, "_PARTS", parts)
+        monkeypatch.setattr(core, "_TILE_TOKENS", 1)
+    return force

@@ -1,10 +1,11 @@
 """Thread policy: outputs do not depend on the BLAS thread count or on how
-many runs the tiles are split into."""
+many drainers empty a stage's tile queue, and every tile runs once."""
 
 import os
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -44,17 +45,7 @@ def test_final_latent_does_not_depend_on_blas_threads():
     assert one == two
 
 
-@pytest.fixture
-def split_into(monkeypatch):
-    """Force the tiles into a given number of runs, with tiles so small
-    that tiny inputs still split into many of them."""
-    def force(parts: int) -> None:
-        monkeypatch.setattr(core, "_PARTS", parts)
-        monkeypatch.setattr(core, "_TILE_TOKENS", 1)
-    return force
-
-
-# B=7 is odd and splits unevenly; B=2 is smaller than three parts.
+# B=7 is odd and splits unevenly; B=2 is fewer tiles than three drainers.
 @pytest.mark.parametrize("batch", [7, 2])
 def test_outputs_and_counters_do_not_depend_on_split(split_into, batch):
     c, n = 8, 5
@@ -80,8 +71,8 @@ def test_outputs_and_counters_do_not_depend_on_split(split_into, batch):
     for got in results[1:]:
         assert got == results[0]
 
-    # More parts than cores, with the interpreter switching threads as
-    # often as it can: a part that strayed outside its rows, or a buffer
+    # More drainers than cores, with the interpreter switching threads as
+    # often as it can: a tile that strayed outside its rows, or a buffer
     # shared between threads, would show as a changed byte.
     split_into(4)
     interval = sys.getswitchinterval()
@@ -103,17 +94,73 @@ def test_split_covers_every_row_once(split_into):
     core.run_tiles(core.tiles(10), mark)
     assert seen.tolist() == [1] * 10
 
+    # More drainers than cores, switching threads as often as the
+    # interpreter can, and each tile yielding: a tile handed out twice,
+    # or never, shows as a count other than one.
+    def mark_and_yield(lo, hi):
+        mark(lo, hi)
+        time.sleep(0)
+
+    split_into(4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            seen = np.zeros(200, dtype=int)
+            core.run_tiles([(i, i + 1) for i in range(200)], mark_and_yield)
+            assert seen.tolist() == [1] * 200
+    finally:
+        sys.setswitchinterval(interval)
+
 
 def test_split_reraises_a_failing_part(split_into):
     split_into(2)
+    caller = threading.get_ident()
 
-    # four one-row tiles in two runs: only the pool's run fails
-    def fail_second_half(lo, hi):
-        if lo >= 2:
-            raise RuntimeError("part failed")
+    # Any drainer may take any tile, so make both threads take one: each
+    # thread's first tile waits at a barrier until the other has taken
+    # one too. Then every tile on the failing side raises.
+    for failing_on_caller in (True, False):
+        both_started = threading.Barrier(2)
+        first = threading.local()
 
-    with pytest.raises(RuntimeError, match="part failed"):
-        core.run_tiles(core.tiles(4), fail_second_half)
+        def fail_on_one_side(lo, hi):
+            if not getattr(first, "taken", False):
+                first.taken = True
+                both_started.wait(timeout=5)
+            if (threading.get_ident() == caller) == failing_on_caller:
+                raise RuntimeError("tile failed")
+
+        with pytest.raises(RuntimeError, match="tile failed"):
+            core.run_tiles([(i, i + 1) for i in range(4)], fail_on_one_side)
+
+
+def test_a_stalled_thread_holds_up_only_its_own_tile(split_into):
+    # The helper's first tile stalls until the calling thread has run
+    # every other tile. A split fixed before the stage starts would leave
+    # half the tiles behind the stall, and the wait would time out.
+    split_into(2)
+    n = 20
+    caller = threading.get_ident()
+    helper_started = threading.Event()
+    others_done = threading.Event()
+    lock = threading.Lock()
+    ran = []
+
+    def run(lo, hi):
+        if threading.get_ident() == caller:
+            helper_started.wait(timeout=5)
+        elif not helper_started.is_set():
+            helper_started.set()
+            others_done.wait(timeout=5)
+        with lock:
+            ran.append((lo, threading.get_ident()))
+            if sum(t == caller for _, t in ran) == n - 1:
+                others_done.set()
+
+    core.run_tiles([(i, i + 1) for i in range(n)], run)
+    assert sorted(lo for lo, _ in ran) == list(range(n))
+    assert sum(t == caller for _, t in ran) == n - 1
 
 
 def test_small_jobs_run_serially_on_the_calling_thread(monkeypatch):

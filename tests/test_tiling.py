@@ -76,16 +76,6 @@ def _tiled_outputs():
     return [a.tobytes() for a in got]
 
 
-@pytest.fixture
-def split_into(monkeypatch):
-    """Force the tiles into a given number of runs, with tiles so small
-    that tiny inputs still split into many of them."""
-    def force(parts: int) -> None:
-        monkeypatch.setattr(core, "_PARTS", parts)
-        monkeypatch.setattr(core, "_TILE_TOKENS", 1)
-    return force
-
-
 def test_outputs_do_not_depend_on_tile_size_or_split(monkeypatch, split_into):
     want = None
     # one token (so one sequence a tile), an odd size, the default, and
