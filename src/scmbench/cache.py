@@ -7,17 +7,20 @@ their attention. :meth:`RollingCache.evict` empties every slot of layers
 that nothing reads again, as the sampler does for the bypassed layers
 once bypass latches. Every cosine between a cached entry and its fresh
 counterpart is appended to a similarity log, which the bypass scheduler
-averages. The fresh side's squared norm is kept, so the next step's cosine
-against the same array, once it is the cached side, skips that pass.
+averages; a compute step takes each one aside (:meth:`RollingCache.compare`)
+while it runs its next stage. The fresh side's squared norm is kept, so
+the next step's cosine against the same array, once it is the cached
+side, skips that pass.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CostCounters, cosine, sq_norm
+from .core import CostCounters, cosine, run_aside, sq_norm
 from .errors import CacheProtocolError, DegenerateInputError
 
 __all__ = ["BLOCK_KINDS", "SimilarityRecord", "RollingCache"]
@@ -43,10 +46,18 @@ class RollingCache:
 
     def __init__(self, counters: CostCounters | None = None):
         self._slots: dict[tuple[int, str], np.ndarray] = {}
-        self.similarity_log: list[SimilarityRecord] = []
+        self._log: list[SimilarityRecord] = []
+        self._running = None  # the comparison running aside, if any
         self.counters = counters
         # (layer, kind) -> the last fresh value compared and its sq_norm
         self._sq_norms: dict[tuple[int, str], tuple[np.ndarray, float]] = {}
+
+    @property
+    def similarity_log(self) -> list[SimilarityRecord]:
+        """Every cosine so far, in the order compared; reading it waits
+        for the one running aside."""
+        self._settle()
+        return self._log
 
     def store(self, layer: int, a_s: np.ndarray, a_c: np.ndarray,
               a_m: np.ndarray, step: int) -> None:
@@ -84,6 +95,7 @@ class RollingCache:
         falls by its elements; the norms go too, since each one holds the
         array it was taken of.
         """
+        self._settle()  # so no comparison running aside refills a norm
         for layer in layers:
             for kind in BLOCK_KINDS:
                 if (layer, kind) in self._slots:
@@ -94,8 +106,12 @@ class RollingCache:
         return any((layer, kind) in self._slots for kind in BLOCK_KINDS)
 
     def record_similarity(self, layer: int, kind: str, new_value: np.ndarray,
-                          step: int) -> float:
-        cached = self.peek(layer, kind)
+                          step: int, cached: np.ndarray | None = None) -> float:
+        """Log and return the cosine between ``new_value`` and ``cached``,
+        by default the (layer, kind) entry. Not for use while a comparison
+        runs aside."""
+        if cached is None:
+            cached = self.peek(layer, kind)
         known = self._sq_norms.get((layer, kind))
         cached_sq = known[1] if known is not None and known[0] is cached \
             else sq_norm(cached)
@@ -107,7 +123,24 @@ class RollingCache:
         except DegenerateInputError:
             value = 0.0
             degenerate = True
-        self.similarity_log.append(
-            SimilarityRecord(step, layer, kind, value, degenerate)
-        )
+        self._log.append(
+            SimilarityRecord(step, layer, kind, value, degenerate))
         return value
+
+    def compare(self, layer: int, kind: str, new_value: np.ndarray,
+                step: int) -> None:
+        """:meth:`record_similarity` off the calling thread
+        (:func:`core.run_aside`), on the entry as it is now, so the caller
+        may empty its slot at once; neither array may be written meanwhile.
+        The next comparison, :meth:`evict` or read of
+        :attr:`similarity_log` waits for it, so the log keeps call order.
+        """
+        self._settle()
+        self._running = run_aside(
+            math.prod(new_value.shape[:-1]), self.record_similarity, layer,
+            kind, new_value, step, self.peek(layer, kind))
+
+    def _settle(self) -> None:
+        running, self._running = self._running, None
+        if running is not None:
+            running()

@@ -17,6 +17,8 @@ hold on any machine:
   into its output;
 * :func:`run_tiles` hands a stage's tiles out one at a time from one
   queue, which one thread per CPU in the process's affinity set drains;
+  :func:`run_aside` runs one whole job, such as a cosine's dots, on the
+  pool while the calling thread goes on;
 * per-row results do not depend on the tiles or on which thread runs
   each, so outputs do not depend on the core count or on
   ``OPENBLAS_NUM_THREADS``.
@@ -272,15 +274,32 @@ _executor = None
 
 
 def _pool():
-    """The persistent pool, started on first use."""
+    """The persistent pool, started on first use with one worker per CPU
+    besides the calling thread."""
     global _executor
     if _executor is None:
         # Imported here, not at the top, so that importing scmbench stays
         # as cheap as it was before the pool existed.
         from concurrent.futures import ThreadPoolExecutor
 
-        _executor = ThreadPoolExecutor(thread_name_prefix="scmbench")
+        _executor = ThreadPoolExecutor(max_workers=max(1, _PARTS - 1),
+                                       thread_name_prefix="scmbench")
     return _executor
+
+
+def run_aside(tokens: int, fn, *args):
+    """Start ``fn(*args)``, a job over ``tokens`` tokens, on the pool and
+    return a function that waits for it and returns its result. With one
+    drainer, or within one tile, it runs at once, as a one-tile stage does:
+    the hand-off would cost more than it saves. A stage started meanwhile
+    never waits on ``fn``: its helpers queue behind it while the calling
+    thread drains the tiles. ``fn`` must not call :func:`run_tiles`, whose
+    helpers would queue behind ``fn`` itself.
+    """
+    if _PARTS <= 1 or len(tiles(tokens)) < 2:
+        result = fn(*args)
+        return lambda: result
+    return _pool().submit(fn, *args).result
 
 
 def tiles(n: int, weight: int = 1) -> list[tuple[int, int]]:
@@ -362,8 +381,7 @@ def softmax_last_inplace(x: np.ndarray) -> np.ndarray:
 def sq_norm(a: np.ndarray) -> float:
     """Squared Euclidean norm of the flattened data, as :func:`cosine`
     takes it."""
-    af = a.ravel()
-    return float(af @ af)
+    return float(np.vdot(a, a))
 
 
 def cosine(a: np.ndarray, b: np.ndarray, a_sq: float | None = None,
@@ -375,7 +393,9 @@ def cosine(a: np.ndarray, b: np.ndarray, a_sq: float | None = None,
     """
     if a.shape != b.shape:
         raise ShapeError(f"cosine shapes disagree: {a.shape} vs {b.shape}")
-    dot = float(a.ravel() @ b.ravel())
+    # One BLAS dot, summed as a.ravel() @ b.ravel() is; unlike that, vdot
+    # drops the GIL, so a caller of a run_aside cosine runs on meanwhile.
+    dot = float(np.vdot(a, b))
     na = math.sqrt(sq_norm(a) if a_sq is None else a_sq)
     nb = math.sqrt(sq_norm(b) if b_sq is None else b_sq)
     if na == 0.0 or nb == 0.0:

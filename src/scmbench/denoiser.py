@@ -339,10 +339,12 @@ def cached_chain_forward(
     (degradation ablation; the cache is still maintained). Without it the
     step is dense.
 
-    Each previous-step entry, if any, is compared while it is still cached
-    and consumed as soon as its block is superseded, so it never outlives
-    that block. The step's own attention outputs then become the entries.
-    With no cache the pass records and stores nothing.
+    Each previous-step entry, if any, is emptied as soon as its block is
+    superseded; its cosine against the block's new attention runs off the
+    calling thread while the next stage runs (:meth:`RollingCache.compare`)
+    and holds the entry only until then. The step's own attention outputs
+    then become the entries. With no cache the pass records and stores
+    nothing.
 
     The pass owns one working latent: the spatial block writes its output
     to ``out`` (a fresh array when None, so a plain call never writes z),
@@ -356,7 +358,7 @@ def cached_chain_forward(
 
     def supersede(kind: str, out) -> np.ndarray:
         if stale:
-            cache.record_similarity(layer, kind, out.attention, step)
+            cache.compare(layer, kind, out.attention, step)
             cache.retrieve(layer, kind)
         if cache is not None:
             fresh.append(out.attention)

@@ -1,6 +1,8 @@
 """Rolling cache: one slot per (layer, block kind), memory accounting,
 similarity log. Every test goes through the public methods."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from scmbench import (
     RollingCache,
     Rng,
     RunConfig,
+    ShapeError,
     emit_report,
     run_benchmark,
 )
@@ -221,6 +224,60 @@ def test_record_similarity_reuses_the_entry_norm_only_for_that_array():
     assert cache.record_similarity(0, "spatial", a, step=3) == \
         cosine(other, a)
     assert cache._sq_norms[(0, "spatial")][1] == sq_norm(a)
+
+
+@pytest.mark.parametrize("parts", [1, 2])
+def test_comparisons_run_aside_and_are_logged_in_order(split_into, parts):
+    # As a compute step does: compare each entry, empty its slot at once,
+    # and read the log only later. The values and their order are those
+    # of plain cosines taken one after another, on either thread.
+    from scmbench.core import cosine
+
+    split_into(parts)
+    cache = RollingCache()
+    old = {li: entries((4, 8, 8), seed=20 + li) for li in range(3)}
+    new = {li: entries((4, 8, 8), seed=30 + li) for li in range(3)}
+    for li in range(3):
+        cache.store(li, *old[li], step=0)
+    for li in range(3):
+        for kind, fresh in zip(BLOCK_KINDS, new[li]):
+            cache.compare(li, kind, fresh, step=1)
+            cache.retrieve(li, kind)
+    want = [(li, kind, cosine(a, b)) for li in range(3)
+            for kind, a, b in zip(BLOCK_KINDS, old[li], new[li])]
+    assert [(r.layer, r.kind, r.value) for r in cache.similarity_log] == want
+    assert all(cache._sq_norms[(li, kind)][0] is fresh for li in range(3)
+               for kind, fresh in zip(BLOCK_KINDS, new[li]))
+
+
+def test_evict_logs_a_running_comparison_before_it_forgets_norms(
+        split_into):
+    # The comparison is held back for a while; had evict not waited for
+    # it, it would store its norm after evict forgot the layer's norms.
+    split_into(2)
+    cache = RollingCache()
+    record = cache.record_similarity
+
+    def record_late(*args):
+        time.sleep(0.2)
+        return record(*args)
+
+    cache.record_similarity = record_late
+    cache.store(0, *entries((4, 8, 8), seed=40), step=0)
+    cache.compare(0, "spatial", entries((4, 8, 8), seed=41)[0], step=1)
+    cache.evict({0})
+    assert [r.layer for r in cache.similarity_log] == [0]
+    assert cache._sq_norms == {}
+
+
+def test_a_failing_comparison_raises_at_the_next_one(split_into):
+    split_into(2)
+    cache = RollingCache()
+    cache.store(0, *entries((4, 8, 8), seed=42), step=0)
+    cache.compare(0, "spatial", np.ones((4, 8, 4)), step=1)
+    with pytest.raises(ShapeError):
+        cache.compare(0, "camera", np.ones((4, 8, 8)), step=1)
+    assert cache.similarity_log == []  # the failed one logged nothing
 
 
 def test_log_growth_per_compute_step():

@@ -77,6 +77,20 @@ def test_cosine_with_known_norms_is_the_same():
     assert sq_norm(a) == float(a.ravel() @ a.ravel())
 
 
+@pytest.mark.parametrize("shape", [(1,), (2,), (3, 5), (5, 8, 16, 16, 64)])
+def test_dots_sum_in_the_order_of_a_plain_vector_product(shape):
+    # sq_norm and cosine feed the similarity log, which the golden reports
+    # pin, so their one BLAS dot must sum as ``a.ravel() @ b.ravel()``
+    # does, for contiguous and strided operands alike.
+    a, b = Rng(4).normal(shape), Rng(5).normal(shape)
+    for x, y in ((a, b), (a.T, b.T)):
+        dot = float(x.ravel() @ y.ravel())
+        na, nb = float(x.ravel() @ x.ravel()), float(y.ravel() @ y.ravel())
+        assert sq_norm(x) == na
+        assert cosine(x, y) == float(np.clip(
+            dot / (math.sqrt(na) * math.sqrt(nb)), -1.0, 1.0))
+
+
 def test_cosine_zero_norm_raises():
     with pytest.raises(DegenerateInputError):
         cosine(np.zeros(3), np.ones(3))

@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from scmbench import CostCounters, Rng, axis_attention, ffn
+from scmbench import (CostCounters, Rng, axis_attention, build_config,
+                      ffn, run_benchmark)
 from scmbench import core
 from scmbench.denoiser import mixing
 
@@ -161,6 +162,55 @@ def test_a_stalled_thread_holds_up_only_its_own_tile(split_into):
     core.run_tiles([(i, i + 1) for i in range(n)], run)
     assert sorted(lo for lo, _ in ran) == list(range(n))
     assert sum(t == caller for _, t in ran) == n - 1
+
+
+def test_a_stage_started_behind_an_aside_job_does_not_wait_for_it(
+        split_into):
+    # The pool's workers are all busy with a job that waits until every
+    # tile has run; the calling thread drains the whole queue meanwhile.
+    split_into(2)
+    workers = core._pool()._max_workers
+    n = 20
+    tiles_done = threading.Event()
+    lock = threading.Lock()
+    ran = []
+
+    def run(lo, hi):
+        with lock:
+            ran.append(lo)
+            if len(ran) == n:
+                tiles_done.set()
+
+    jobs = [core.run_aside(4, tiles_done.wait, 5) for _ in range(workers)]
+    core.run_tiles([(i, i + 1) for i in range(n)], run)
+    assert sorted(ran) == list(range(n))
+    assert all(job() for job in jobs)  # no wait timed out
+
+
+@pytest.mark.parametrize("parts, tokens", [(1, 10_000), (2, 1_000)])
+def test_an_aside_job_runs_at_once_with_one_drainer_or_tile(
+        monkeypatch, parts, tokens):
+    monkeypatch.setattr(core, "_PARTS", parts)
+    calls = []
+    job = core.run_aside(tokens, lambda x: calls.append(
+        threading.get_ident()) or x, 7)
+    assert calls == [threading.get_ident()]
+    assert job() == 7
+
+
+def test_similarity_log_does_not_depend_on_drainers(split_into):
+    # The cosines run aside on the pool with several drainers, and on the
+    # calling thread with one: the log and the final latent keep their bits.
+    config = dict(frames=2, views=2, height=4, width=4, channels=8, layers=2,
+                  steps=5, mode="turbo")
+    reports = []
+    for parts in (1, 3):
+        split_into(parts)
+        reports.append(run_benchmark(build_config(None, config)))
+    logs = [[(r.step, r.layer, r.kind, r.value, r.degenerate)
+             for r in rep.trace.cache.similarity_log] for rep in reports]
+    assert logs[0] == logs[1] and len(logs[0]) > 0
+    assert np.array_equal(reports[0].z_final, reports[1].z_final)
 
 
 def test_small_jobs_run_serially_on_the_calling_thread(monkeypatch):

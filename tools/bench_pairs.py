@@ -1,50 +1,66 @@
 """Alternated fresh-process pairs of two scmbench trees, with host steal.
 
-Usage:
-  python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR OUT.json
-      [--pairs N] [--seeds 0 7919] [--workloads dense turbo ...] [--serial]
+Usage: python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR OUT.json
 
-Each run is one ``perfbench/child.py`` invocation from the tree it
-measures, at that tree's ``perfbench.run`` workload config. For every
-seed and pair, each workload runs once on each tree, the parent first in
-even pairs and the change first in odd pairs. ``--serial`` adds a third
-arm: the change tree under ``taskset -c 0``, so its one-CPU affinity set
-gives one drainer per stage. Per run it records ``run_s``, ``setup_s``
-and ``peak_rss_mb`` as ``perfbench/run.py`` takes them, the child's CPU
-time (``getrusage(RUSAGE_CHILDREN)`` deltas), the host's steal time over
-the run (``/proc/stat``, read only), the final latent's SHA-256 and its
-drift cosine against the dense run of the same seed and dims. The output
-holds every run and, per workload and seed, each arm's median and
-quartiles and how many pairs the change won. The dense reference of each
-seed and dims is one extra run of the change tree, made before its
-first pair.
+Each run is one ``perfbench/child.py`` invocation, started by the
+``perfbench/run.py`` of the tree it measures (``run.spawn``, which also
+checks that the child imported that tree's scmbench), at the change tree's
+``run.WORKLOADS`` configs. For each of ``run.DEV_SEED`` and
+``run.HOLDOUT_SEED`` and each of 10 pairs, every workload runs once per
+arm: parent, change, serial in even pairs and the reverse in odd pairs.
+The serial arm is the change tree with a one-CPU affinity set (CPU 0, set
+on this process around the spawn and inherited by the child), so each
+stage has one drainer.
+
+Per run it records ``run_s``, ``setup_s`` and ``peak_rss_mb`` as
+``perfbench/run.py`` takes them, the child's CPU time
+(``getrusage(RUSAGE_CHILDREN)`` deltas), the host's steal time over the
+run (``/proc/stat``, read only), the scmbench file the child imported
+(relative to its tree), and ``run.check_run``'s digest, drift cosine and
+failed checks against a dense reference of the same seed and dims made
+in this process from the change tree. Every run of a workload and seed,
+in every arm, must give the same final latent. The output holds the
+machine, a SHA-256 of each tree's scmbench sources, every run and, per
+workload and seed, each arm's median and quartiles, the parent's IQR, the
+change's median over the parent's and the pairs the change won. The exit
+code is 1 if any check failed.
 """
 
 from __future__ import annotations
 
-import argparse
+import ctypes
 import hashlib
-import io
+import importlib.util
 import json
 import os
+import platform
 import resource
 import statistics
-import subprocess
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
 
-METRICS = ("run_s", "setup_s", "peak_rss_mb", "cpu_s", "steal_s")
+PAIRS = 10
+ARMS = ("parent", "change", "serial")
+GATED = ("run_s", "setup_s", "peak_rss_mb")
+METRICS = GATED + ("cpu_s", "steal_s")
 TICK = os.sysconf("SC_CLK_TCK")
+
+
+def load_run(tree: Path, name: str):
+    """The ``perfbench/run.py`` module of ``tree``."""
+    spec = importlib.util.spec_from_file_location(
+        name, tree / "perfbench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def host_steal_s() -> float:
     """Steal time of all CPUs since boot, from the aggregate ``cpu`` line."""
     with open("/proc/stat") as fh:
-        fields = fh.readline().split()
-    return int(fields[8]) / TICK
+        return int(fh.readline().split()[8]) / TICK
 
 
 def child_cpu_s() -> float:
@@ -52,110 +68,130 @@ def child_cpu_s() -> float:
     return usage.ru_utime + usage.ru_stime
 
 
-def digest(z: np.ndarray) -> str:
-    """The same digest ``perfbench/run.py`` takes of a final latent."""
-    h = hashlib.sha256(f"{z.dtype.str}{z.shape}".encode())
-    h.update(z.tobytes())
+def blas_build() -> dict:
+    """OpenBLAS's core name and build string, as the library reports them."""
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs")
+                  .glob("libscipy_openblas*.so*"))
+    for lib in libs:
+        try:
+            dll = ctypes.CDLL(str(lib))
+            core = dll.scipy_openblas_get_corename64_
+            config = dll.scipy_openblas_get_config64_
+        except (OSError, AttributeError):
+            continue
+        core.restype = config.restype = ctypes.c_char_p
+        return {"core": core().decode(), "config": config().decode()}
+    return {"core": None, "config": None}
+
+
+def cpu_model() -> str | None:
+    with open("/proc/cpuinfo") as fh:
+        for line in fh:
+            if line.startswith("model name"):
+                return line.split(":", 1)[1].strip()
+    return None
+
+
+def source_digest(tree: Path) -> str:
+    """SHA-256 over the paths and bytes of ``tree``'s scmbench sources."""
+    h = hashlib.sha256()
+    for path in sorted((tree / "src").rglob("*.py")):
+        h.update(str(path.relative_to(tree)).encode() + b"\0")
+        h.update(path.read_bytes())
     return h.hexdigest()
 
 
-def workload_config(tree: Path, workload: str, seed: int) -> dict:
-    sys.path.insert(0, str(tree / "perfbench"))
-    try:
-        import run
-        return dict(run.WORKLOADS[workload], seed=seed)
-    finally:
-        sys.path.pop(0)
-
-
-def one_run(tree: Path, config: dict, serial: bool) -> tuple[dict, np.ndarray]:
-    spec = json.dumps({"src": str(tree / "src"), "config": config})
-    argv = [sys.executable, str(tree / "perfbench" / "child.py"), spec]
+def one_run(run, config: dict, serial: bool) -> tuple[dict, np.ndarray]:
+    """One child run through ``run.spawn``, with its CPU and steal time."""
+    affinity = os.sched_getaffinity(0)
     if serial:
-        argv = ["taskset", "-c", "0", *argv]
-    cpu0, steal0 = child_cpu_s(), host_steal_s()
-    started = time.perf_counter()
-    done = subprocess.run(argv, cwd=tree, capture_output=True, check=True,
-                          timeout=600)
-    wall = time.perf_counter() - started
-    cpu1, steal1 = child_cpu_s(), host_steal_s()
-    line, _, body = done.stdout.partition(b"\n")
-    header = json.loads(line)
-    z = np.load(io.BytesIO(body), allow_pickle=False)
-    return {"run_s": header["run_s"], "setup_s": header["ready"] - started,
-            "peak_rss_mb": header["peak_rss_mb"], "wall_s": wall,
-            "cpu_s": cpu1 - cpu0, "steal_s": steal1 - steal0,
-            "blas": header["blas"], "sha256": digest(z)}, z
+        os.sched_setaffinity(0, {min(affinity)})
+    try:
+        cpu0, steal0 = child_cpu_s(), host_steal_s()
+        header, z = run.spawn({"config": config}, timeout=600.0)
+        cpu1, steal1 = child_cpu_s(), host_steal_s()
+    finally:
+        os.sched_setaffinity(0, affinity)
+    imported = Path(header["scmbench"]).relative_to(run.ROOT)
+    return {"run_s": header["run_s"], "setup_s": header["setup_s"],
+            "peak_rss_mb": header["peak_rss_mb"], "cpu_s": cpu1 - cpu0,
+            "steal_s": steal1 - steal0, "blas": header["blas"],
+            "scmbench": str(imported)}, z
 
 
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    a, b = a.ravel(), b.ravel()
-    return float(np.dot(a, b) / np.sqrt(np.dot(a, a) * np.dot(b, b)))
-
-
-def quartiles(values: list[float]) -> dict:
+def spread(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": median, "q1": q1, "q3": q3, "n": len(values)}
+    return {"median": median, "q1_q3": [q1, q3]}
 
 
-def summarize(runs: list[dict], arms: list[str]) -> dict:
-    by_arm = {arm: [r for r in runs if r["arm"] == arm] for arm in arms}
-    out = {arm: {m: quartiles([r[m] for r in rs]) for m in METRICS}
-           for arm, rs in by_arm.items()}
+def summarize(runs: list[dict]) -> dict:
+    by_arm = {arm: [r for r in runs if r["arm"] == arm] for arm in ARMS}
     pairs = list(zip(by_arm["parent"], by_arm["change"]))
-    out["pairs"] = len(pairs)
-    out["change_better"] = {
-        m: sum(c[m] < p[m] for p, c in pairs)
-        for m in ("run_s", "setup_s", "peak_rss_mb")}
-    out["sha256"] = sorted({r["sha256"] for r in runs})
+    out: dict = {"pairs": len(pairs)}
+    for m in METRICS:
+        row = {arm: spread([r[m] for r in rs]) for arm, rs in by_arm.items()}
+        q1, q3 = row["parent"]["q1_q3"]
+        row["parent_iqr"] = q3 - q1
+        if m in GATED:
+            row["pairs_change_better"] = \
+                f"{sum(c[m] < p[m] for p, c in pairs)} of {len(pairs)}"
+            row["change_over_parent"] = (row["change"]["median"]
+                                         / row["parent"]["median"])
+        out[m] = row
+    out["final_latent_sha256"] = sorted({r["digest"] for r in runs})
     out["drift_cosine"] = sorted({r["drift_cosine"] for r in runs})
+    out["failed"] = sum(1 for r in runs if r["problems"])
     return out
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("parent", type=Path)
-    parser.add_argument("change", type=Path)
-    parser.add_argument("out", type=Path)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seeds", type=int, nargs="+", default=[0, 7919])
-    parser.add_argument("--workloads", nargs="+", default=[
-        "dense", "turbo", "prune-only", "turbo-small"])
-    parser.add_argument("--serial", action="store_true")
-    args = parser.parse_args()
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2, for quartiles")
-    arms = ["parent", "change"] + (["serial"] if args.serial else [])
-    trees = {"parent": args.parent, "change": args.change,
-             "serial": args.change}
-    runs = []
-    for seed in args.seeds:
-        references = {}
-        for i in range(args.pairs):
-            order = arms if i % 2 == 0 else arms[::-1]
-            for workload in args.workloads:
-                config = workload_config(args.change, workload, seed)
-                dense = dict(config, mode="dense")
-                key = json.dumps(dense, sort_keys=True)
-                if key not in references:
-                    _, references[key] = one_run(args.change, dense, False)
+def main(argv: list[str]) -> int:
+    if len(argv) != 3:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    parent, change = (Path(a).resolve() for a in argv[:2])
+    modules = {"parent": load_run(parent, "parent_run"),
+               "change": load_run(change, "change_run")}
+    modules["serial"] = modules["change"]
+    run = modules["change"]
+    sys.path.insert(0, str(run.SRC))  # for run.dense_reference
+    runs: list[dict] = []
+    for seed in (run.DEV_SEED, run.HOLDOUT_SEED):
+        configs = {w: dict(c, seed=seed) for w, c in run.WORKLOADS.items()}
+        references = {w: run.dense_reference(c)[1] for w, c in configs.items()}
+        expected: dict[str, str] = {}
+        for i in range(PAIRS):
+            order = ARMS if i % 2 == 0 else ARMS[::-1]
+            for workload, config in configs.items():
                 for arm in order:
-                    record, z = one_run(trees[arm], config, arm == "serial")
+                    record, z = one_run(modules[arm], config, arm == "serial")
+                    digest, cosine, problems = run.check_run(
+                        z, references[workload], expected.get(workload),
+                        exact=config["mode"] == "dense")
+                    expected.setdefault(workload, digest)
                     record.update(arm=arm, workload=workload, seed=seed,
-                                  pair=i,
-                                  drift_cosine=cosine(z, references[key]))
+                                  pair=i, digest=digest, drift_cosine=cosine,
+                                  problems=problems)
                     runs.append(record)
                     print(json.dumps({k: record[k] for k in
                                       ("arm", "workload", "seed", "pair",
-                                       "run_s", "cpu_s", "steal_s")}),
-                          flush=True)
+                                       "run_s", "cpu_s", "steal_s",
+                                       "problems")}), flush=True)
+    machine = run.machine(runs[0]["blas"])
+    machine.update(cpu=cpu_model(), blas_build=blas_build(),
+                   ram_gb=round(os.sysconf("SC_PAGE_SIZE")
+                                * os.sysconf("SC_PHYS_PAGES") / 2**30, 1))
     summary = {f"{w}/seed{s}": summarize(
-        [r for r in runs if r["workload"] == w and r["seed"] == s], arms)
-        for s in args.seeds for w in args.workloads}
-    args.out.write_text(json.dumps({"summary": summary, "runs": runs},
-                                   indent=1) + "\n")
-    return 0
+        [r for r in runs if r["workload"] == w and r["seed"] == s])
+        for s in (run.DEV_SEED, run.HOLDOUT_SEED) for w in run.WORKLOADS}
+    Path(argv[2]).write_text(json.dumps({
+        "command": "python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR OUT",
+        "machine": machine,
+        "sources": {"parent": source_digest(parent),
+                    "change": source_digest(change)},
+        "summary": summary, "runs": runs},
+        indent=1) + "\n")
+    return 1 if any(r["problems"] for r in runs) else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
