@@ -8,9 +8,7 @@ that nothing reads again, as the sampler does for the bypassed layers
 once bypass latches. Every cosine between a cached entry and its fresh
 counterpart is appended to a similarity log, which the bypass scheduler
 averages; a compute step takes each one aside (:meth:`RollingCache.compare`)
-while it runs its next stage. The fresh side's squared norm is kept, so
-the next step's cosine against the same array, once it is the cached
-side, skips that pass.
+while it runs its next stage.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CostCounters, cosine, run_aside, sq_norm
+from .core import CostCounters, cosine, run_aside
 from .errors import CacheProtocolError, DegenerateInputError
 
 __all__ = ["BLOCK_KINDS", "SimilarityRecord", "RollingCache"]
@@ -49,14 +47,12 @@ class RollingCache:
         self._log: list[SimilarityRecord] = []
         self._running = None  # the comparison running aside, if any
         self.counters = counters
-        # (layer, kind) -> the last fresh value compared and its sq_norm
-        self._sq_norms: dict[tuple[int, str], tuple[np.ndarray, float]] = {}
 
     @property
     def similarity_log(self) -> list[SimilarityRecord]:
         """Every cosine so far, in the order compared; reading it waits
         for the one running aside."""
-        self._settle()
+        self.settle()
         return self._log
 
     def store(self, layer: int, a_s: np.ndarray, a_c: np.ndarray,
@@ -89,36 +85,24 @@ class RollingCache:
         return value
 
     def evict(self, layers) -> None:
-        """Empty every slot of ``layers`` and forget their norms.
-
-        Each slot is emptied through :meth:`retrieve`, so the live count
-        falls by its elements; the norms go too, since each one holds the
-        array it was taken of.
-        """
-        self._settle()  # so no comparison running aside refills a norm
+        """Empty every slot of ``layers`` through :meth:`retrieve`, so the
+        live count falls by their elements. A comparison running aside
+        still finishes on the entry it was given."""
         for layer in layers:
             for kind in BLOCK_KINDS:
                 if (layer, kind) in self._slots:
                     self.retrieve(layer, kind)
-                self._sq_norms.pop((layer, kind), None)
 
     def has_entries(self, layer: int) -> bool:
         return any((layer, kind) in self._slots for kind in BLOCK_KINDS)
 
     def record_similarity(self, layer: int, kind: str, new_value: np.ndarray,
-                          step: int, cached: np.ndarray | None = None) -> float:
+                          step: int, cached: np.ndarray) -> float:
         """Log and return the cosine between ``new_value`` and ``cached``,
-        by default the (layer, kind) entry. Not for use while a comparison
-        runs aside."""
-        if cached is None:
-            cached = self.peek(layer, kind)
-        known = self._sq_norms.get((layer, kind))
-        cached_sq = known[1] if known is not None and known[0] is cached \
-            else sq_norm(cached)
-        new_sq = sq_norm(new_value)
-        self._sq_norms[(layer, kind)] = (new_value, new_sq)
+        the (layer, kind) entry it supersedes. Not for use while a
+        comparison runs aside."""
         try:
-            value = cosine(cached, new_value, cached_sq, new_sq)
+            value = cosine(cached, new_value)
             degenerate = False
         except DegenerateInputError:
             value = 0.0
@@ -132,15 +116,17 @@ class RollingCache:
         """:meth:`record_similarity` off the calling thread
         (:func:`core.run_aside`), on the entry as it is now, so the caller
         may empty its slot at once; neither array may be written meanwhile.
-        The next comparison, :meth:`evict` or read of
+        The next comparison, :meth:`settle` or read of
         :attr:`similarity_log` waits for it, so the log keeps call order.
         """
-        self._settle()
+        self.settle()
         self._running = run_aside(
             math.prod(new_value.shape[:-1]), self.record_similarity, layer,
             kind, new_value, step, self.peek(layer, kind))
 
-    def _settle(self) -> None:
+    def settle(self) -> None:
+        """Wait for the comparison running aside, if any; its error, if
+        it failed, is raised here."""
         running, self._running = self._running, None
         if running is not None:
             running()

@@ -50,7 +50,6 @@ __all__ = [
     "softmax_last_inplace",
     "tune_allocator",
     "cosine",
-    "sq_norm",
     "psnr",
     "assert_finite",
 ]
@@ -378,26 +377,16 @@ def softmax_last_inplace(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def sq_norm(a: np.ndarray) -> float:
-    """Squared Euclidean norm of the flattened data, as :func:`cosine`
-    takes it."""
-    return float(np.vdot(a, a))
-
-
-def cosine(a: np.ndarray, b: np.ndarray, a_sq: float | None = None,
-           b_sq: float | None = None) -> float:
-    """Cosine similarity over flattened data, in [-1, 1].
-
-    ``a_sq`` and ``b_sq`` are the operands' :func:`sq_norm` values when
-    the caller already has them; the result is the same either way.
-    """
+def cosine(a: np.ndarray, b: np.ndarray) -> float:
+    """Cosine similarity over flattened data, in [-1, 1]."""
     if a.shape != b.shape:
         raise ShapeError(f"cosine shapes disagree: {a.shape} vs {b.shape}")
-    # One BLAS dot, summed as a.ravel() @ b.ravel() is; unlike that, vdot
-    # drops the GIL, so a caller of a run_aside cosine runs on meanwhile.
+    # Three whole BLAS dots, each summed as a.ravel() @ b.ravel() is;
+    # unlike that, vdot drops the GIL, so a caller of a run_aside cosine
+    # runs on meanwhile.
     dot = float(np.vdot(a, b))
-    na = math.sqrt(sq_norm(a) if a_sq is None else a_sq)
-    nb = math.sqrt(sq_norm(b) if b_sq is None else b_sq)
+    na = math.sqrt(float(np.vdot(a, a)))
+    nb = math.sqrt(float(np.vdot(b, b)))
     if na == 0.0 or nb == 0.0:
         raise DegenerateInputError("cosine of a zero-norm operand")
     return float(np.clip(dot / (na * nb), -1.0, 1.0))

@@ -165,6 +165,8 @@ def build_toy_model(dims: Dims, n_layers: int, seed: int) -> ToyModel:
     if n_layers < 1:
         raise ParameterError("need at least one layer")
     c = dims.channels
+    # Drawn a layer at a time, so no one draw would catch an oversized model.
+    _element_count((n_layers, 25, c, c), "model weights")
     scale = 1.0 / np.sqrt(c)
     rng = Rng(seed)
 
@@ -490,7 +492,8 @@ def sample(
 
     Reads only the sampling fields of ``cfg``, never its shape or seed.
     When bypass latches, the bypassed layers' cache entries are evicted:
-    bypass never un-latches, so nothing reads them again.
+    bypass never un-latches, so nothing reads them again. Returns only
+    once the cache's last cosine, run aside, is done.
     """
     n_layers = len(model.layers)
     total = schedule.total_steps
@@ -548,6 +551,8 @@ def sample(
             **{k: v - before[k] for k, v in counters.flops().items()},
             wall_us=wall_us,
         ))
+    if cache is not None:
+        cache.settle()  # the last cosine is part of the run, and may fail
     wall_seconds = time.perf_counter() - run_start
     assert_finite(z, "final latent")
     return z, SampleTrace(

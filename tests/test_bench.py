@@ -10,7 +10,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from scmbench import RunConfig, build_config, emit_report, run_benchmark
+from scmbench import (Rng, RunConfig, build_config, emit_report,
+                      run_benchmark)
 from scmbench import cli
 from scmbench.bench import UsageError, _execute
 from scmbench.cli import main
@@ -237,6 +238,23 @@ def test_cli_run_reports_an_oversized_config_in_one_line(tmp_path, capsys,
     out = tmp_path / "r.json"
     assert main(["run", "--steps", "1", *dims, "--out", str(out)]) == 2
     assert_one_error_line(capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_cli_run_reports_oversized_layers_before_any_draw(tmp_path, capsys,
+                                                         monkeypatch):
+    # No one layer's draw is oversized, so the whole model must be checked
+    # before the first one.
+    def no_draw(self, shape):
+        pytest.fail(f"drew {shape} uniforms for an oversized model")
+
+    monkeypatch.setattr(Rng, "uniform", no_draw)
+    out = tmp_path / "r.json"
+    assert main(["run", "--steps", "1", "--layers", str(2 ** 62),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert "model weights" in err
     assert not out.exists()
 
 

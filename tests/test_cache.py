@@ -2,6 +2,7 @@
 similarity log. Every test goes through the public methods."""
 
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from scmbench import (
     emit_report,
     run_benchmark,
 )
+from scmbench import core
 
 
 def entries(shape=(2, 2, 2), seed=0):
@@ -138,19 +140,18 @@ def test_store_of_uncharged_arrays_into_a_counted_cache_is_rejected():
     assert counters.live_elements == 0
 
 
-def test_evict_empties_the_layers_and_forgets_their_norms():
+def test_evict_empties_the_layers():
     counters = CostCounters()
     cache = RollingCache(counters)
     for layer in (0, 1, 2):
         counters.acquire_workspace(3 * 8)
         cache.store(layer, *entries(seed=layer), step=0)
         counters.release_workspace()
-        cache.record_similarity(layer, "camera", cache.peek(layer, "camera"),
-                                step=0)
+        entry = cache.peek(layer, "camera")
+        cache.record_similarity(layer, "camera", entry, 0, entry)
     cache.evict({1, 2, 5})  # an empty layer is skipped
     assert [cache.has_entries(layer) for layer in (0, 1, 2)] == \
         [True, False, False]
-    assert list(cache._sq_norms) == [(0, "camera")]
     assert counters.live_elements == 3 * 8
 
 
@@ -165,7 +166,6 @@ def test_bypass_latch_evicts_the_bypassed_layers():
     assert bypassed == {1, 2}
     cache = turbo.trace.cache
     assert not any(cache.has_entries(layer) for layer in bypassed)
-    assert not any(layer in bypassed for layer, _ in cache._sq_norms)
     held = sum(cache.peek(layer, kind).size for layer in (0, 3)
                for kind in BLOCK_KINDS)
     assert turbo.counters.live_elements == held
@@ -180,7 +180,7 @@ def test_record_similarity_identical():
     cache = RollingCache()
     x_s, x_c, x_m = entries(seed=6)
     cache.store(0, x_s, x_c, x_m, step=0)
-    assert cache.record_similarity(0, "spatial", x_s.copy(), step=1) == \
+    assert cache.record_similarity(0, "spatial", x_s.copy(), 1, x_s) == \
         pytest.approx(1.0, abs=1e-12)
 
 
@@ -189,41 +189,16 @@ def test_record_similarity_orthogonal():
     a = np.array([[[1.0, 0.0]]])
     b = np.array([[[0.0, 1.0]]])
     cache.store(0, a, a, a, step=0)
-    assert cache.record_similarity(0, "spatial", b, step=1) == 0.0
+    assert cache.record_similarity(0, "spatial", b, 1, a) == 0.0
 
 
 def test_record_similarity_degenerate_zero_norm():
     cache = RollingCache()
     z = np.zeros((2, 2))
     cache.store(0, z, z, z, step=0)
-    value = cache.record_similarity(0, "spatial", np.ones((2, 2)), step=1)
+    value = cache.record_similarity(0, "spatial", np.ones((2, 2)), 1, z)
     assert value == 0.0
     assert cache.similarity_log[-1].degenerate
-
-
-def test_record_similarity_reuses_the_entry_norm_only_for_that_array():
-    # a step's fresh value is the next step's cached side; its squared
-    # norm is kept, and the values equal a plain cosine either way
-    from scmbench.core import cosine, sq_norm
-
-    cache = RollingCache()
-    a, b, c = entries((3, 4, 5), seed=12)
-    cache.store(0, a, a, a, step=0)
-    assert cache.record_similarity(0, "spatial", b, step=1) == cosine(a, b)
-    known = cache._sq_norms[(0, "spatial")]
-    assert known[0] is b and known[1] == sq_norm(b)
-    for kind in BLOCK_KINDS:
-        cache.retrieve(0, kind)
-    cache.store(0, b, b, b, step=1)
-    assert cache.record_similarity(0, "spatial", c, step=2) == cosine(b, c)
-    # a different array under the same key: its own norm is taken
-    for kind in BLOCK_KINDS:
-        cache.retrieve(0, kind)
-    other = 2.0 * c
-    cache.store(0, other, other, other, step=2)
-    assert cache.record_similarity(0, "spatial", a, step=3) == \
-        cosine(other, a)
-    assert cache._sq_norms[(0, "spatial")][1] == sq_norm(a)
 
 
 @pytest.mark.parametrize("parts", [1, 2])
@@ -246,14 +221,11 @@ def test_comparisons_run_aside_and_are_logged_in_order(split_into, parts):
     want = [(li, kind, cosine(a, b)) for li in range(3)
             for kind, a, b in zip(BLOCK_KINDS, old[li], new[li])]
     assert [(r.layer, r.kind, r.value) for r in cache.similarity_log] == want
-    assert all(cache._sq_norms[(li, kind)][0] is fresh for li in range(3)
-               for kind, fresh in zip(BLOCK_KINDS, new[li]))
 
 
-def test_evict_logs_a_running_comparison_before_it_forgets_norms(
-        split_into):
-    # The comparison is held back for a while; had evict not waited for
-    # it, it would store its norm after evict forgot the layer's norms.
+def test_evict_leaves_a_running_comparison_to_be_logged(split_into):
+    # The comparison is held back for a while: evict empties the layer
+    # meanwhile, and the comparison still logs its cosine.
     split_into(2)
     cache = RollingCache()
     record = cache.record_similarity
@@ -267,7 +239,58 @@ def test_evict_logs_a_running_comparison_before_it_forgets_norms(
     cache.compare(0, "spatial", entries((4, 8, 8), seed=41)[0], step=1)
     cache.evict({0})
     assert [r.layer for r in cache.similarity_log] == [0]
-    assert cache._sq_norms == {}
+
+
+@pytest.mark.parametrize("parts", [1, 2])
+def test_evict_keeps_no_evicted_array(split_into, parts):
+    # A compute step's comparisons and store, then the layer's eviction:
+    # once the log is read, nothing holds the old or the new entries.
+    split_into(parts)
+    cache = RollingCache()
+    old, new = entries((4, 8, 8), seed=43), entries((4, 8, 8), seed=44)
+    cache.store(0, *old, step=0)
+    for kind, value in zip(BLOCK_KINDS, new):
+        cache.compare(0, kind, value, step=1)
+        cache.retrieve(0, kind)
+    cache.store(0, *new, step=1)
+    cache.evict({0})
+    assert len(cache.similarity_log) == 3
+    refs = [weakref.ref(a) for a in old + new]
+    del old, new, value
+    # A pool worker drops its job's arguments just after it sets the result.
+    deadline = time.monotonic() + 5.0
+    while any(r() is not None for r in refs) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert [r() for r in refs] == [None] * 6
+
+
+def test_a_run_waits_for_its_last_comparison(split_into, monkeypatch):
+    # Two pool workers, so no later stage's helper queues behind the last
+    # comparison: only the run's own wait can see it fail.
+    split_into(3)
+    monkeypatch.setattr(core, "_executor", None)
+    config = RunConfig(mode="prune-only", frames=2, views=2, height=4,
+                       width=4, channels=8, layers=2, steps=3)
+    try:
+        total = len(run_benchmark(config).trace.cache.similarity_log)
+        record = RollingCache.record_similarity
+        calls = []
+
+        def record_fails_last(self, *args):
+            calls.append(args)
+            if len(calls) == total:
+                time.sleep(0.3)
+                raise RuntimeError("the last comparison failed")
+            return record(self, *args)
+
+        monkeypatch.setattr(RollingCache, "record_similarity",
+                            record_fails_last)
+        with pytest.raises(RuntimeError, match="the last comparison"):
+            run_benchmark(config)
+        assert len(calls) == total
+    finally:
+        if core._executor is not None:
+            core._executor.shutdown()
 
 
 def test_a_failing_comparison_raises_at_the_next_one(split_into):
@@ -287,8 +310,8 @@ def test_log_growth_per_compute_step():
         for li in range(layers):
             if step > 0:
                 for kind in BLOCK_KINDS:
-                    cache.record_similarity(li, kind,
-                                            cache.peek(li, kind), step)
+                    entry = cache.peek(li, kind)
+                    cache.record_similarity(li, kind, entry, step, entry)
                 for kind in BLOCK_KINDS:
                     cache.retrieve(li, kind)
             cache.store(li, *entries(seed=10 + li), step=step)

@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scmbench import CostCounters, Dims, ParameterError, Rng, cosine, psnr
-from scmbench.core import (PSNR_INF, _DRAW_CHUNK, softmax_last_inplace,
-                           sq_norm)
+from scmbench.core import PSNR_INF, _DRAW_CHUNK, softmax_last_inplace
 from scmbench.pruning import _row_topk
 from scmbench.errors import DegenerateInputError
 
@@ -71,22 +70,15 @@ def test_cosine_hand():
     assert got == pytest.approx(10.0 / 14.0, abs=1e-12)
 
 
-def test_cosine_with_known_norms_is_the_same():
-    a, b = Rng(2).normal((4, 6)), Rng(3).normal((4, 6))
-    assert cosine(a, b, sq_norm(a), sq_norm(b)) == cosine(a, b)
-    assert sq_norm(a) == float(a.ravel() @ a.ravel())
-
-
 @pytest.mark.parametrize("shape", [(1,), (2,), (3, 5), (5, 8, 16, 16, 64)])
 def test_dots_sum_in_the_order_of_a_plain_vector_product(shape):
-    # sq_norm and cosine feed the similarity log, which the golden reports
-    # pin, so their one BLAS dot must sum as ``a.ravel() @ b.ravel()``
-    # does, for contiguous and strided operands alike.
+    # cosine feeds the similarity log, which the golden reports pin, so
+    # each of its BLAS dots must sum as ``a.ravel() @ b.ravel()`` does,
+    # for contiguous and strided operands alike.
     a, b = Rng(4).normal(shape), Rng(5).normal(shape)
     for x, y in ((a, b), (a.T, b.T)):
         dot = float(x.ravel() @ y.ravel())
         na, nb = float(x.ravel() @ x.ravel()), float(y.ravel() @ y.ravel())
-        assert sq_norm(x) == na
         assert cosine(x, y) == float(np.clip(
             dot / (math.sqrt(na) * math.sqrt(nb)), -1.0, 1.0))
 
