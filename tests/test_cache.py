@@ -261,7 +261,7 @@ def test_evict_keeps_no_evicted_array(split_into, parts):
     deadline = time.monotonic() + 5.0
     while any(r() is not None for r in refs) and time.monotonic() < deadline:
         time.sleep(0.01)
-    assert [r() for r in refs] == [None] * 6
+    assert [r() is None for r in refs] == [True] * 6
 
 
 def test_a_run_waits_for_its_last_comparison(split_into, monkeypatch):
