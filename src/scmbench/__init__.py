@@ -17,15 +17,12 @@ from .bench import RunConfig, RunReport, build_config, emit_report, run_benchmar
 from .cache import BLOCK_KINDS, RollingCache
 from .core import CostCounters, Rng, cosine, psnr
 from .denoiser import (
-    CameraTrajectory,
     DiffusionSchedule,
-    Dims,
     ToyModel,
     build_toy_model,
     cached_chain_forward,
     cosine_schedule,
     ddim_update,
-    default_trajectory,
     denoise_step,
     model_forward,
     sample,

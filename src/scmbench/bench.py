@@ -1,8 +1,9 @@
 """Run configuration, execution, and machine-readable reporting.
 
 A run is fully determined by its ``RunConfig``: the config echo inside a
-report is enough to reproduce it. ``RunConfig`` is also the sampler's
-configuration and the one place every setting is checked. Reports
+report is enough to reproduce it. ``RunConfig`` is also the model's, the
+priors' and the sampler's configuration, and the one place every setting
+is checked. Reports
 separate deterministic content from wall-clock-derived content (the
 ``timing`` section and nothing else), so two runs with the same seed
 produce byte-identical JSON after dropping ``timing``.
@@ -22,15 +23,12 @@ import numpy as np
 
 from .core import CostCounters, Rng, cosine, psnr, tune_allocator
 from .denoiser import (
-    Dims,
     SampleTrace,
     build_toy_model,
     cosine_schedule,
-    default_trajectory,
     sample,
     synth_priors,
 )
-from .errors import ParameterError
 from .scheduler import MODE_TABLE
 
 __all__ = ["RunConfig", "RunReport", "UsageError", "build_config",
@@ -72,11 +70,12 @@ class RunConfig:
             # type, so equal configs echo equal reports.
             if f.type in _CASTS:
                 object.__setattr__(self, f.name, _CASTS[f.type](value))
-        # Dims checks its own fields.
-        try:
-            self.dims()
-        except ParameterError as exc:
-            raise UsageError(str(exc)) from exc
+        for name in _AT_LEAST_ONE:
+            value = getattr(self, name)
+            if value < 1:
+                raise UsageError(f"{name}: must be >= 1, got {value}")
+        if self.channels % self.n_heads != 0:
+            raise UsageError("channels: must be divisible by n_heads")
         if self.mode not in MODE_TABLE:
             raise UsageError(f"mode: unknown value {self.mode!r}")
         if not 0.0 < self.topk_ratio <= 1.0:
@@ -87,18 +86,17 @@ class RunConfig:
             raise UsageError("warmup: must be >= 0")
         if self.alpha_threshold <= 0.0:
             raise UsageError("alpha_threshold: must be positive")
-        if self.steps < 1:
-            raise UsageError("steps: must be >= 1")
-        if self.layers < 1:
-            raise UsageError("layers: must be >= 1")
         if MODE_TABLE[self.mode].cache and self.warmup < 1:
             raise UsageError("warmup: cache-backed modes need >= 1 dense step")
 
-    def dims(self) -> Dims:
-        return Dims(self.frames, self.views, self.height, self.width,
-                    self.channels, self.n_heads)
+    @property
+    def latent_shape(self) -> tuple[int, int, int, int, int]:
+        return (self.frames, self.views, self.height, self.width,
+                self.channels)
 
 
+_AT_LEAST_ONE = ("frames", "views", "height", "width", "channels", "n_heads",
+                 "layers", "steps")
 _CASTS = {"int": int, "float": float}
 
 
@@ -194,10 +192,8 @@ class RunReport:
 
 
 def _execute(config: RunConfig) -> RunReport:
-    dims = config.dims()
-    model = build_toy_model(dims, config.layers, config.seed)
-    priors = synth_priors(dims, default_trajectory(config.views),
-                          Rng(config.seed + _PRIORS_SEED_OFFSET))
+    model = build_toy_model(config)
+    priors = synth_priors(config, Rng(config.seed + _PRIORS_SEED_OFFSET))
     schedule = cosine_schedule(config.steps)
     counters = CostCounters()
     z_final, trace = sample(

@@ -5,10 +5,10 @@ empties one, in any order, and :meth:`RollingCache.peek` reads one in
 place, as prune steps do to refill complements and reuse steps to read
 their attention. :meth:`RollingCache.evict` empties every slot of layers
 that nothing reads again, as the sampler does for the bypassed layers
-once bypass latches. Every cosine between a cached entry and its fresh
-counterpart is appended to a similarity log, which the bypass scheduler
-averages; a compute step takes each one aside (:meth:`RollingCache.compare`)
-while it runs its next stage.
+once bypass latches. A compute step empties each slot it supersedes
+through :meth:`RollingCache.supersede`, which logs the cosine between the
+old entry and its fresh counterpart, aside while the step runs its next
+stage; the bypass scheduler averages that similarity log.
 """
 
 from __future__ import annotations
@@ -111,18 +111,19 @@ class RollingCache:
             SimilarityRecord(step, layer, kind, value, degenerate))
         return value
 
-    def compare(self, layer: int, kind: str, new_value: np.ndarray,
-                step: int) -> None:
-        """:meth:`record_similarity` off the calling thread
-        (:func:`core.run_aside`), on the entry as it is now, so the caller
-        may empty its slot at once; neither array may be written meanwhile.
-        The next comparison, :meth:`settle` or read of
-        :attr:`similarity_log` waits for it, so the log keeps call order.
+    def supersede(self, layer: int, kind: str, new_value: np.ndarray,
+                  step: int) -> None:
+        """Empty one slot through :meth:`retrieve` and run
+        :meth:`record_similarity` between its entry and ``new_value`` off
+        the calling thread (:func:`core.run_aside`); ``new_value`` may not
+        be written meanwhile. The next comparison, :meth:`settle` or read
+        of :attr:`similarity_log` waits for it, so the log keeps call
+        order.
         """
         self.settle()
         self._running = run_aside(
             math.prod(new_value.shape[:-1]), self.record_similarity, layer,
-            kind, new_value, step, self.peek(layer, kind))
+            kind, new_value, step, self.retrieve(layer, kind))
 
     def settle(self) -> None:
         """Wait for the comparison running aside, if any; its error, if

@@ -5,13 +5,13 @@ average along H and W (a convolution stand-in), then its attention chain.
 The network predicts the clean latent directly; the reverse loop applies a
 deterministic clean-prediction update on the variance-preserving schedule,
 so any divergence between runs is attributable to the acceleration path
-alone, never to sampling noise. :func:`sample` reads its settings from a
-:class:`bench.RunConfig`, which validates them.
+alone, never to sampling noise. The model, the priors and the sampler
+all read their settings from one :class:`bench.RunConfig`, which
+validates them.
 """
 
 from __future__ import annotations
 
-import numbers
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -47,11 +47,8 @@ if TYPE_CHECKING:
     from .bench import RunConfig
 
 __all__ = [
-    "Dims",
     "DiffusionSchedule",
     "cosine_schedule",
-    "CameraTrajectory",
-    "default_trajectory",
     "LayerWeights",
     "ToyModel",
     "build_toy_model",
@@ -64,30 +61,6 @@ __all__ = [
     "SampleTrace",
     "sample",
 ]
-
-@dataclass(frozen=True)
-class Dims:
-    frames: int = 5
-    views: int = 8
-    height: int = 16
-    width: int = 16
-    channels: int = 64
-    n_heads: int = 2
-
-    def __post_init__(self):
-        for name, value in self.__dict__.items():
-            if (isinstance(value, bool)
-                    or not isinstance(value, numbers.Integral)):
-                raise ParameterError(f"{name}: expected int, got {value!r}")
-            if value < 1:
-                raise ParameterError(f"{name}: must be >= 1, got {value}")
-        if self.channels % self.n_heads != 0:
-            raise ParameterError("channels: must be divisible by n_heads")
-
-    @property
-    def latent_shape(self) -> tuple[int, int, int, int, int]:
-        return (self.frames, self.views, self.height, self.width, self.channels)
-
 
 @dataclass
 class DiffusionSchedule:
@@ -126,20 +99,6 @@ def cosine_schedule(total_steps: int) -> DiffusionSchedule:
 
 
 @dataclass
-class CameraTrajectory:
-    elevations_deg: np.ndarray
-    azimuths_deg: np.ndarray
-
-
-def default_trajectory(views: int) -> CameraTrajectory:
-    """Views evenly spaced in azimuth, all at 30 degrees elevation."""
-    return CameraTrajectory(
-        elevations_deg=np.full(views, 30.0),
-        azimuths_deg=np.arange(views) * (360.0 / views),
-    )
-
-
-@dataclass
 class LayerWeights:
     mix: np.ndarray  # [C, C] channelwise map
     chain: ChainWeights
@@ -148,7 +107,7 @@ class LayerWeights:
 @dataclass
 class ToyModel:
     layers: list[LayerWeights]
-    dims: Dims
+    latent_shape: tuple[int, int, int, int, int]
     seed: int
 
 
@@ -156,19 +115,19 @@ def _uniform_weight(rng: Rng, shape, scale: float) -> np.ndarray:
     return (rng.uniform(shape) * 2.0 - 1.0) * scale
 
 
-def build_toy_model(dims: Dims, n_layers: int, seed: int) -> ToyModel:
-    """Scaled-uniform init in [-1/sqrt(C), 1/sqrt(C)], one stream per model.
+def build_toy_model(cfg: RunConfig) -> ToyModel:
+    """Scaled-uniform init in [-1/sqrt(C), 1/sqrt(C)], one stream per model,
+    seeded with ``cfg.seed``; ``cfg.layers`` layers of ``cfg.channels``
+    channels and ``cfg.n_heads`` heads.
 
     Draw order: per layer, the mixing map, then for each of the spatial,
     camera, motion blocks wq, wk, wv, wo, w1, w2.
     """
-    if n_layers < 1:
-        raise ParameterError("need at least one layer")
-    c = dims.channels
+    c = cfg.channels
     # Drawn a layer at a time, so no one draw would catch an oversized model.
-    _element_count((n_layers, 25, c, c), "model weights")
+    _element_count((cfg.layers, 25, c, c), "model weights")
     scale = 1.0 / np.sqrt(c)
-    rng = Rng(seed)
+    rng = Rng(cfg.seed)
 
     def block() -> BlockParams:
         return BlockParams(
@@ -178,7 +137,7 @@ def build_toy_model(dims: Dims, n_layers: int, seed: int) -> ToyModel:
             wo=_uniform_weight(rng, (c, c), scale),
             w1=_uniform_weight(rng, (c, 2 * c), scale),
             w2=_uniform_weight(rng, (2 * c, c), scale),
-            n_heads=dims.n_heads,
+            n_heads=cfg.n_heads,
         )
 
     layers = [
@@ -186,9 +145,10 @@ def build_toy_model(dims: Dims, n_layers: int, seed: int) -> ToyModel:
             mix=_uniform_weight(rng, (c, c), scale),
             chain=ChainWeights(spatial=block(), camera=block(), motion=block()),
         )
-        for _ in range(n_layers)
+        for _ in range(cfg.layers)
     ]
-    return ToyModel(layers=layers, dims=dims, seed=seed)
+    return ToyModel(layers=layers, latent_shape=cfg.latent_shape,
+                    seed=cfg.seed)
 
 
 def _view_embedding(elevation_deg: float, azimuth_deg: float, c: int) -> np.ndarray:
@@ -201,16 +161,16 @@ def _view_embedding(elevation_deg: float, azimuth_deg: float, c: int) -> np.ndar
     return np.where(k % 2 == 0, np.sin(phase), np.cos(phase))
 
 
-def synth_priors(dims: Dims, trajectory: CameraTrajectory, rng: Rng) -> PriorSet:
-    """Seeded stand-in priors with camera-angle embeddings on the view axis."""
-    f, v, h, w, c = dims.latent_shape
+def synth_priors(cfg: RunConfig, rng: Rng) -> PriorSet:
+    """Seeded stand-in priors at ``cfg``'s latent shape, with camera-angle
+    embeddings on the view axis: the views sit at 30 degrees elevation,
+    evenly spaced in azimuth."""
+    f, v, h, w, c = cfg.latent_shape
     k_s = rng.normal((f, v, 1, c))
     k_c = rng.normal((f, h, w, c))
     k_m = rng.normal((v, h, w, c))
-    emb = np.stack([
-        _view_embedding(trajectory.elevations_deg[i], trajectory.azimuths_deg[i], c)
-        for i in range(v)
-    ])
+    emb = np.stack([_view_embedding(30.0, azimuth, c)
+                    for azimuth in np.arange(v) * (360.0 / v)])
     k_s = k_s + emb[None, :, None, :]
     k_m = k_m + emb[:, None, None, :]
     return PriorSet(k_s=k_s, k_c=k_c, k_m=k_m)
@@ -336,14 +296,14 @@ def cached_chain_forward(
 
     ``select(semantic)`` maps the spatial block's semantic map to a
     :class:`pruning.TokenIndexSet`; with it, camera and motion run pruned,
-    with complements refilled from the cache (peeked, so the same entries
-    also feed similarity recording), or zero-filled with ``zero_refill``
-    (degradation ablation; the cache is still maintained). Without it the
-    step is dense.
+    with complements refilled from the cache, which a prune step needs
+    (peeked, so the same entries also feed similarity recording), or
+    zero-filled with ``zero_refill`` (degradation ablation; the cache is
+    still maintained). Without it the step is dense.
 
     Each previous-step entry, if any, is emptied as soon as its block is
     superseded; its cosine against the block's new attention runs off the
-    calling thread while the next stage runs (:meth:`RollingCache.compare`)
+    calling thread while the next stage runs (:meth:`RollingCache.supersede`)
     and holds the entry only until then. The step's own attention outputs
     then become the entries. With no cache the pass records and stores
     nothing.
@@ -355,13 +315,14 @@ def cached_chain_forward(
     it is about to store. With no cache, no full-size attention is made:
     each block adds its attention into its output's rows tile by tile.
     """
+    if select is not None and cache is None:
+        raise ParameterError("prune step: no cache given")
     stale = cache is not None and cache.has_entries(layer)
     fresh = []
 
     def supersede(kind: str, out) -> np.ndarray:
         if stale:
-            cache.compare(layer, kind, out.attention, step)
-            cache.retrieve(layer, kind)
+            cache.supersede(layer, kind, out.attention, step)
         if cache is not None:
             fresh.append(out.attention)
         return out.out
@@ -406,16 +367,17 @@ def model_forward(
     """One full pass over the layers under the given step mode.
 
     A reuse step reads each layer's cached attention; any other step
-    computes it through :func:`cached_chain_forward`. ``select`` maps the
-    spatial semantic map to keep lists and is used, and required, on a
-    prune step only; ``zero_refill`` zero-fills the pruned complements.
+    computes it through :func:`cached_chain_forward`. A prune or reuse
+    step needs a cache; a dense step may have one. ``select`` maps the spatial
+    semantic map to keep lists and is used, and required, on a prune step
+    only; ``zero_refill`` zero-fills the pruned complements.
     """
     if mode.kind is not StepKind.PRUNE:
         select = None
     elif select is None:
         raise ParameterError("prune step: no keep-list selector given")
-    if mode.kind is StepKind.REUSE and cache is None:
-        raise ParameterError("reuse step: no cache given")
+    if mode.kind is not StepKind.DENSE and cache is None:
+        raise ParameterError(f"{mode.kind.value} step: no cache given")
     for li, layer in enumerate(model.layers):
         # Layer 0 mixes the caller's latent into a fresh one, which this
         # pass owns; every later stage writes over it.
@@ -497,7 +459,7 @@ def sample(
     """
     n_layers = len(model.layers)
     total = schedule.total_steps
-    z = rng.normal(model.dims.latent_shape)
+    z = rng.normal(model.latent_shape)
     counters.acquire_workspace(z.size)
     counters.release_workspace()
 

@@ -11,12 +11,11 @@ from scmbench import (
     BlockParams,
     ChainWeights,
     CostCounters,
-    Dims,
     PriorSet,
     Rng,
+    RunConfig,
     build_toy_model,
     camera_forward,
-    default_trajectory,
     motion_forward,
     spatial_forward,
     synth_priors,
@@ -100,16 +99,22 @@ def make_block(c: int, n_heads: int, seed: int) -> BlockParams:
                        n_heads=n_heads)
 
 
-def make_setup(f, v, h, w, c, n_heads=2, layers=1, seed=0):
-    """Model, priors, and a seeded latent at the given dims."""
-    dims = Dims(f, v, h, w, c, n_heads)
-    model = build_toy_model(dims, layers, seed)
-    priors = synth_priors(dims, default_trajectory(v), Rng(seed + 1))
-    z = Rng(seed + 2).normal(dims.latent_shape)
-    return dims, model, priors, z
+def config_at(f, v, h, w, c, layers=1, **fields) -> RunConfig:
+    """A ``RunConfig`` at the given latent shape, one layer by default."""
+    return RunConfig(frames=f, views=v, height=h, width=w, channels=c,
+                     layers=layers, **fields)
 
 
-def planted_latent(dims: Dims, w_spatial: BlockParams, k_s: np.ndarray,
+def make_setup(cfg: RunConfig):
+    """Model, priors, and a seeded latent at ``cfg``'s shape, seeded as a
+    run of ``cfg`` seeds them."""
+    model = build_toy_model(cfg)
+    priors = synth_priors(cfg, Rng(cfg.seed + 1))
+    z = Rng(cfg.seed + 2).normal(cfg.latent_shape)
+    return model, priors, z
+
+
+def planted_latent(cfg: RunConfig, w_spatial: BlockParams, k_s: np.ndarray,
                    cells: np.ndarray, rng: Rng, boost: float = 8.0,
                    background: float = 0.05) -> np.ndarray:
     """Latent whose listed flat (h, w) cells dominate the semantic map.
@@ -118,20 +123,22 @@ def planted_latent(dims: Dims, w_spatial: BlockParams, k_s: np.ndarray,
     head-summed attention score to that (f, v) slice's prior token, so the
     spatial block assigns those cells near-total prior weight.
     """
-    f, v, h, w, c = dims.latent_shape
-    z = background * rng.normal(dims.latent_shape).reshape(f, v, h * w, c)
+    f, v, h, w, c = cfg.latent_shape
+    z = background * rng.normal(cfg.latent_shape).reshape(f, v, h * w, c)
     for fi in range(f):
         for vi in range(v):
             kappa = k_s[fi, vi, 0] @ w_spatial.wk
             g = w_spatial.wq @ kappa
             g = g / np.linalg.norm(g)
             z[fi, vi, cells, :] = boost * g
-    return z.reshape(dims.latent_shape)
+    return z.reshape(cfg.latent_shape)
 
 
 @pytest.fixture
 def small_setup():
-    return make_setup(2, 2, 4, 4, 8)
+    """A one-layer config at 2x2x4x4x8, then its model, priors and latent."""
+    cfg = config_at(2, 2, 4, 4, 8)
+    return (cfg, *make_setup(cfg))
 
 
 @pytest.fixture

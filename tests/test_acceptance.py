@@ -18,13 +18,11 @@ import pytest
 
 from scmbench import (
     CostCounters,
-    Dims,
     RollingCache,
     Rng,
     RunConfig,
     build_toy_model,
     compute_asr,
-    default_trajectory,
     emit_report,
     identify_tokens,
     random_tokens,
@@ -42,7 +40,7 @@ from test_pruning import (
     _mask_oracle_motion,
 )
 from scmbench import pruned_camera_forward, pruned_motion_forward
-from conftest import make_setup, planted_latent
+from conftest import config_at, make_setup, planted_latent
 
 # Calibrated once against the dense oracle on the default seeded config
 # (seed 0); the comparison tolerance absorbs low-bit kernel variation
@@ -104,7 +102,7 @@ def test_criterion_01_degenerate_equivalence():
 def test_criterion_02_pruned_forward_oracle():
     worst = 0.0
     for ratio in (0.25, 0.5, 1.0):
-        dims, model, priors, z = make_setup(2, 2, 4, 4, 8, seed=17)
+        model, priors, z = make_setup(config_at(2, 2, 4, 4, 8, seed=17))
         chain = model.layers[0].chain
         so = spatial_forward(z, priors.k_s, chain.spatial)
         idx = identify_tokens(so.semantic, ratio)
@@ -130,9 +128,9 @@ def test_criterion_02_pruned_forward_oracle():
 # --- 3. reuse-step correctness --------------------------------------------
 
 def test_criterion_03_reuse_step_correctness():
-    dims = Dims()
-    model = build_toy_model(dims, 6, 0)
-    priors = synth_priors(dims, default_trajectory(dims.views), Rng(1))
+    dims = RunConfig()
+    model = build_toy_model(dims)
+    priors = synth_priors(dims, Rng(1))
     z = Rng(2).normal(dims.latent_shape)
     cache = RollingCache()
     dense_out = model_forward(model, z, priors, StepMode(StepKind.DENSE),
@@ -229,9 +227,9 @@ def test_criterion_07_drift_gate(dense_run, turbo_run):
 # --- 8. semantic recall -----------------------------------------------------
 
 def test_criterion_08_semantic_recall():
-    dims = Dims()
-    model = build_toy_model(dims, 1, 0)
-    priors = synth_priors(dims, default_trajectory(dims.views), Rng(1))
+    dims = RunConfig(layers=1)
+    model = build_toy_model(dims)
+    priors = synth_priors(dims, Rng(1))
     l = dims.height * dims.width
     k = 52  # ceil(0.2 * 256), matching the default ratio
     cells = np.sort(np.argsort(Rng(33).uniform(l), kind="stable")[:k])

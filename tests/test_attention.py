@@ -21,7 +21,8 @@ from scmbench import (
 )
 from scmbench.attention import attention_flop_count, axis_block, ffn_flop_count
 
-from conftest import chain_forward, gelu, make_block, make_setup
+from conftest import (chain_forward, config_at, gelu, make_block,
+                      make_setup)
 
 
 # --- independent transcription oracle -------------------------------------
@@ -177,10 +178,11 @@ def test_ffn_chunking_invariance(monkeypatch):
 # --- block forwards vs. transcription oracle ------------------------------
 
 def test_spatial_forward_oracle():
-    dims, model, priors, z = make_setup(1, 1, 2, 2, 2, n_heads=1, seed=70)
+    cfg = config_at(1, 1, 2, 2, 2, n_heads=1, seed=70)
+    model, priors, z = make_setup(cfg)
     p = model.layers[0].chain.spatial
     so = spatial_forward(z, priors.k_s, p)
-    f, v, h, w, c = dims.latent_shape
+    f, v, h, w, c = cfg.latent_shape
     layout = (lambda t: t.reshape(f * v, h * w, c),
               lambda t: t.reshape(f, v, h, w, c))
     want_out, want_att = oracle_block(z, priors.k_s.reshape(f * v, 1, c), p,
@@ -190,14 +192,14 @@ def test_spatial_forward_oracle():
 
 
 def test_spatial_forward_degenerate_axis():
-    dims, model, priors, z = make_setup(2, 2, 1, 1, 4, seed=71)
+    model, priors, z = make_setup(config_at(2, 2, 1, 1, 4, seed=71))
     so = spatial_forward(z, priors.k_s, model.layers[0].chain.spatial)
     assert so.semantic.shape == (2, 2, 1, 1)
     assert np.all((so.semantic > 0.0) & (so.semantic < 1.0))
 
 
 def test_spatial_forward_zero_weights():
-    dims, model, priors, z = make_setup(2, 2, 4, 4, 8, seed=72)
+    model, priors, z = make_setup(config_at(2, 2, 4, 4, 8, seed=72))
     p = model.layers[0].chain.spatial
     p.wv = np.zeros_like(p.wv)
     p.w2 = np.zeros_like(p.w2)
@@ -206,10 +208,11 @@ def test_spatial_forward_zero_weights():
 
 
 def test_camera_forward_oracle():
-    dims, model, priors, z = make_setup(2, 3, 2, 2, 4, seed=73)
+    cfg = config_at(2, 3, 2, 2, 4, seed=73)
+    model, priors, z = make_setup(cfg)
     p = model.layers[0].chain.camera
     co = camera_forward(z, priors.k_c, p)
-    f, v, h, w, c = dims.latent_shape
+    f, v, h, w, c = cfg.latent_shape
     l = h * w
     layout = (
         lambda t: t.reshape(f, v, l, c).transpose(0, 2, 1, 3).reshape(f * l, v, c),
@@ -222,7 +225,7 @@ def test_camera_forward_oracle():
 
 
 def test_camera_forward_degenerate_axis():
-    dims, model, priors, z = make_setup(2, 1, 3, 3, 4, seed=74)
+    model, priors, z = make_setup(config_at(2, 1, 3, 3, 4, seed=74))
     co = camera_forward(z, priors.k_c, model.layers[0].chain.camera)
     assert np.all(np.isfinite(co.out))
     again = camera_forward(z, priors.k_c, model.layers[0].chain.camera)
@@ -230,7 +233,7 @@ def test_camera_forward_degenerate_axis():
 
 
 def test_camera_forward_view_permutation_equivariance():
-    dims, model, priors, z = make_setup(2, 3, 2, 2, 4, seed=75)
+    model, priors, z = make_setup(config_at(2, 3, 2, 2, 4, seed=75))
     p = model.layers[0].chain.camera
     perm = [2, 0, 1]
     base = camera_forward(z, priors.k_c, p)
@@ -239,10 +242,11 @@ def test_camera_forward_view_permutation_equivariance():
 
 
 def test_motion_forward_oracle():
-    dims, model, priors, z = make_setup(3, 2, 2, 2, 4, seed=76)
+    cfg = config_at(3, 2, 2, 2, 4, seed=76)
+    model, priors, z = make_setup(cfg)
     p = model.layers[0].chain.motion
     mo = motion_forward(z, priors.k_m, p)
-    f, v, h, w, c = dims.latent_shape
+    f, v, h, w, c = cfg.latent_shape
     l = h * w
     layout = (
         lambda t: t.reshape(f, v, l, c).transpose(1, 2, 0, 3).reshape(v * l, f, c),
@@ -255,13 +259,13 @@ def test_motion_forward_oracle():
 
 
 def test_motion_forward_degenerate_axis():
-    dims, model, priors, z = make_setup(1, 2, 3, 3, 4, seed=77)
+    model, priors, z = make_setup(config_at(1, 2, 3, 3, 4, seed=77))
     mo = motion_forward(z, priors.k_m, model.layers[0].chain.motion)
     assert np.all(np.isfinite(mo.out))
 
 
 def test_motion_forward_frame_permutation_equivariance():
-    dims, model, priors, z = make_setup(3, 2, 2, 2, 4, seed=78)
+    model, priors, z = make_setup(config_at(3, 2, 2, 2, 4, seed=78))
     p = model.layers[0].chain.motion
     perm = [1, 2, 0]
     base = motion_forward(z, priors.k_m, p)
@@ -298,7 +302,7 @@ def test_axis_attention_rejects_empty_input(shape):
 # --- chain ----------------------------------------------------------------
 
 def test_chain_equals_manual_composition(small_setup):
-    dims, model, priors, z = small_setup
+    _, model, priors, z = small_setup
     chain = model.layers[0].chain
     a, (so, co, mo) = chain_forward(z, priors, chain)
     so2 = spatial_forward(z, priors.k_s, chain.spatial)
@@ -311,14 +315,14 @@ def test_chain_equals_manual_composition(small_setup):
 
 
 def test_chain_pure_function(small_setup):
-    dims, model, priors, z = small_setup
+    _, model, priors, z = small_setup
     a1, _ = chain_forward(z, priors, model.layers[0].chain)
     a2, _ = chain_forward(z, priors, model.layers[0].chain)
     assert np.array_equal(a1, a2)
 
 
 def test_chain_zero_weights(small_setup):
-    dims, model, priors, z = small_setup
+    _, model, priors, z = small_setup
     chain = model.layers[0].chain
     for p in (chain.spatial, chain.camera, chain.motion):
         for name in ("wq", "wk", "wv", "wo", "w1", "w2"):
@@ -338,7 +342,7 @@ def _chain_flop_model(f, v, h, w, c, nh):
 
 
 def test_chain_flops_closed_form():
-    dims, model, priors, z = make_setup(5, 8, 16, 16, 64, layers=1)
+    model, priors, z = make_setup(config_at(5, 8, 16, 16, 64, layers=1))
     counters = CostCounters()
     chain_forward(z, priors, model.layers[0].chain, counters)
     att, ffn_flops = _chain_flop_model(5, 8, 16, 16, 64, 2)
@@ -349,7 +353,7 @@ def test_chain_flops_closed_form():
 def test_chain_flops_axis_scaling():
     # doubling the frame axis matches the closed-form model
     for f in (2, 4):
-        dims, model, priors, z = make_setup(f, 2, 4, 4, 8, layers=1)
+        model, priors, z = make_setup(config_at(f, 2, 4, 4, 8, layers=1))
         counters = CostCounters()
         chain_forward(z, priors, model.layers[0].chain, counters)
         att, _ = _chain_flop_model(f, 2, 4, 4, 8, 2)

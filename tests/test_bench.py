@@ -53,8 +53,7 @@ def test_build_config_range_errors():
         build_config(flag_values={"mode": "warp"})
     with pytest.raises(UsageError):
         build_config(flag_values={"steps": 0})
-    # RunConfig checks every range itself, or re-raises Dims' errors; each
-    # message names the field
+    # RunConfig checks every range itself; each message names the field
     for values in ({"topk_ratio": 0.0}, {"alpha_threshold": -1.0},
                    {"warmup": -1}, {"delta_t": -1}, {"views": 0},
                    {"n_heads": 3}, {"layers": 0}, {"mode": "warp"},
@@ -74,6 +73,8 @@ def test_build_config_range_errors():
     {"zero_refill": 1},
     {"mode": None},
     {"topk_ratio": 10 ** 400},  # an int too large for a float
+    {"frames": True},
+    {"channels": 8.0},
 ])
 def test_build_config_rejects_wrong_types(values):
     (key,) = values

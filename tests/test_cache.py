@@ -203,9 +203,9 @@ def test_record_similarity_degenerate_zero_norm():
 
 @pytest.mark.parametrize("parts", [1, 2])
 def test_comparisons_run_aside_and_are_logged_in_order(split_into, parts):
-    # As a compute step does: compare each entry, empty its slot at once,
-    # and read the log only later. The values and their order are those
-    # of plain cosines taken one after another, on either thread.
+    # As a compute step does: supersede each entry, which empties its slot
+    # at once, and read the log only later. The values and their order are
+    # those of plain cosines taken one after another, on either thread.
     from scmbench.core import cosine
 
     split_into(parts)
@@ -216,8 +216,7 @@ def test_comparisons_run_aside_and_are_logged_in_order(split_into, parts):
         cache.store(li, *old[li], step=0)
     for li in range(3):
         for kind, fresh in zip(BLOCK_KINDS, new[li]):
-            cache.compare(li, kind, fresh, step=1)
-            cache.retrieve(li, kind)
+            cache.supersede(li, kind, fresh, step=1)
     want = [(li, kind, cosine(a, b)) for li in range(3)
             for kind, a, b in zip(BLOCK_KINDS, old[li], new[li])]
     assert [(r.layer, r.kind, r.value) for r in cache.similarity_log] == want
@@ -236,7 +235,7 @@ def test_evict_leaves_a_running_comparison_to_be_logged(split_into):
 
     cache.record_similarity = record_late
     cache.store(0, *entries((4, 8, 8), seed=40), step=0)
-    cache.compare(0, "spatial", entries((4, 8, 8), seed=41)[0], step=1)
+    cache.supersede(0, "spatial", entries((4, 8, 8), seed=41)[0], step=1)
     cache.evict({0})
     assert [r.layer for r in cache.similarity_log] == [0]
 
@@ -250,8 +249,7 @@ def test_evict_keeps_no_evicted_array(split_into, parts):
     old, new = entries((4, 8, 8), seed=43), entries((4, 8, 8), seed=44)
     cache.store(0, *old, step=0)
     for kind, value in zip(BLOCK_KINDS, new):
-        cache.compare(0, kind, value, step=1)
-        cache.retrieve(0, kind)
+        cache.supersede(0, kind, value, step=1)
     cache.store(0, *new, step=1)
     cache.evict({0})
     assert len(cache.similarity_log) == 3
@@ -297,9 +295,9 @@ def test_a_failing_comparison_raises_at_the_next_one(split_into):
     split_into(2)
     cache = RollingCache()
     cache.store(0, *entries((4, 8, 8), seed=42), step=0)
-    cache.compare(0, "spatial", np.ones((4, 8, 4)), step=1)
+    cache.supersede(0, "spatial", np.ones((4, 8, 4)), step=1)
     with pytest.raises(ShapeError):
-        cache.compare(0, "camera", np.ones((4, 8, 8)), step=1)
+        cache.supersede(0, "camera", np.ones((4, 8, 8)), step=1)
     assert cache.similarity_log == []  # the failed one logged nothing
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scmbench import CostCounters, Dims, ParameterError, Rng, cosine, psnr
+from scmbench import CostCounters, ParameterError, Rng, RunConfig, cosine, psnr
 from scmbench.core import PSNR_INF, _DRAW_CHUNK, softmax_last_inplace
 from scmbench.pruning import _row_topk
 from scmbench.errors import DegenerateInputError
@@ -158,7 +158,7 @@ def test_rng_batching_invariance():
 @pytest.mark.parametrize("seed", [0, 7919])
 @pytest.mark.parametrize("shape", [
     1, 2, 3, _DRAW_CHUNK - 1, _DRAW_CHUNK, _DRAW_CHUNK + 1,
-    2 * _DRAW_CHUNK + 3, Dims().latent_shape])
+    2 * _DRAW_CHUNK + 3, RunConfig().latent_shape])
 def test_chunked_draws_match_one_pass_draws(seed, shape):
     # The draws run a chunk at a time; the values, and the words the
     # stream has consumed after them (two per normal pair), are those of

@@ -1,5 +1,7 @@
 """Toy denoiser: schedule, sampler update, layers, sampling loop."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,10 +15,10 @@ from scmbench import (
     ShapeError,
     StepKind,
     build_toy_model,
+    cached_chain_forward,
     cosine_schedule,
     ddim_update,
-    default_trajectory,
-    Dims,
+    identify_tokens,
     model_forward,
     sample,
     synth_priors,
@@ -26,7 +28,7 @@ from scmbench.scheduler import SchedulerState, StepMode, select_mode
 
 from scmbench import core
 
-from conftest import chain_forward, ddim_reference, make_setup
+from conftest import chain_forward, config_at, ddim_reference, make_setup
 
 
 # --- schedule -------------------------------------------------------------
@@ -71,7 +73,8 @@ def test_ddim_identity_network_algebra():
 
 
 @pytest.mark.parametrize("tile", [1, None])
-@pytest.mark.parametrize("shape", [(1, 8), (3, 5, 7), Dims().latent_shape],
+@pytest.mark.parametrize("shape", [(1, 8), (3, 5, 7),
+                                   RunConfig().latent_shape],
                          ids=["one-row", "odd", "default"])
 def test_tiled_ddim_update_matches_the_closed_form(monkeypatch, shape, tile):
     if tile is not None:
@@ -97,17 +100,10 @@ def test_ddim_rejects_a_prediction_of_another_shape():
 
 # --- model construction / priors ------------------------------------------
 
-@pytest.mark.parametrize("field, value", [
-    ("frames", 2.5), ("frames", True), ("channels", 8.0), ("frames", "3")])
-def test_dims_rejects_a_non_int_field(field, value):
-    with pytest.raises(ParameterError, match=field):
-        Dims(**{field: value})
-
-
 def test_build_model_deterministic():
-    dims = Dims(2, 2, 4, 4, 8, 2)
-    a = build_toy_model(dims, 2, 5)
-    b = build_toy_model(dims, 2, 5)
+    cfg = config_at(2, 2, 4, 4, 8, layers=2, seed=5)
+    a = build_toy_model(cfg)
+    b = build_toy_model(cfg)
     assert np.array_equal(a.layers[1].chain.camera.w1,
                           b.layers[1].chain.camera.w1)
     assert not np.array_equal(a.layers[0].chain.spatial.wq,
@@ -115,8 +111,7 @@ def test_build_model_deterministic():
 
 
 def test_build_model_init_scale():
-    dims = Dims(2, 2, 4, 4, 16, 2)
-    m = build_toy_model(dims, 1, 0)
+    m = build_toy_model(config_at(2, 2, 4, 4, 16))
     bound = 1.0 / np.sqrt(16)
     for w in (m.layers[0].mix, m.layers[0].chain.spatial.wq):
         assert np.max(np.abs(w)) <= bound
@@ -149,10 +144,9 @@ def test_mixing_matches_pad_oracle():
 
 
 def test_synth_priors_deterministic_and_angle_tied():
-    dims = Dims(2, 4, 4, 4, 8, 2)
-    traj = default_trajectory(4)
-    a = synth_priors(dims, traj, Rng(3))
-    b = synth_priors(dims, traj, Rng(3))
+    cfg = config_at(2, 4, 4, 4, 8)
+    a = synth_priors(cfg, Rng(3))
+    b = synth_priors(cfg, Rng(3))
     assert np.array_equal(a.k_s, b.k_s)
     # equal angles get identical embeddings
     e1 = _view_embedding(30.0, 90.0, 8)
@@ -164,8 +158,8 @@ def test_synth_priors_deterministic_and_angle_tied():
 # --- model_forward protocol ------------------------------------------------
 
 def test_dense_step_equals_reference(small_setup):
-    dims, model, priors, z = small_setup
-    model3 = build_toy_model(dims, 3, 0)
+    cfg, model, priors, z = small_setup
+    model3 = build_toy_model(dataclasses.replace(cfg, layers=3))
     dense = StepMode(kind=StepKind.DENSE)
     # reference: each layer's mixing, then its plain chain composition
     z_ref = z
@@ -181,7 +175,7 @@ def test_dense_step_equals_reference(small_setup):
 
 
 def test_prune_step_without_selector_is_rejected(small_setup):
-    dims, model, priors, z = small_setup
+    _, model, priors, z = small_setup
     cache = RollingCache()
     model_forward(model, z, priors, StepMode(StepKind.DENSE), 0, cache)
     # never a dense pass recorded as a prune step
@@ -190,14 +184,32 @@ def test_prune_step_without_selector_is_rejected(small_setup):
 
 
 def test_reuse_step_without_cache_is_rejected(small_setup):
-    dims, model, priors, z = small_setup
+    _, model, priors, z = small_setup
     with pytest.raises(ParameterError, match="cache"):
         model_forward(model, z, priors, StepMode(StepKind.REUSE), 1)
 
 
+def test_prune_step_without_cache_is_rejected(small_setup):
+    _, model, priors, z = small_setup
+    with pytest.raises(ParameterError, match="prune step: no cache given"):
+        model_forward(model, z, priors, StepMode(StepKind.PRUNE), 1, None,
+                      None, keep_all)
+
+
+def test_pruned_chain_pass_without_cache_is_rejected(small_setup):
+    _, model, priors, z = small_setup
+    with pytest.raises(ParameterError, match="prune step: no cache given"):
+        cached_chain_forward(z, priors, model.layers[0].chain, None, 0, 1,
+                             select=keep_all)
+
+
+def keep_all(semantic):
+    return identify_tokens(semantic, 1.0)
+
+
 def test_reuse_step_matches_dense_on_frozen_input(small_setup):
-    dims, model, priors, z = small_setup
-    model3 = build_toy_model(dims, 3, 0)
+    cfg, model, priors, z = small_setup
+    model3 = build_toy_model(dataclasses.replace(cfg, layers=3))
     dense = StepMode(kind=StepKind.DENSE)
     reuse = StepMode(kind=StepKind.REUSE)
     cache = RollingCache()
@@ -208,8 +220,8 @@ def test_reuse_step_matches_dense_on_frozen_input(small_setup):
 
 
 def test_reuse_step_reads_the_cache_in_place(small_setup, monkeypatch):
-    dims, model, priors, z = small_setup
-    model3 = build_toy_model(dims, 3, 0)
+    cfg, model, priors, z = small_setup
+    model3 = build_toy_model(dataclasses.replace(cfg, layers=3))
     counters = CostCounters()
     cache = RollingCache(counters)
     model_forward(model3, z, priors, StepMode(StepKind.DENSE), step=0,
@@ -240,8 +252,8 @@ def test_reuse_step_reads_the_cache_in_place(small_setup, monkeypatch):
 
 
 def test_bypassed_layer_is_identity_for_chain(small_setup):
-    dims, model, priors, z = small_setup
-    model3 = build_toy_model(dims, 3, 0)
+    cfg, model, priors, z = small_setup
+    model3 = build_toy_model(dataclasses.replace(cfg, layers=3))
     full = StepMode(kind=StepKind.DENSE)
     byp = StepMode(kind=StepKind.DENSE, bypassed_layers=frozenset({1}))
     c_full, c_byp = CostCounters(), CostCounters()
@@ -255,7 +267,7 @@ def test_bypassed_layer_is_identity_for_chain(small_setup):
 # --- sample loop ----------------------------------------------------------
 
 def test_sample_dense_mode_trace():
-    dims, model, priors, _ = make_setup(2, 2, 4, 4, 8, layers=2)
+    model, priors, _ = make_setup(config_at(2, 2, 4, 4, 8, layers=2))
     schedule = cosine_schedule(4)
     cfg = RunConfig(mode="dense")
     z, trace = sample(model, priors, schedule, cfg, Rng(2), CostCounters())
@@ -264,7 +276,7 @@ def test_sample_dense_mode_trace():
 
 
 def test_sample_deterministic():
-    dims, model, priors, _ = make_setup(2, 2, 4, 4, 8, layers=2)
+    model, priors, _ = make_setup(config_at(2, 2, 4, 4, 8, layers=2))
     schedule = cosine_schedule(6)
     cfg = RunConfig(mode="turbo", warmup=2)
     z1, t1 = sample(model, priors, schedule, cfg, Rng(2), CostCounters())
@@ -274,7 +286,7 @@ def test_sample_deterministic():
 
 
 def test_sample_turbo_step_pattern():
-    dims, model, priors, _ = make_setup(2, 2, 4, 4, 8, layers=2)
+    model, priors, _ = make_setup(config_at(2, 2, 4, 4, 8, layers=2))
     schedule = cosine_schedule(6)
     cfg = RunConfig(mode="turbo", warmup=2, alpha_threshold=2.0)
     _, trace = sample(model, priors, schedule, cfg, Rng(2), CostCounters())
@@ -283,7 +295,7 @@ def test_sample_turbo_step_pattern():
 
 
 def test_degenerate_turbo_equals_dense_small():
-    dims, model, priors, _ = make_setup(2, 2, 4, 4, 8, layers=3)
+    model, priors, _ = make_setup(config_at(2, 2, 4, 4, 8, layers=3))
     schedule = cosine_schedule(6)
     z_t, _ = sample(model, priors, schedule,
                     RunConfig(mode="turbo", topk_ratio=1.0, warmup=6,
@@ -295,7 +307,7 @@ def test_degenerate_turbo_equals_dense_small():
 
 
 def test_single_layer_model_never_bypasses():
-    dims, model, priors, _ = make_setup(2, 2, 4, 4, 8, layers=1)
+    model, priors, _ = make_setup(config_at(2, 2, 4, 4, 8, layers=1))
     schedule = cosine_schedule(4)
     cfg = RunConfig(mode="turbo", warmup=1, alpha_threshold=0.5)
     _, trace = sample(model, priors, schedule, cfg, Rng(2), CostCounters())
@@ -304,11 +316,12 @@ def test_single_layer_model_never_bypasses():
 
 
 def test_sample_memory_accounting_balances():
-    dims, model, priors, _ = make_setup(2, 2, 4, 4, 8, layers=2)
+    cfg = config_at(2, 2, 4, 4, 8, layers=2)
+    model, priors, _ = make_setup(cfg)
     schedule = cosine_schedule(6)
     counters = CostCounters()
     sample(model, priors, schedule, RunConfig(mode="turbo", warmup=2),
            Rng(2), counters)
     # all workspace released; only the final cache entries remain live
-    assert counters.live_elements == 2 * 3 * int(np.prod(dims.latent_shape))
+    assert counters.live_elements == 2 * 3 * int(np.prod(cfg.latent_shape))
 

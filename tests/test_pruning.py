@@ -19,7 +19,7 @@ from scmbench import (
     token_count,
 )
 
-from conftest import chain_forward, make_setup, planted_latent
+from conftest import chain_forward, config_at, make_setup, planted_latent
 
 
 def complement(row, length):
@@ -96,10 +96,11 @@ def test_random_tokens_structure():
 
 
 def test_random_differs_from_semantic_on_planted():
-    dims, model, priors, _ = make_setup(2, 2, 4, 4, 8, seed=80)
+    cfg = config_at(2, 2, 4, 4, 8, seed=80)
+    model, priors, _ = make_setup(cfg)
     w_s = model.layers[0].chain.spatial
     cells = np.array([0, 5, 10, 15])
-    z = planted_latent(dims, w_s, priors.k_s, cells, Rng(81))
+    z = planted_latent(cfg, w_s, priors.k_s, cells, Rng(81))
     so = spatial_forward(z, priors.k_s, w_s)
     sem = identify_tokens(so.semantic, 0.25)
     rnd = random_tokens(2, 2, 4, 4, 0.25, Rng(82))
@@ -140,7 +141,7 @@ def _mask_oracle_motion(z_c, k_m, w, idx, cached):
 
 @pytest.mark.parametrize("ratio", [0.25, 0.5, 1.0])
 def test_pruned_camera_exact_vs_mask_oracle(ratio):
-    dims, model, priors, z = make_setup(2, 2, 4, 4, 8, seed=90)
+    model, priors, z = make_setup(config_at(2, 2, 4, 4, 8, seed=90))
     w = model.layers[0].chain.camera
     so = spatial_forward(z, priors.k_s, model.layers[0].chain.spatial)
     idx = identify_tokens(so.semantic, ratio)
@@ -153,7 +154,7 @@ def test_pruned_camera_exact_vs_mask_oracle(ratio):
 
 @pytest.mark.parametrize("ratio", [0.25, 0.5, 1.0])
 def test_pruned_motion_exact_vs_mask_oracle(ratio):
-    dims, model, priors, z = make_setup(2, 2, 4, 4, 8, seed=92)
+    model, priors, z = make_setup(config_at(2, 2, 4, 4, 8, seed=92))
     w = model.layers[0].chain.motion
     so = spatial_forward(z, priors.k_s, model.layers[0].chain.spatial)
     idx = identify_tokens(so.semantic, ratio)
@@ -165,7 +166,7 @@ def test_pruned_motion_exact_vs_mask_oracle(ratio):
 
 
 def test_pruned_complement_refill_bit_exact():
-    dims, model, priors, z = make_setup(2, 2, 4, 4, 8, seed=94)
+    model, priors, z = make_setup(config_at(2, 2, 4, 4, 8, seed=94))
     w = model.layers[0].chain.camera
     so = spatial_forward(z, priors.k_s, model.layers[0].chain.spatial)
     idx = identify_tokens(so.semantic, 0.5)
@@ -179,7 +180,7 @@ def test_pruned_complement_refill_bit_exact():
 
 
 def test_pruned_chain_ratio_one_equals_dense():
-    dims, model, priors, z = make_setup(2, 2, 4, 4, 8, seed=96)
+    model, priors, z = make_setup(config_at(2, 2, 4, 4, 8, seed=96))
     chain = model.layers[0].chain
     dense_out, (so, co, mo) = chain_forward(z, priors, chain)
     cache = RollingCache()
@@ -196,7 +197,7 @@ def test_pruned_chain_ratio_one_equals_dense():
 
 def test_cached_chain_dense_step_supersedes_entries():
     # no selector: a dense step, which compares to and replaces the entries
-    dims, model, priors, z = make_setup(2, 2, 4, 4, 8, seed=103)
+    model, priors, z = make_setup(config_at(2, 2, 4, 4, 8, seed=103))
     chain = model.layers[0].chain
     dense_out, (so, co, mo) = chain_forward(z, priors, chain)
     cache = RollingCache()
@@ -214,7 +215,7 @@ def test_cached_chain_dense_step_supersedes_entries():
 
 
 def test_pruned_chain_records_similarities():
-    dims, model, priors, z = make_setup(2, 2, 4, 4, 8, seed=100)
+    model, priors, z = make_setup(config_at(2, 2, 4, 4, 8, seed=100))
     chain = model.layers[0].chain
     cache = RollingCache()
     _, (so, co, mo) = chain_forward(z, priors, chain)
@@ -227,7 +228,7 @@ def test_pruned_chain_records_similarities():
 
 
 def test_pruned_flops_scale_with_ratio():
-    dims, model, priors, z = make_setup(2, 2, 8, 8, 8, seed=101)
+    model, priors, z = make_setup(config_at(2, 2, 8, 8, 8, seed=101))
     chain = model.layers[0].chain
     _, (so, co, mo) = chain_forward(z, priors, chain)
 
@@ -246,7 +247,7 @@ def test_pruned_flops_scale_with_ratio():
 
 
 def test_pruned_chain_zero_refill():
-    dims, model, priors, z = make_setup(2, 2, 4, 4, 8, seed=102)
+    model, priors, z = make_setup(config_at(2, 2, 4, 4, 8, seed=102))
     chain = model.layers[0].chain
     _, (so, co, mo) = chain_forward(z, priors, chain)
 

@@ -8,7 +8,7 @@ from scmbench import (CostCounters, RollingCache, Rng, RunConfig,
 from scmbench.cache import SimilarityRecord
 from scmbench.scheduler import MODE_TABLE, bypass_set
 
-from conftest import make_setup
+from conftest import config_at, make_setup
 
 
 def log_into(cache, values, step=0, layer=0):
@@ -66,7 +66,7 @@ _MODES_AT_WARMUP2 = {
 @pytest.mark.parametrize("mode", sorted(_MODES_AT_WARMUP2))
 def test_modes_at_warmup2(mode):
     kinds, cached, latches = _MODES_AT_WARMUP2[mode]
-    _, model, priors, _ = make_setup(2, 2, 4, 4, 8, layers=3)
+    model, priors, _ = make_setup(config_at(2, 2, 4, 4, 8, layers=3))
     # a threshold every logged similarity clears: bypass latches iff allowed
     cfg = RunConfig(mode=mode, warmup=2, alpha_threshold=1e-9)
     _, trace = sample(model, priors, cosine_schedule(8), cfg, Rng(2),

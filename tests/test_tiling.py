@@ -13,12 +13,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from scmbench import (
-    Dims,
     camera_forward,
     motion_forward,
     spatial_forward,
     RollingCache,
     Rng,
+    RunConfig,
     ShapeError,
     StepKind,
     axis_attention,
@@ -37,7 +37,7 @@ from scmbench.attention import _batch_tiles
 from scmbench.denoiser import mixing
 from scmbench.scheduler import StepMode
 
-from conftest import make_block, make_setup, working_set
+from conftest import config_at, make_block, make_setup, working_set
 
 F, V, H, W, C = 3, 5, 3, 4, 8
 L = H * W
@@ -190,7 +190,7 @@ def test_chain_working_set_is_four_latents_at_most(monkeypatch):
     # that kept every block's output and attention to the end would peak
     # at 6.5 latents with no cache and 4.5 with a stale one.
     monkeypatch.setattr(core, "_PARTS", 1)
-    _, model, priors, z = make_setup(5, 8, 16, 16, 64, seed=341)
+    model, priors, z = make_setup(config_at(5, 8, 16, 16, 64, seed=341))
     chain = model.layers[0].chain
     cache = RollingCache()
     tracemalloc.start()
@@ -219,7 +219,7 @@ def traced_serial(monkeypatch):
     tracemalloc.stop()
 
 
-LATENT = Dims().latent_shape
+LATENT = RunConfig().latent_shape
 LATENT_BYTES = 8 * math.prod(LATENT)
 
 
@@ -249,7 +249,7 @@ def test_dense_step_peaks_at_one_point_six_latents(traced_serial):
     # writes over, and a tile's temporaries. A step whose stages each
     # returned a fresh latent, with a full-size attention array per
     # block, peaked at 3.28.
-    _, model, priors, z = make_setup(*LATENT, seed=351)
+    model, priors, z = make_setup(config_at(*LATENT, seed=351))
     schedule = cosine_schedule(8)
     peak = _peak_latents(lambda: denoise_step(
         model, z, 8, priors, schedule, StepMode(StepKind.DENSE)))
@@ -260,7 +260,7 @@ def test_reuse_pass_peaks_at_one_point_three_latents(traced_serial):
     # Above its input: the one latent the pass owns, which each FFN
     # writes over, and a tile's temporaries. A pass whose FFNs each
     # returned a fresh latent peaked at 2.25.
-    _, model, priors, z = make_setup(*LATENT, seed=361)
+    model, priors, z = make_setup(config_at(*LATENT, seed=361))
     cache = RollingCache()
     model_forward(model, z, priors, StepMode(StepKind.DENSE), 0, cache)
     peak = _peak_latents(lambda: model_forward(
@@ -366,7 +366,7 @@ def test_out_must_be_a_contiguous_float64_array_of_the_shape():
 def test_chain_in_place_matches_fresh():
     # A pass that owns its latent, with a stale cache and no cache, pruned
     # and dense, gives the plain call's bytes.
-    _, model, priors, z = make_setup(2, 3, 4, 4, 8, seed=395)
+    model, priors, z = make_setup(config_at(2, 3, 4, 4, 8, seed=395))
     chain = model.layers[0].chain
     select = lambda q: identify_tokens(q, 0.4)
     for sel, cached in ((None, False), (None, True), (select, True)):

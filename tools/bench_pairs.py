@@ -19,11 +19,15 @@ run (``/proc/stat``, read only), the scmbench file the child imported
 (relative to its tree), and ``run.check_run``'s digest, drift cosine and
 failed checks against a dense reference of the same seed and dims made
 in this process from the change tree. Every run of a workload and seed,
-in every arm, must give the same final latent. The output holds the
-machine, a SHA-256 of each tree's scmbench sources, every run and, per
-workload and seed, each arm's median and quartiles, the parent's IQR, the
-change's median over the parent's and the pairs the change won. The exit
-code is 1 if any check failed.
+in every arm, must give the same final latent. A run that fails
+(``run.RunFailed``: a timeout, a bad exit or bad output) is recorded, as
+``perfbench/run.py``'s ``measure`` records it, with its error under
+``problems`` and no metrics, and the session goes on. The output holds
+the machine, a SHA-256 of each tree's scmbench sources, every run and,
+per workload and seed, each arm's median and quartiles over the runs that
+ran, the parent's IQR, the change's median over the parent's and the
+pairs the change won, where a pair with a failed side counts for neither
+side. The exit code is 1 if any run failed or any check failed.
 """
 
 from __future__ import annotations
@@ -101,8 +105,10 @@ def source_digest(tree: Path) -> str:
     return h.hexdigest()
 
 
-def one_run(run, config: dict, serial: bool) -> tuple[dict, np.ndarray]:
-    """One child run through ``run.spawn``, with its CPU and steal time."""
+def one_run(run, config: dict,
+            serial: bool) -> tuple[dict, np.ndarray | None]:
+    """One child run through ``run.spawn``, with its CPU and steal time;
+    a failed run gives only its ``problems`` and no latent."""
     affinity = os.sched_getaffinity(0)
     if serial:
         os.sched_setaffinity(0, {min(affinity)})
@@ -110,6 +116,8 @@ def one_run(run, config: dict, serial: bool) -> tuple[dict, np.ndarray]:
         cpu0, steal0 = child_cpu_s(), host_steal_s()
         header, z = run.spawn({"config": config}, timeout=600.0)
         cpu1, steal1 = child_cpu_s(), host_steal_s()
+    except run.RunFailed as exc:
+        return {"problems": [str(exc)]}, None
     finally:
         os.sched_setaffinity(0, affinity)
     imported = Path(header["scmbench"]).relative_to(run.ROOT)
@@ -119,27 +127,38 @@ def one_run(run, config: dict, serial: bool) -> tuple[dict, np.ndarray]:
             "scmbench": str(imported)}, z
 
 
-def spread(values: list[float]) -> dict:
+def spread(values: list[float]) -> dict | None:
+    """Median and quartiles; None for fewer than two values."""
+    if len(values) < 2:
+        return None
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1_q3": [q1, q3]}
 
 
 def summarize(runs: list[dict]) -> dict:
-    by_arm = {arm: [r for r in runs if r["arm"] == arm] for arm in ARMS}
-    pairs = list(zip(by_arm["parent"], by_arm["change"]))
+    """Spreads and pair wins over the runs that ran; a run that failed
+    counts only in ``failed``, as does its pair."""
+    ran = [r for r in runs if "run_s" in r]
+    by_arm = {arm: [r for r in ran if r["arm"] == arm] for arm in ARMS}
+    change = {r["pair"]: r for r in by_arm["change"]}
+    pairs = [(p, change[p["pair"]]) for p in by_arm["parent"]
+             if p["pair"] in change]
     out: dict = {"pairs": len(pairs)}
     for m in METRICS:
         row = {arm: spread([r[m] for r in rs]) for arm, rs in by_arm.items()}
-        q1, q3 = row["parent"]["q1_q3"]
-        row["parent_iqr"] = q3 - q1
+        parent, changed = row["parent"], row["change"]
+        if parent is not None:
+            q1, q3 = parent["q1_q3"]
+            row["parent_iqr"] = q3 - q1
         if m in GATED:
             row["pairs_change_better"] = \
                 f"{sum(c[m] < p[m] for p, c in pairs)} of {len(pairs)}"
-            row["change_over_parent"] = (row["change"]["median"]
-                                         / row["parent"]["median"])
+            if parent is not None and changed is not None:
+                row["change_over_parent"] = (changed["median"]
+                                             / parent["median"])
         out[m] = row
-    out["final_latent_sha256"] = sorted({r["digest"] for r in runs})
-    out["drift_cosine"] = sorted({r["drift_cosine"] for r in runs})
+    out["final_latent_sha256"] = sorted({r["digest"] for r in ran})
+    out["drift_cosine"] = sorted({r["drift_cosine"] for r in ran})
     out["failed"] = sum(1 for r in runs if r["problems"])
     return out
 
@@ -164,19 +183,22 @@ def main(argv: list[str]) -> int:
             for workload, config in configs.items():
                 for arm in order:
                     record, z = one_run(modules[arm], config, arm == "serial")
-                    digest, cosine, problems = run.check_run(
-                        z, references[workload], expected.get(workload),
-                        exact=config["mode"] == "dense")
-                    expected.setdefault(workload, digest)
+                    if z is not None:
+                        digest, cosine, problems = run.check_run(
+                            z, references[workload], expected.get(workload),
+                            exact=config["mode"] == "dense")
+                        expected.setdefault(workload, digest)
+                        record.update(digest=digest, drift_cosine=cosine,
+                                      problems=problems)
                     record.update(arm=arm, workload=workload, seed=seed,
-                                  pair=i, digest=digest, drift_cosine=cosine,
-                                  problems=problems)
+                                  pair=i)
                     runs.append(record)
-                    print(json.dumps({k: record[k] for k in
+                    print(json.dumps({k: record.get(k) for k in
                                       ("arm", "workload", "seed", "pair",
                                        "run_s", "cpu_s", "steal_s",
                                        "problems")}), flush=True)
-    machine = run.machine(runs[0]["blas"])
+    machine = run.machine(next((r["blas"] for r in runs if "blas" in r),
+                               None))
     machine.update(cpu=cpu_model(), blas_build=blas_build(),
                    ram_gb=round(os.sysconf("SC_PAGE_SIZE")
                                 * os.sysconf("SC_PHYS_PAGES") / 2**30, 1))

@@ -1,9 +1,14 @@
-"""``tools/bench_pairs.py``'s summary of one workload and seed, on
-synthetic runs; no child process is started."""
+"""``tools/bench_pairs.py``'s summary of one workload and seed, and a
+whole session with one failed run, on synthetic runs; no child process is
+started."""
 
 import importlib.util
+import json
+import sys
+import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 _spec = importlib.util.spec_from_file_location(
@@ -14,8 +19,9 @@ _spec.loader.exec_module(bench_pairs)
 
 def runs(arm: str, run_s: list[float], problems=()) -> list[dict]:
     """One synthetic run per ``run_s`` value; the listed indices failed."""
-    return [{"arm": arm, "run_s": v, "setup_s": 0.5, "peak_rss_mb": 100.0,
-             "cpu_s": 2 * v, "steal_s": 0.0, "digest": "d",
+    return [{"arm": arm, "pair": i, "run_s": v, "setup_s": 0.5,
+             "peak_rss_mb": 100.0, "cpu_s": 2 * v, "steal_s": 0.0,
+             "digest": "d",
              "drift_cosine": 1.0,
              "problems": ["drift"] if i in problems else []}
             for i, v in enumerate(run_s)]
@@ -53,3 +59,63 @@ def test_failed_counts_runs_with_problems():
                 {"parent": (1,), "change": (0, 2), "serial": (1,)})
     assert s["failed"] == 4
     assert summary([1.0, 2.0], [1.0, 2.0])["failed"] == 0
+
+
+class RunFailed(Exception):
+    pass
+
+
+def stub_run(root: Path, log: list, fail_at: int) -> types.SimpleNamespace:
+    """A stand-in for a tree's ``perfbench/run.py`` whose ``spawn`` starts
+    nothing: each call returns run time ``1 + call index`` and a fixed
+    latent, and call ``fail_at`` raises ``RunFailed``."""
+    z = np.ones((2, 3))
+
+    def spawn(spec, timeout):
+        log.append(spec)
+        if len(log) - 1 == fail_at:
+            raise RunFailed("exit code 1: boom")
+        return {"run_s": float(len(log)), "setup_s": 0.1, "peak_rss_mb": 9.0,
+                "blas": {"threads": 1},
+                "scmbench": str(root / "src" / "scmbench" / "__init__.py")}, z
+
+    def check_run(got, reference, expected, exact):
+        return "d", 1.0, []
+
+    return types.SimpleNamespace(
+        ROOT=root, SRC=root / "src", DEV_SEED=0, HOLDOUT_SEED=1,
+        WORKLOADS={"w": {"mode": "turbo"}}, RunFailed=RunFailed, spawn=spawn,
+        check_run=check_run, dense_reference=lambda config: (config, z),
+        machine=lambda blas: {"blas_threads": blas})
+
+
+def test_a_failed_run_is_recorded_and_its_pair_left_out(tmp_path,
+                                                        monkeypatch):
+    # Two pairs per seed: parent, change, serial, then serial, change,
+    # parent. The second call, seed 0's first change run, fails.
+    for tree in ("parent", "change"):
+        (tmp_path / tree / "src").mkdir(parents=True)
+    log: list = []
+    stub = stub_run(tmp_path, log, fail_at=1)
+    monkeypatch.setattr(bench_pairs, "load_run", lambda tree, name: stub)
+    monkeypatch.setattr(bench_pairs, "PAIRS", 2)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    out = tmp_path / "out.json"
+    code = bench_pairs.main([str(tmp_path / "parent"),
+                             str(tmp_path / "change"), str(out)])
+    assert code == 1
+    doc = json.loads(out.read_text())
+    assert len(log) == len(doc["runs"]) == 12
+    failed = doc["runs"][1]
+    assert (failed["arm"], failed["seed"], failed["pair"]) == ("change", 0, 0)
+    assert failed["problems"] == ["exit code 1: boom"]
+    assert "run_s" not in failed and "digest" not in failed
+    seed0, seed1 = doc["summary"]["w/seed0"], doc["summary"]["w/seed1"]
+    assert (seed0["failed"], seed1["failed"]) == (1, 0)
+    assert (seed0["pairs"], seed1["pairs"]) == (1, 2)
+    # the parent's spread keeps both its runs; the change's has one left
+    assert seed0["run_s"]["parent"]["median"] == (1.0 + 6.0) / 2
+    assert seed0["run_s"]["change"] is None
+    # pair 1 only: change 5.0 against parent 6.0, not parent 1.0
+    assert seed0["run_s"]["pairs_change_better"] == "1 of 1"
+    assert seed0["final_latent_sha256"] == ["d"]
