@@ -23,6 +23,7 @@ from scmbench import (
     sample,
     synth_priors,
 )
+from scmbench.bench import UsageError
 from scmbench.denoiser import DiffusionSchedule, mixing, _view_embedding
 from scmbench.scheduler import SchedulerState, StepMode, select_mode
 
@@ -99,6 +100,14 @@ def test_ddim_rejects_a_prediction_of_another_shape():
 
 
 # --- model construction / priors ------------------------------------------
+
+@pytest.mark.parametrize("field, value", [("frames", 2.5), ("frames", "3")])
+def test_dims_rejects_a_non_int_field(field, value):
+    # The model and the priors take their dims from RunConfig, whose type
+    # check names the field.
+    with pytest.raises(UsageError, match=field):
+        RunConfig(**{field: value})
+
 
 def test_build_model_deterministic():
     cfg = config_at(2, 2, 4, 4, 8, layers=2, seed=5)
