@@ -355,7 +355,9 @@ def axis_block(z: np.ndarray, axis: str, prior: np.ndarray, w: BlockParams,
                keep: np.ndarray | None = None,
                cached: np.ndarray | None = None,
                out: np.ndarray | None = None,
-               return_attention: bool = True) -> BlockOutput:
+               return_attention: bool = True,
+               before_attention=None,
+               hand_over=None) -> BlockOutput:
     """One SCM block: attention along ``axis``, then FFN(z + attention).
 
     ``axis`` is "spatial", "camera" or "motion" and ``prior`` is that
@@ -379,6 +381,15 @@ def axis_block(z: np.ndarray, axis: str, prior: np.ndarray, w: BlockParams,
     z + attention straight into its rows of the output, the FFN then runs
     over the output in place, and ``BlockOutput.attention`` is None. A
     pruned block always returns its refilled attention.
+
+    A caller that keeps the attention, such as a cache, can take it
+    before the block returns: ``hand_over(attention)`` is called as soon
+    as the full-size attention is complete, which for an unpruned block
+    is before its FFN and for a pruned block after it, since the refill
+    completes inside the FFN's tiles. ``before_attention()`` is called
+    just before the full-size attention is allocated, so the caller can
+    free memory first. An unpruned block that builds no attention calls
+    neither.
 
     Only the spatial block reports the semantic map [F, V, H, W], the
     mean weight each query puts on the prior token.
@@ -408,8 +419,12 @@ def axis_block(z: np.ndarray, axis: str, prior: np.ndarray, w: BlockParams,
         # The FFN reads z + attention from out and writes over it.
         z, attention = out, None
     elif keep is None:
+        if before_attention is not None:
+            before_attention()
         att, pw = axis_attention(sequences(z), prior, w, counters, block=axis)
         attention = att.transpose(np.argsort(axes)).reshape(z.shape)
+        if hand_over is not None:
+            hand_over(attention)
     else:
         if cached is None or cached.shape != z.shape:
             raise ShapeError(f"cached {axis} attention must have shape "
@@ -430,6 +445,8 @@ def axis_block(z: np.ndarray, axis: str, prior: np.ndarray, w: BlockParams,
         dst = dst.ravel()[order]
         src = att.reshape(g * k * n, c)
         old = cached.reshape(-1, c)
+        if before_attention is not None:
+            before_attention()
         attention = np.empty(z.shape)
         new = attention.reshape(-1, c)
 
@@ -442,33 +459,46 @@ def axis_block(z: np.ndarray, axis: str, prior: np.ndarray, w: BlockParams,
         # Modeled as a full-size attention array whether or not one is made.
         counters.acquire_workspace(z.size)
     semantic = pw.reshape(f, v, h, ww) if axis == "spatial" else None
-    return BlockOutput(out=ffn(z, w, counters, addend=attention,
-                               before_tile=refill, out=out),
-                       attention=attention, semantic=semantic)
+    out = ffn(z, w, counters, addend=attention, before_tile=refill, out=out)
+    if keep is not None and hand_over is not None:
+        hand_over(attention)
+    return BlockOutput(out=out, attention=attention, semantic=semantic)
 
 
 def spatial_forward(z: np.ndarray, k_s: np.ndarray, w: BlockParams,
                     counters: CostCounters | None = None,
                     out: np.ndarray | None = None,
-                    return_attention: bool = True) -> BlockOutput:
+                    return_attention: bool = True,
+                    before_attention=None,
+                    hand_over=None) -> BlockOutput:
     """Attention along the flattened H*W axis for each (f, v)."""
     return axis_block(z, "spatial", k_s, w, counters, out=out,
-                      return_attention=return_attention)
+                      return_attention=return_attention,
+                      before_attention=before_attention,
+                      hand_over=hand_over)
 
 
 def camera_forward(z: np.ndarray, k_c: np.ndarray, w: BlockParams,
                    counters: CostCounters | None = None,
                    out: np.ndarray | None = None,
-                   return_attention: bool = True) -> BlockOutput:
+                   return_attention: bool = True,
+                   before_attention=None,
+                   hand_over=None) -> BlockOutput:
     """Attention along the V axis for each (f, h, w)."""
     return axis_block(z, "camera", k_c, w, counters, out=out,
-                      return_attention=return_attention)
+                      return_attention=return_attention,
+                      before_attention=before_attention,
+                      hand_over=hand_over)
 
 
 def motion_forward(z: np.ndarray, k_m: np.ndarray, w: BlockParams,
                    counters: CostCounters | None = None,
                    out: np.ndarray | None = None,
-                   return_attention: bool = True) -> BlockOutput:
+                   return_attention: bool = True,
+                   before_attention=None,
+                   hand_over=None) -> BlockOutput:
     """Attention along the F axis for each (v, h, w)."""
     return axis_block(z, "motion", k_m, w, counters, out=out,
-                      return_attention=return_attention)
+                      return_attention=return_attention,
+                      before_attention=before_attention,
+                      hand_over=hand_over)

@@ -118,16 +118,25 @@ class RollingCache:
         the calling thread (:func:`core.run_aside`); ``new_value`` may not
         be written meanwhile. The next comparison, :meth:`settle` or read
         of :attr:`similarity_log` waits for it, so the log keeps call
-        order.
+        order, and once it returns nothing here holds the entry: a caller
+        that settles before it allocates never holds two superseded
+        entries at once.
         """
         self.settle()
-        self._running = run_aside(
-            math.prod(new_value.shape[:-1]), self.record_similarity, layer,
-            kind, new_value, step, self.retrieve(layer, kind))
+        held = [self.retrieve(layer, kind)]
+
+        def compare() -> float:
+            # The job takes the entry out of ``held``, so the entry dies
+            # when the job returns: a pool worker drops a job's arguments
+            # only after it has set the job's result.
+            return self.record_similarity(layer, kind, new_value, step,
+                                          held.pop())
+
+        self._running = run_aside(math.prod(new_value.shape[:-1]), compare)
 
     def settle(self) -> None:
-        """Wait for the comparison running aside, if any; its error, if
-        it failed, is raised here."""
+        """Wait for the comparison running aside, if any, and so for its
+        entry to be freed; its error, if it failed, is raised here."""
         running, self._running = self._running, None
         if running is not None:
             running()

@@ -301,12 +301,16 @@ def cached_chain_forward(
     zero-filled with ``zero_refill`` (degradation ablation; the cache is
     still maintained). Without it the step is dense.
 
-    Each previous-step entry, if any, is emptied as soon as its block is
-    superseded; its cosine against the block's new attention runs off the
-    calling thread while the next stage runs (:meth:`RollingCache.supersede`)
-    and holds the entry only until then. The step's own attention outputs
-    then become the entries. With no cache the pass records and stores
-    nothing.
+    Each block hands its attention over as soon as it is complete (see
+    :func:`attention.axis_block`): an unpruned block before its FFN, a
+    pruned one after it. The previous-step entry it supersedes, if any,
+    is emptied then, and its cosine against the new attention runs off
+    the calling thread meanwhile (:meth:`RollingCache.supersede`); the
+    next block waits for that cosine before it allocates its own
+    attention, so at most one superseded entry is alive at a time, and
+    none while a block allocates its attention. The step's own attention
+    outputs then become the entries. With no cache the pass records and
+    stores nothing.
 
     The pass owns one working latent: the spatial block writes its output
     to ``out`` (a fresh array when None, so a plain call never writes z),
@@ -320,12 +324,18 @@ def cached_chain_forward(
     stale = cache is not None and cache.has_entries(layer)
     fresh = []
 
-    def supersede(kind: str, out) -> np.ndarray:
-        if stale:
-            cache.supersede(layer, kind, out.attention, step)
-        if cache is not None:
-            fresh.append(out.attention)
-        return out.out
+    def hooks(kind: str) -> dict:
+        """The block's wait before it builds its attention, and where it
+        hands that attention over."""
+        if cache is None:
+            return {}
+
+        def hand_over(attention: np.ndarray) -> None:
+            if stale:
+                cache.supersede(layer, kind, attention, step)
+            fresh.append(attention)
+
+        return {"before_attention": cache.settle, "hand_over": hand_over}
 
     def refill(kind: str) -> np.ndarray:
         cached = cache.peek(layer, kind)
@@ -333,21 +343,21 @@ def cached_chain_forward(
 
     stored = cache is not None
     so = spatial_forward(z, priors.k_s, w.spatial, counters, out=out,
-                         return_attention=stored)
-    semantic = so.semantic
-    z = supersede("spatial", so)
-    del so
+                         return_attention=stored, **hooks("spatial"))
+    z, semantic = so.out, so.semantic
     if select is None:
-        z = supersede("camera", camera_forward(
-            z, priors.k_c, w.camera, counters, out=z, return_attention=stored))
-        z = supersede("motion", motion_forward(
-            z, priors.k_m, w.motion, counters, out=z, return_attention=stored))
+        z = camera_forward(z, priors.k_c, w.camera, counters, out=z,
+                           return_attention=stored, **hooks("camera")).out
+        z = motion_forward(z, priors.k_m, w.motion, counters, out=z,
+                           return_attention=stored, **hooks("motion")).out
     else:
         idx = select(semantic)
-        z = supersede("camera", pruning.pruned_camera_forward(
-            z, priors.k_c, w.camera, idx, refill("camera"), counters, out=z))
-        z = supersede("motion", pruning.pruned_motion_forward(
-            z, priors.k_m, w.motion, idx, refill("motion"), counters, out=z))
+        z = pruning.pruned_camera_forward(
+            z, priors.k_c, w.camera, idx, refill("camera"), counters, out=z,
+            **hooks("camera")).out
+        z = pruning.pruned_motion_forward(
+            z, priors.k_m, w.motion, idx, refill("motion"), counters, out=z,
+            **hooks("motion")).out
     if cache is not None:
         cache.store(layer, *fresh, step)
     return z

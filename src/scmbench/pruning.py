@@ -86,16 +86,22 @@ def random_tokens(f: int, v: int, h: int, w: int, ratio: float,
 def pruned_camera_forward(z_s: np.ndarray, k_c: np.ndarray, w: BlockParams,
                           idx: TokenIndexSet, cached_a_c: np.ndarray,
                           counters: CostCounters | None = None,
-                          out: np.ndarray | None = None) -> BlockOutput:
+                          out: np.ndarray | None = None,
+                          before_attention=None,
+                          hand_over=None) -> BlockOutput:
     """Camera attention on kept positions only, complements from cache."""
     return axis_block(z_s, "camera", k_c, w, counters, idx.i_c, cached_a_c,
-                      out=out)
+                      out=out, before_attention=before_attention,
+                      hand_over=hand_over)
 
 
 def pruned_motion_forward(z_c: np.ndarray, k_m: np.ndarray, w: BlockParams,
                           idx: TokenIndexSet, cached_a_m: np.ndarray,
                           counters: CostCounters | None = None,
-                          out: np.ndarray | None = None) -> BlockOutput:
+                          out: np.ndarray | None = None,
+                          before_attention=None,
+                          hand_over=None) -> BlockOutput:
     """Motion attention on kept positions only, complements from cache."""
     return axis_block(z_c, "motion", k_m, w, counters, idx.i_m, cached_a_m,
-                      out=out)
+                      out=out, before_attention=before_attention,
+                      hand_over=hand_over)

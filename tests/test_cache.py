@@ -16,10 +16,14 @@ from scmbench import (
     Rng,
     RunConfig,
     ShapeError,
+    cached_chain_forward,
     emit_report,
     run_benchmark,
 )
-from scmbench import core
+from scmbench import attention, core
+from scmbench import cache as cache_module
+
+from conftest import config_at, make_setup
 
 
 def entries(shape=(2, 2, 2), seed=0):
@@ -289,6 +293,62 @@ def test_a_run_waits_for_its_last_comparison(split_into, monkeypatch):
     finally:
         if core._executor is not None:
             core._executor.shutdown()
+
+
+def test_a_dense_block_frees_what_it_superseded_before_the_next_attention(
+        monkeypatch):
+    # Each cosine runs aside (2,048 tokens, two drainers) and takes 0.2 s,
+    # longer than a block's FFN: the next block still waits for it, so no
+    # entry superseded by an earlier block is alive when a block starts
+    # its attention. The output and the log are those of a serial pass.
+    model, priors, z = make_setup(config_at(2, 4, 16, 16, 16))
+    chain = model.layers[0].chain
+
+    def stale_pass():
+        cache = RollingCache()
+        z1 = cached_chain_forward(z, priors, chain, cache, 0, 0)
+        z2 = cached_chain_forward(z1, priors, chain, cache, 0, 1)
+        return z2, [(r.kind, r.value) for r in cache.similarity_log]
+
+    monkeypatch.setattr(core, "_PARTS", 1)
+    want, want_log = stale_pass()
+
+    monkeypatch.setattr(core, "_PARTS", 2)
+    monkeypatch.setattr(core, "_executor", None)
+    cosine = cache_module.cosine
+
+    def slow_cosine(a, b):
+        time.sleep(0.2)
+        return cosine(a, b)
+
+    superseded = []
+    retrieve = RollingCache.retrieve
+
+    def tracked_retrieve(self, layer, kind):
+        value = retrieve(self, layer, kind)
+        superseded.append(weakref.ref(value))
+        return value
+
+    alive = []
+    axis_attention = attention.axis_attention
+
+    def checked_attention(*args, **kwargs):
+        alive.append([r() is not None for r in superseded])
+        return axis_attention(*args, **kwargs)
+
+    monkeypatch.setattr(cache_module, "cosine", slow_cosine)
+    monkeypatch.setattr(RollingCache, "retrieve", tracked_retrieve)
+    monkeypatch.setattr(attention, "axis_attention", checked_attention)
+    try:
+        got, got_log = stale_pass()
+    finally:
+        if core._executor is not None:
+            core._executor.shutdown()
+    assert len(superseded) == 3
+    # three attentions of the first pass, then spatial, camera and motion
+    assert alive == [[], [], [], [], [False], [False, False]]
+    assert np.array_equal(got, want)
+    assert got_log == want_log
 
 
 def test_a_failing_comparison_raises_at_the_next_one(split_into):

@@ -51,6 +51,21 @@ def test_asr_layer_exclusion():
     assert compute_asr(cache, 4, 3, exclude_layers=frozenset({2})) == 1.0
 
 
+def test_asr_reads_only_the_window_of_a_longer_log():
+    # Records before the window, inside it, after ``step`` and from an
+    # excluded layer: the rate is the mean of the window's kept values,
+    # summed in log order.
+    cache = RollingCache()
+    rng = Rng(7)
+    records = [(s, layer, float(v)) for s in range(12) for layer in range(3)
+               for v in rng.uniform(2)]
+    for s, layer, v in records:
+        log_into(cache, [v], step=s, layer=layer)
+    kept = [v for s, layer, v in records if 6 <= s <= 9 and layer != 1]
+    assert compute_asr(cache, 9, 3, exclude_layers=frozenset({1})) == \
+        sum(kept) / len(kept)
+
+
 # Per mode at warmup=2 over 8 steps: step kinds (D dense, P prune, R
 # reuse), whether a cache is kept, whether bypass can latch.
 _MODES_AT_WARMUP2 = {

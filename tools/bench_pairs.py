@@ -27,7 +27,9 @@ the machine, a SHA-256 of each tree's scmbench sources, every run and,
 per workload and seed, each arm's median and quartiles over the runs that
 ran, the parent's IQR, the change's median over the parent's and the
 pairs the change won, where a pair with a failed side counts for neither
-side. The exit code is 1 if any run failed or any check failed.
+side, and a verdict (:func:`verdict`) against the metric's bound in the
+repository's ``BENCHMARK.json``, which is only read. The exit code is 1
+if any run failed or any check failed.
 """
 
 from __future__ import annotations
@@ -50,6 +52,11 @@ ARMS = ("parent", "change", "serial")
 GATED = ("run_s", "setup_s", "peak_rss_mb")
 METRICS = GATED + ("cpu_s", "steal_s")
 TICK = os.sysconf("SC_CLK_TCK")
+# Each end-to-end metric's direction and bound, a share of the parent's
+# median.
+METRIC_SPECS = {m["name"]: m for m in json.loads(
+    (Path(__file__).resolve().parent.parent / "BENCHMARK.json")
+    .read_text())["end_to_end"]}
 
 
 def load_run(tree: Path, name: str):
@@ -135,6 +142,23 @@ def spread(values: list[float]) -> dict | None:
     return {"median": median, "q1_q3": [q1, q3]}
 
 
+def verdict(parent: dict, change: dict, wins: int, pairs: int,
+            spec: dict) -> str:
+    """``gain`` when the change won at least 9 in 10 of the pairs and its
+    median is better than the parent's by more than the parent's IQR;
+    ``worse_beyond_bound`` when its median is worse than the parent's by
+    more than ``spec``'s bound, a share of the parent's median;
+    ``within_bound`` otherwise."""
+    sign = 1.0 if spec["better"] == "lower" else -1.0
+    q1, q3 = parent["q1_q3"]
+    gained = sign * (parent["median"] - change["median"])
+    if 10 * wins >= 9 * pairs > 0 and gained > q3 - q1:
+        return "gain"
+    if -gained > spec["bound"] * abs(parent["median"]):
+        return "worse_beyond_bound"
+    return "within_bound"
+
+
 def summarize(runs: list[dict]) -> dict:
     """Spreads and pair wins over the runs that ran; a run that failed
     counts only in ``failed``, as does its pair."""
@@ -151,11 +175,13 @@ def summarize(runs: list[dict]) -> dict:
             q1, q3 = parent["q1_q3"]
             row["parent_iqr"] = q3 - q1
         if m in GATED:
-            row["pairs_change_better"] = \
-                f"{sum(c[m] < p[m] for p, c in pairs)} of {len(pairs)}"
+            wins = sum(c[m] < p[m] for p, c in pairs)
+            row["pairs_change_better"] = f"{wins} of {len(pairs)}"
             if parent is not None and changed is not None:
                 row["change_over_parent"] = (changed["median"]
                                              / parent["median"])
+                row["verdict"] = verdict(parent, changed, wins, len(pairs),
+                                         METRIC_SPECS[m])
         out[m] = row
     out["final_latent_sha256"] = sorted({r["digest"] for r in ran})
     out["drift_cosine"] = sorted({r["drift_cosine"] for r in ran})

@@ -61,6 +61,33 @@ def test_failed_counts_runs_with_problems():
     assert summary([1.0, 2.0], [1.0, 2.0])["failed"] == 0
 
 
+def test_a_tie_is_within_the_bound():
+    row = summary([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])["run_s"]
+    assert row["verdict"] == "within_bound"
+
+
+def test_a_win_in_every_pair_inside_the_parents_iqr_is_no_gain():
+    # the change wins all 10 pairs, but by 0.1 against an IQR of 0.45
+    parent = [1.0 + 0.1 * i for i in range(10)]
+    row = summary(parent, [v - 0.1 for v in parent])["run_s"]
+    assert row["pairs_change_better"] == "10 of 10"
+    assert row["parent_iqr"] == pytest.approx(0.45)
+    assert row["verdict"] == "within_bound"
+    # by 0.5, past the IQR, it is a gain
+    assert summary(parent, [v - 0.5 for v in parent])["run_s"][
+        "verdict"] == "gain"
+
+
+def test_a_loss_beyond_the_bound_is_flagged():
+    bound = bench_pairs.METRIC_SPECS["run_s"]["bound"]
+    parent = [2.0] * 10
+    row = summary(parent, [2.0 * (1 + bound) + 0.01] * 10)["run_s"]
+    assert row["pairs_change_better"] == "0 of 10"
+    assert row["verdict"] == "worse_beyond_bound"
+    assert summary(parent, [2.0 * (1 + bound) - 0.01] * 10)["run_s"][
+        "verdict"] == "within_bound"
+
+
 class RunFailed(Exception):
     pass
 
