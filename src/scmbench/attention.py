@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -56,6 +57,7 @@ __all__ = [
     "ChainWeights",
     "PriorSet",
     "BlockOutput",
+    "AttentionSink",
     "ffn",
     "axis_attention",
     "axis_block",
@@ -113,6 +115,14 @@ class BlockOutput:
     # asked not to return it (see axis_block)
     attention: np.ndarray | None
     semantic: np.ndarray | None = None  # [F, V, H, W], spatial block only
+
+
+class AttentionSink(NamedTuple):
+    """Where a block hands its full-size attention, for a caller that
+    keeps it, such as a cache (see :func:`axis_block`)."""
+
+    before: Callable[[], None]  # called just before the attention is allocated
+    take: Callable[[np.ndarray], None]  # called once it is complete
 
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -356,8 +366,7 @@ def axis_block(z: np.ndarray, axis: str, prior: np.ndarray, w: BlockParams,
                cached: np.ndarray | None = None,
                out: np.ndarray | None = None,
                return_attention: bool = True,
-               before_attention=None,
-               hand_over=None) -> BlockOutput:
+               sink: AttentionSink | None = None) -> BlockOutput:
     """One SCM block: attention along ``axis``, then FFN(z + attention).
 
     ``axis`` is "spatial", "camera" or "motion" and ``prior`` is that
@@ -376,20 +385,20 @@ def axis_block(z: np.ndarray, axis: str, prior: np.ndarray, w: BlockParams,
 
     The block output goes to ``out``, or to a fresh array when ``out`` is
     None; z is written only when it is ``out``, which a caller passes only
-    for a latent it owns. With ``return_attention`` False, an unpruned
-    block builds no full-size attention: each attention tile writes
-    z + attention straight into its rows of the output, the FFN then runs
-    over the output in place, and ``BlockOutput.attention`` is None. A
-    pruned block always returns its refilled attention.
+    for a latent it owns. With ``return_attention`` False and no
+    ``sink``, an unpruned block builds no full-size attention: each
+    attention tile writes z + attention straight into its rows of the
+    output, the FFN then runs over the output in place, and
+    ``BlockOutput.attention`` is None. A pruned block always returns its
+    refilled attention.
 
-    A caller that keeps the attention, such as a cache, can take it
-    before the block returns: ``hand_over(attention)`` is called as soon
-    as the full-size attention is complete, which for an unpruned block
-    is before its FFN and for a pruned block after it, since the refill
-    completes inside the FFN's tiles. ``before_attention()`` is called
-    just before the full-size attention is allocated, so the caller can
-    free memory first. An unpruned block that builds no attention calls
-    neither.
+    A block given a ``sink`` always builds its attention, whatever
+    ``return_attention`` says, and hands it over before it returns:
+    ``sink.before()`` is called just before the full-size attention is
+    allocated, so the caller can free memory first, and
+    ``sink.take(attention)`` as soon as it is complete, which for an
+    unpruned block is before its FFN and for a pruned block after it,
+    since the refill completes inside the FFN's tiles.
 
     Only the spatial block reports the semantic map [F, V, H, W], the
     mean weight each query puts on the prior token.
@@ -412,19 +421,19 @@ def axis_block(z: np.ndarray, axis: str, prior: np.ndarray, w: BlockParams,
     def sequences(a: np.ndarray) -> np.ndarray:
         return a.reshape(f, v, l, c).transpose(axes)
 
-    if keep is None and not return_attention:
+    if keep is None and not return_attention and sink is None:
         out = out_array(out, z.shape)
         _, pw = axis_attention(sequences(z), prior, w, counters, block=axis,
                                residual_out=sequences(out))
         # The FFN reads z + attention from out and writes over it.
         z, attention = out, None
     elif keep is None:
-        if before_attention is not None:
-            before_attention()
+        if sink is not None:
+            sink.before()
         att, pw = axis_attention(sequences(z), prior, w, counters, block=axis)
         attention = att.transpose(np.argsort(axes)).reshape(z.shape)
-        if hand_over is not None:
-            hand_over(attention)
+        if sink is not None:
+            sink.take(attention)
     else:
         if cached is None or cached.shape != z.shape:
             raise ShapeError(f"cached {axis} attention must have shape "
@@ -445,8 +454,8 @@ def axis_block(z: np.ndarray, axis: str, prior: np.ndarray, w: BlockParams,
         dst = dst.ravel()[order]
         src = att.reshape(g * k * n, c)
         old = cached.reshape(-1, c)
-        if before_attention is not None:
-            before_attention()
+        if sink is not None:
+            sink.before()
         attention = np.empty(z.shape)
         new = attention.reshape(-1, c)
 
@@ -460,8 +469,8 @@ def axis_block(z: np.ndarray, axis: str, prior: np.ndarray, w: BlockParams,
         counters.acquire_workspace(z.size)
     semantic = pw.reshape(f, v, h, ww) if axis == "spatial" else None
     out = ffn(z, w, counters, addend=attention, before_tile=refill, out=out)
-    if keep is not None and hand_over is not None:
-        hand_over(attention)
+    if keep is not None and sink is not None:
+        sink.take(attention)
     return BlockOutput(out=out, attention=attention, semantic=semantic)
 
 
@@ -469,36 +478,27 @@ def spatial_forward(z: np.ndarray, k_s: np.ndarray, w: BlockParams,
                     counters: CostCounters | None = None,
                     out: np.ndarray | None = None,
                     return_attention: bool = True,
-                    before_attention=None,
-                    hand_over=None) -> BlockOutput:
+                    sink: AttentionSink | None = None) -> BlockOutput:
     """Attention along the flattened H*W axis for each (f, v)."""
     return axis_block(z, "spatial", k_s, w, counters, out=out,
-                      return_attention=return_attention,
-                      before_attention=before_attention,
-                      hand_over=hand_over)
+                      return_attention=return_attention, sink=sink)
 
 
 def camera_forward(z: np.ndarray, k_c: np.ndarray, w: BlockParams,
                    counters: CostCounters | None = None,
                    out: np.ndarray | None = None,
                    return_attention: bool = True,
-                   before_attention=None,
-                   hand_over=None) -> BlockOutput:
+                   sink: AttentionSink | None = None) -> BlockOutput:
     """Attention along the V axis for each (f, h, w)."""
     return axis_block(z, "camera", k_c, w, counters, out=out,
-                      return_attention=return_attention,
-                      before_attention=before_attention,
-                      hand_over=hand_over)
+                      return_attention=return_attention, sink=sink)
 
 
 def motion_forward(z: np.ndarray, k_m: np.ndarray, w: BlockParams,
                    counters: CostCounters | None = None,
                    out: np.ndarray | None = None,
                    return_attention: bool = True,
-                   before_attention=None,
-                   hand_over=None) -> BlockOutput:
+                   sink: AttentionSink | None = None) -> BlockOutput:
     """Attention along the F axis for each (v, h, w)."""
     return axis_block(z, "motion", k_m, w, counters, out=out,
-                      return_attention=return_attention,
-                      before_attention=before_attention,
-                      hand_over=hand_over)
+                      return_attention=return_attention, sink=sink)

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import pruning
 from .attention import (
+    AttentionSink,
     BlockParams,
     ChainWeights,
     PriorSet,
@@ -324,40 +325,39 @@ def cached_chain_forward(
     stale = cache is not None and cache.has_entries(layer)
     fresh = []
 
-    def hooks(kind: str) -> dict:
+    def sink(kind: str) -> AttentionSink | None:
         """The block's wait before it builds its attention, and where it
-        hands that attention over."""
+        hands that attention over; None with no cache."""
         if cache is None:
-            return {}
+            return None
 
-        def hand_over(attention: np.ndarray) -> None:
+        def take(attention: np.ndarray) -> None:
             if stale:
                 cache.supersede(layer, kind, attention, step)
             fresh.append(attention)
 
-        return {"before_attention": cache.settle, "hand_over": hand_over}
+        return AttentionSink(cache.settle, take)
 
     def refill(kind: str) -> np.ndarray:
         cached = cache.peek(layer, kind)
         return np.zeros_like(cached) if zero_refill else cached
 
-    stored = cache is not None
     so = spatial_forward(z, priors.k_s, w.spatial, counters, out=out,
-                         return_attention=stored, **hooks("spatial"))
+                         return_attention=False, sink=sink("spatial"))
     z, semantic = so.out, so.semantic
     if select is None:
         z = camera_forward(z, priors.k_c, w.camera, counters, out=z,
-                           return_attention=stored, **hooks("camera")).out
+                           return_attention=False, sink=sink("camera")).out
         z = motion_forward(z, priors.k_m, w.motion, counters, out=z,
-                           return_attention=stored, **hooks("motion")).out
+                           return_attention=False, sink=sink("motion")).out
     else:
         idx = select(semantic)
         z = pruning.pruned_camera_forward(
             z, priors.k_c, w.camera, idx, refill("camera"), counters, out=z,
-            **hooks("camera")).out
+            sink=sink("camera")).out
         z = pruning.pruned_motion_forward(
             z, priors.k_m, w.motion, idx, refill("motion"), counters, out=z,
-            **hooks("motion")).out
+            sink=sink("motion")).out
     if cache is not None:
         cache.store(layer, *fresh, step)
     return z

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import BlockOutput, BlockParams, axis_block
+from .attention import AttentionSink, BlockOutput, BlockParams, axis_block
 # Not called here, but perfbench/tracer.py wraps these names in this
 # module too and reports any it cannot find.
 from .attention import axis_attention, ffn, spatial_forward  # noqa: F401
@@ -87,21 +87,17 @@ def pruned_camera_forward(z_s: np.ndarray, k_c: np.ndarray, w: BlockParams,
                           idx: TokenIndexSet, cached_a_c: np.ndarray,
                           counters: CostCounters | None = None,
                           out: np.ndarray | None = None,
-                          before_attention=None,
-                          hand_over=None) -> BlockOutput:
+                          sink: AttentionSink | None = None) -> BlockOutput:
     """Camera attention on kept positions only, complements from cache."""
     return axis_block(z_s, "camera", k_c, w, counters, idx.i_c, cached_a_c,
-                      out=out, before_attention=before_attention,
-                      hand_over=hand_over)
+                      out=out, sink=sink)
 
 
 def pruned_motion_forward(z_c: np.ndarray, k_m: np.ndarray, w: BlockParams,
                           idx: TokenIndexSet, cached_a_m: np.ndarray,
                           counters: CostCounters | None = None,
                           out: np.ndarray | None = None,
-                          before_attention=None,
-                          hand_over=None) -> BlockOutput:
+                          sink: AttentionSink | None = None) -> BlockOutput:
     """Motion attention on kept positions only, complements from cache."""
     return axis_block(z_c, "motion", k_m, w, counters, idx.i_m, cached_a_m,
-                      out=out, before_attention=before_attention,
-                      hand_over=hand_over)
+                      out=out, sink=sink)

@@ -93,20 +93,12 @@ def compute_asr(cache: RollingCache, step: int, delta_t: int,
     The window covers records from compute steps in [step - delta_t, step],
     all block kinds and all non-excluded layers. An empty window is the
     not-ready signal: bypass cannot trigger on it.
-
-    Records are appended in step order, so the window is found by a scan
-    back from the end that stops at the first record before it; its
-    values are summed in log order.
     """
     lo = step - delta_t
-    log = cache.similarity_log
-    start = len(log)
-    while start > 0 and log[start - 1].step >= lo:
-        start -= 1
     values = [
         rec.value
-        for rec in log[start:]
-        if rec.step <= step and rec.layer not in exclude_layers
+        for rec in cache.similarity_log
+        if lo <= rec.step <= step and rec.layer not in exclude_layers
     ]
     if not values:
         return 0.0

@@ -1,6 +1,7 @@
 """Rolling cache: one slot per (layer, block kind), memory accounting,
 similarity log. Every test goes through the public methods."""
 
+import threading
 import time
 import weakref
 
@@ -20,8 +21,9 @@ from scmbench import (
     emit_report,
     run_benchmark,
 )
-from scmbench import attention, core
+from scmbench import core
 from scmbench import cache as cache_module
+from scmbench.pruning import identify_tokens
 
 from conftest import config_at, make_setup
 
@@ -295,25 +297,33 @@ def test_a_run_waits_for_its_last_comparison(split_into, monkeypatch):
             core._executor.shutdown()
 
 
-def test_a_dense_block_frees_what_it_superseded_before_the_next_attention(
-        monkeypatch):
-    # Each cosine runs aside (2,048 tokens, two drainers) and takes 0.2 s,
-    # longer than a block's FFN: the next block still waits for it, so no
-    # entry superseded by an earlier block is alive when a block starts
-    # its attention. The output and the log are those of a serial pass.
+@pytest.mark.parametrize("pruned", [False, True], ids=["dense", "pruned"])
+def test_a_block_frees_what_earlier_blocks_superseded_before_it_allocates(
+        pruned, monkeypatch):
+    # Each cosine runs aside (2,048 tokens) and takes 0.2 s, longer than a
+    # block's FFN. With four drainers, every helper of a stage of this
+    # size finds a free pool worker instead of queueing behind the cosine,
+    # so no stage waits for it by the way: the block's own wait before it
+    # allocates is what frees the entry that an earlier block superseded,
+    # ahead of its attention pass (unpruned) or its refill (pruned). The
+    # output and the log are those of a serial pass.
     model, priors, z = make_setup(config_at(2, 4, 16, 16, 16))
     chain = model.layers[0].chain
+    select = (lambda q: identify_tokens(q, 0.5)) if pruned else None
 
     def stale_pass():
         cache = RollingCache()
         z1 = cached_chain_forward(z, priors, chain, cache, 0, 0)
-        z2 = cached_chain_forward(z1, priors, chain, cache, 0, 1)
+        # The second pass writes over its input, as a run's does, so every
+        # full-size array it allocates is an attention.
+        z2 = cached_chain_forward(z1, priors, chain, cache, 0, 1,
+                                  select=select, out=z1)
         return z2, [(r.kind, r.value) for r in cache.similarity_log]
 
     monkeypatch.setattr(core, "_PARTS", 1)
     want, want_log = stale_pass()
 
-    monkeypatch.setattr(core, "_PARTS", 2)
+    monkeypatch.setattr(core, "_PARTS", 4)
     monkeypatch.setattr(core, "_executor", None)
     cosine = cache_module.cosine
 
@@ -329,24 +339,31 @@ def test_a_dense_block_frees_what_it_superseded_before_the_next_attention(
         superseded.append(weakref.ref(value))
         return value
 
+    # Per full-size allocation on this thread once an entry has been
+    # superseded: which superseded entries are still alive.
     alive = []
-    axis_attention = attention.axis_attention
+    this_thread = threading.get_ident()
 
-    def checked_attention(*args, **kwargs):
-        alive.append([r() is not None for r in superseded])
-        return axis_attention(*args, **kwargs)
+    def checked(allocate, size):
+        def wrapped(a, *args, **kwargs):
+            if (superseded and threading.get_ident() == this_thread
+                    and size(a) == z.size):
+                alive.append([r() is not None for r in superseded])
+            return allocate(a, *args, **kwargs)
+        return wrapped
 
     monkeypatch.setattr(cache_module, "cosine", slow_cosine)
     monkeypatch.setattr(RollingCache, "retrieve", tracked_retrieve)
-    monkeypatch.setattr(attention, "axis_attention", checked_attention)
+    monkeypatch.setattr(np, "empty", checked(np.empty, np.prod))
+    monkeypatch.setattr(np, "empty_like", checked(np.empty_like, np.size))
     try:
         got, got_log = stale_pass()
     finally:
         if core._executor is not None:
             core._executor.shutdown()
     assert len(superseded) == 3
-    # three attentions of the first pass, then spatial, camera and motion
-    assert alive == [[], [], [], [], [False], [False, False]]
+    # the camera and the motion attention
+    assert alive == [[False], [False, False]]
     assert np.array_equal(got, want)
     assert got_log == want_log
 

@@ -142,19 +142,25 @@ def spread(values: list[float]) -> dict | None:
     return {"median": median, "q1_q3": [q1, q3]}
 
 
-def verdict(parent: dict, change: dict, wins: int, pairs: int,
-            spec: dict) -> str:
+def verdict(parent: list[float], change: list[float], wins: int,
+            pairs: int, spec: dict) -> str:
     """``gain`` when the change won at least 9 in 10 of the pairs and its
-    median is better than the parent's by more than the parent's IQR;
-    ``worse_beyond_bound`` when its median is worse than the parent's by
-    more than ``spec``'s bound, a share of the parent's median;
-    ``within_bound`` otherwise."""
+    median is better than the parent's by more than the parent's IQR.
+    Otherwise ``unresolved`` when the parent's IQR is wider than
+    ``spec``'s bound, a share of the parent's median, and the two arms'
+    runs overlap; ``worse_beyond_bound`` when the change's median is worse
+    than the parent's by more than the bound; ``within_bound`` else."""
+    p, c = spread(parent), spread(change)
+    q1, q3 = p["q1_q3"]
+    bound = spec["bound"] * abs(p["median"])
     sign = 1.0 if spec["better"] == "lower" else -1.0
-    q1, q3 = parent["q1_q3"]
-    gained = sign * (parent["median"] - change["median"])
+    gained = sign * (p["median"] - c["median"])
     if 10 * wins >= 9 * pairs > 0 and gained > q3 - q1:
         return "gain"
-    if -gained > spec["bound"] * abs(parent["median"]):
+    apart = max(change) < min(parent) or min(change) > max(parent)
+    if q3 - q1 > bound and not apart:
+        return "unresolved"
+    if -gained > bound:
         return "worse_beyond_bound"
     return "within_bound"
 
@@ -180,8 +186,10 @@ def summarize(runs: list[dict]) -> dict:
             if parent is not None and changed is not None:
                 row["change_over_parent"] = (changed["median"]
                                              / parent["median"])
-                row["verdict"] = verdict(parent, changed, wins, len(pairs),
-                                         METRIC_SPECS[m])
+                row["verdict"] = verdict(
+                    [r[m] for r in by_arm["parent"]],
+                    [r[m] for r in by_arm["change"]], wins, len(pairs),
+                    METRIC_SPECS[m])
         out[m] = row
     out["final_latent_sha256"] = sorted({r["digest"] for r in ran})
     out["drift_cosine"] = sorted({r["drift_cosine"] for r in ran})

@@ -62,19 +62,19 @@ def test_failed_counts_runs_with_problems():
 
 
 def test_a_tie_is_within_the_bound():
-    row = summary([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])["run_s"]
+    row = summary([2.0, 2.01, 2.02], [2.0, 2.01, 2.02])["run_s"]
     assert row["verdict"] == "within_bound"
 
 
 def test_a_win_in_every_pair_inside_the_parents_iqr_is_no_gain():
-    # the change wins all 10 pairs, but by 0.1 against an IQR of 0.45
-    parent = [1.0 + 0.1 * i for i in range(10)]
-    row = summary(parent, [v - 0.1 for v in parent])["run_s"]
+    # the change wins all 10 pairs, but by 0.05 against an IQR of 0.225
+    parent = [2.0 + 0.05 * i for i in range(10)]
+    row = summary(parent, [v - 0.05 for v in parent])["run_s"]
     assert row["pairs_change_better"] == "10 of 10"
-    assert row["parent_iqr"] == pytest.approx(0.45)
+    assert row["parent_iqr"] == pytest.approx(0.225)
     assert row["verdict"] == "within_bound"
-    # by 0.5, past the IQR, it is a gain
-    assert summary(parent, [v - 0.5 for v in parent])["run_s"][
+    # by 0.3, past the IQR, it is a gain
+    assert summary(parent, [v - 0.3 for v in parent])["run_s"][
         "verdict"] == "gain"
 
 
@@ -86,6 +86,20 @@ def test_a_loss_beyond_the_bound_is_flagged():
     assert row["verdict"] == "worse_beyond_bound"
     assert summary(parent, [2.0 * (1 + bound) - 0.01] * 10)["run_s"][
         "verdict"] == "within_bound"
+
+
+def test_a_parent_spread_wider_than_the_bound_is_unresolved():
+    # IQR 1.0 on a median of 2.0, wider than the bound
+    parent = [1.0, 1.5, 2.0, 2.5, 3.0]
+    assert bench_pairs.METRIC_SPECS["run_s"]["bound"] < 0.5
+    assert summary(parent, parent)["run_s"]["verdict"] == "unresolved"
+    # even with a median worse by more than the bound
+    assert summary(parent, [v + 0.9 for v in parent])["run_s"][
+        "verdict"] == "unresolved"
+    # runs that do not overlap the parent's resolve it either way
+    assert summary(parent, [3.1] * 5)["run_s"]["verdict"] == \
+        "worse_beyond_bound"
+    assert summary(parent, [0.9] * 5)["run_s"]["verdict"] == "gain"
 
 
 class RunFailed(Exception):
