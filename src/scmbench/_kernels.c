@@ -1,0 +1,171 @@
+/* The elementwise arithmetic around numpy's transcendentals, one pass each.
+
+Every kernel computes each element with the same IEEE-754 double
+operations, in the same order, as the numpy expressions it replaces, so
+its results are bit-identical to theirs; np.exp and np.tanh stay in
+numpy, whose vectorized versions differ from libm's. That holds only
+when the compiler neither contracts a multiply and an add into an FMA
+(-ffp-contract=off) nor reorders a sum (no -ffast-math, no
+-fassociative-math): scmbench.core builds this file with those flags.
+
+Arrays are C-contiguous float64. The softmax and GELU kernels are the
+halves before and after the numpy call; the reflect average is all of
+mixing after its matmul.
+*/
+
+#include <stddef.h>
+#include <stdlib.h>
+#include <string.h>
+
+/* Eight doubles, and a mask of eight comparisons (GCC vector extensions;
+   a target without 512-bit vectors runs each as narrower ones). */
+typedef double lanes8 __attribute__((vector_size(64)));
+typedef long long mask8 __attribute__((vector_size(64)));
+
+/* The largest of x[0:n], n >= 1, over eight lanes. With a NaN in the
+   row, the result may be NaN or not, by where the NaN is. */
+static double row_max(const double *x, ptrdiff_t n)
+{
+    double m = x[0];
+    ptrdiff_t i = 1;
+    if (n >= 16) {
+        lanes8 lane, v;
+        memcpy(&lane, x, sizeof lane);
+        for (i = 8; i + 8 <= n; i += 8) {
+            memcpy(&v, x + i, sizeof v);
+            mask8 above = v > lane;
+            lane = (lanes8)(((mask8)v & above) | ((mask8)lane & ~above));
+        }
+        m = lane[0];
+        for (int k = 1; k < 8; k++)
+            m = lane[k] > m ? lane[k] : m;
+    }
+    for (; i < n; i++)
+        m = x[i] > m ? x[i] : m;
+    return m;
+}
+
+/* Each row of x[rows][n] minus its maximum: x -= np.max(x, axis=-1,
+   keepdims=True). Every m that compares equal to the maximum gives the
+   same x - m, up to the sign of a zero that np.exp maps to 1 either way.
+   A row with a NaN comes out of softmax_div_sum all NaN, as it does in
+   numpy: there the maximum is NaN, here the sum is. */
+void softmax_sub_max(double *x, ptrdiff_t rows, ptrdiff_t n)
+{
+    for (ptrdiff_t r = 0; r < rows; r++, x += n) {
+        double m = row_max(x, n);
+        for (ptrdiff_t i = 0; i < n; i++)
+            x[i] -= m;
+    }
+}
+
+/* numpy's pairwise sum of a[0:n], the order np.sum takes along a
+   contiguous axis: in sequence below 8 elements; up to 128, eight running
+   sums over blocks of 8, combined pairwise, then the tail in sequence;
+   above that, the two halves split at n/2 rounded down to a multiple of
+   8. */
+static double pairwise_sum(const double *a, ptrdiff_t n)
+{
+    if (n < 8) {
+        double res = 0.;
+        for (ptrdiff_t i = 0; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        ptrdiff_t i;
+        for (int k = 0; k < 8; k++)
+            r[k] = a[k];
+        for (i = 8; i < n - n % 8; i += 8)
+            for (int k = 0; k < 8; k++)
+                r[k] += a[i + k];
+        double res = ((r[0] + r[1]) + (r[2] + r[3]))
+                     + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    ptrdiff_t n2 = n / 2;
+    n2 -= n2 % 8;
+    return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
+}
+
+/* Each row of x[rows][n] over its sum: x /= np.sum(x, axis=-1,
+   keepdims=True), which adds the pairwise sum to the identity, 0. */
+void softmax_div_sum(double *x, ptrdiff_t rows, ptrdiff_t n)
+{
+    for (ptrdiff_t r = 0; r < rows; r++, x += n) {
+        double s = 0. + pairwise_sum(x, n);
+        for (ptrdiff_t i = 0; i < n; i++)
+            x[i] /= s;
+    }
+}
+
+/* GELU's argument to tanh: t = ((((x * x) * x) * 0.044715) + x) * c,
+   with c = sqrt(2/pi). */
+void gelu_tanh_arg(const double *x, double *t, ptrdiff_t n, double c)
+{
+    for (ptrdiff_t i = 0; i < n; i++)
+        t[i] = ((((x[i] * x[i]) * x[i]) * 0.044715) + x[i]) * c;
+}
+
+/* GELU from t = tanh(...): x = (0.5 * x) * (t + 1), overwriting x. */
+void gelu_finish(double *x, const double *t, ptrdiff_t n)
+{
+    for (ptrdiff_t i = 0; i < n; i++)
+        x[i] = (0.5 * x[i]) * (t[i] + 1.0);
+}
+
+/* One 3-point average with width-1 reflect padding, per element of rows
+   of len values: out[i] = ((a[i] + b[i]) + c[i]) / 3, where a is the row
+   before, b the row itself and c the row after; an edge row's missing
+   neighbour is the row on its other side. */
+static void average3(const double *a, const double *b, const double *c,
+                     double *out, ptrdiff_t len)
+{
+    for (ptrdiff_t i = 0; i < len; i++)
+        out[i] = ((a[i] + b[i]) + c[i]) / 3.0;
+}
+
+/* Neighbour indices of i along an axis of n >= 2, reflect-padded. */
+#define BEFORE(i) ((i) > 0 ? (i) - 1 : 1)
+#define AFTER(i, n) ((i) < (n) - 1 ? (i) + 1 : (n) - 2)
+
+/* Mixing's reflect average of y[t][h][w][c] into out, which must not
+   overlap y: along H when h > 1, then along W when w > 1, each pass as
+   average3 rounds it, and a copy when both are 1. The H pass of one row
+   goes to a row buffer, which the W pass reads. Returns 0, or -1 when the
+   row buffer cannot be allocated. */
+int reflect_average(const double *y, double *out, ptrdiff_t t, ptrdiff_t h,
+                    ptrdiff_t w, ptrdiff_t c)
+{
+    ptrdiff_t row = w * c;
+    double *avg = NULL;
+    if (h > 1 && w > 1) {
+        avg = malloc(row * sizeof(double));
+        if (avg == NULL)
+            return -1;
+    }
+    for (ptrdiff_t s = 0; s < t; s++, y += h * row, out += h * row) {
+        for (ptrdiff_t i = 0; i < h; i++) {
+            const double *src = y + i * row;
+            double *dst = out + i * row;
+            if (h > 1) {
+                double *hdst = w > 1 ? avg : dst;
+                average3(y + BEFORE(i) * row, src,
+                         y + AFTER(i, h) * row, hdst, row);
+                src = hdst;
+            }
+            if (w > 1) {
+                for (ptrdiff_t j = 0; j < w; j++)
+                    average3(src + BEFORE(j) * c, src + j * c,
+                             src + AFTER(j, w) * c, dst + j * c, c);
+            } else if (h == 1) {
+                memcpy(dst, src, row * sizeof(double));
+            }
+        }
+    }
+    free(avg);
+    return 0;
+}

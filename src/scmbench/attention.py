@@ -48,8 +48,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import (CostCounters, out_array, run_tiles, softmax_last_inplace,
-                   tiles)
+from .core import (CostCounters, _address, _kernels, out_array, run_tiles,
+                   softmax_last_inplace, tiles)
 from .errors import ParameterError, ShapeError
 
 __all__ = [
@@ -134,19 +134,16 @@ _SCORES_PER_TOKEN = 256
 
 
 def _gelu_inplace(x: np.ndarray) -> np.ndarray:
-    """Overwrite ``x`` with the tanh-form GELU, with one same-shape
-    temporary: 0.5 * x * (1 + tanh(sqrt(2/pi) * (x + 0.044715 x^3))),
-    evaluated in that order (x^3 as (x * x) * x).
+    """Overwrite ``x``, a C-contiguous float64 array, with the tanh-form
+    GELU, with one same-shape temporary: (0.5 x) (tanh(u) + 1), where
+    u = ((x^3 * 0.044715) + x) * sqrt(2/pi) and x^3 = (x * x) * x. The
+    kernels compute u before ``np.tanh`` and the rest after it.
     """
-    tmp = x * x
-    tmp *= x
-    tmp *= 0.044715
-    tmp += x
-    tmp *= _SQRT_2_OVER_PI
+    tmp = np.empty_like(x)
+    data, scratch = _address(x), tmp.ctypes.data
+    _kernels.gelu_tanh_arg(data, scratch, x.size, _SQRT_2_OVER_PI)
     np.tanh(tmp, out=tmp)
-    tmp += 1.0
-    x *= 0.5
-    x *= tmp
+    _kernels.gelu_finish(data, scratch, x.size)
     return x
 
 

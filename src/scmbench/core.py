@@ -23,6 +23,14 @@ hold on any machine:
   each, so outputs do not depend on the core count or on
   ``OPENBLAS_NUM_THREADS``.
 
+The elementwise arithmetic of softmax, GELU and mixing's reflect average
+runs in ``_kernels.c``, compiled with gcc on first import (see
+:func:`_load_kernels`) and called through ``ctypes``, which releases the
+GIL for each call, so the drainers run kernels at once. Each kernel
+computes every element with the same operations in the same order as the
+numpy expression it replaced, so the results are bit for bit the same;
+``np.exp``, ``np.tanh`` and every matmul stay in numpy.
+
 All array values flowing through public operations are finite; callers can
 assert this cheaply with :func:`assert_finite`.
 """
@@ -34,6 +42,7 @@ import math
 import numbers
 import os
 import threading
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -291,9 +300,12 @@ def run_aside(tokens: int, fn, *args):
     return a function that waits for it and returns its result. With one
     drainer, or within one tile, it runs at once, as a one-tile stage does:
     the hand-off would cost more than it saves. A stage started meanwhile
-    never waits on ``fn``: its helpers queue behind it while the calling
-    thread drains the tiles. ``fn`` must not call :func:`run_tiles`, whose
-    helpers would queue behind ``fn`` itself.
+    may wait on ``fn``: ``fn`` holds a pool worker (with 2 CPUs, the only
+    one), so a helper of the stage can queue behind it. The calling thread
+    drains the tiles meanwhile, but the stage returns only once each of
+    its helpers has run, and so, for that helper, after ``fn``.
+    ``fn`` must not call :func:`run_tiles`, whose helpers would queue
+    behind ``fn`` itself.
     """
     if _PARTS <= 1 or len(tiles(tokens)) < 2:
         result = fn(*args)
@@ -367,13 +379,104 @@ def out_array(out: np.ndarray | None, shape) -> np.ndarray:
     return out
 
 
+# The compiled kernels: _kernels.c, built on first import into
+# _KERNEL_CACHE (see _load_kernels). -ffp-contract=off keeps every multiply
+# and every add its own rounded operation, as numpy's are, and without
+# -ffast-math gcc never reorders a sum, so the kernels' bits are numpy's.
+# -march=native ties the library to this CPU, so its key holds the CPU
+# features numpy enables.
+_KERNEL_SOURCE = Path(__file__).with_name("_kernels.c")
+_KERNEL_CACHE = Path(__file__).with_name(".kernels")
+_CFLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-fPIC", "-shared")
+_PTR, _LEN = ctypes.c_void_p, ctypes.c_ssize_t
+_SIGNATURES = {
+    "softmax_sub_max": ([_PTR, _LEN, _LEN], None),
+    "softmax_div_sum": ([_PTR, _LEN, _LEN], None),
+    "gelu_tanh_arg": ([_PTR, _PTR, _LEN, ctypes.c_double], None),
+    "gelu_finish": ([_PTR, _PTR, _LEN], None),
+    "reflect_average": ([_PTR, _PTR, _LEN, _LEN, _LEN, _LEN], ctypes.c_int),
+}
+
+
+def _cpu_features() -> str:
+    """The CPU features numpy has enabled on this machine."""
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    return " ".join(sorted(k for k, on in __cpu_features__.items() if on))
+
+
+def _build(source: Path, flags: tuple[str, ...], lib: Path) -> None:
+    """Compile ``source`` into ``lib`` with gcc, through a file of this
+    process's own that is renamed into place when whole."""
+    # Imported here, so that a process which finds its library never
+    # imports it.
+    import subprocess
+
+    lib.parent.mkdir(parents=True, exist_ok=True)
+    part = lib.with_name(f"{lib.name}.{os.getpid()}")
+    command = ["gcc", *flags, "-o", str(part), str(source)]
+    try:
+        done = subprocess.run(command, capture_output=True, text=True)
+        problem = (f"exit code {done.returncode}: {done.stderr.strip()}"
+                   if done.returncode else None)
+    except OSError as exc:
+        problem = str(exc)
+    if problem is not None:
+        part.unlink(missing_ok=True)
+        raise ImportError(f"building scmbench's kernels failed: "
+                          f"{' '.join(command)}: {problem}") from None
+    os.replace(part, lib)
+
+
+def _load_kernels(cache: Path = _KERNEL_CACHE, source: Path = _KERNEL_SOURCE,
+                  flags: tuple[str, ...] = _CFLAGS,
+                  features: str | None = None) -> ctypes.CDLL:
+    """The kernels of ``source`` compiled with ``flags``, loaded.
+
+    The library lives in ``cache`` under a CRC-32 of the source, the flags
+    and the CPU features (numpy's when ``features`` is None); it is built
+    only when no library of that key is there. Processes that import at
+    once may each build it, and each loads a whole file. A failed build
+    raises ImportError naming the command.
+    """
+    if features is None:
+        features = _cpu_features()
+    key = zlib.crc32(b"\0".join((source.read_bytes(),
+                                  " ".join(flags).encode(),
+                                  features.encode())))
+    lib = cache / f"_kernels-{key:08x}.so"
+    if not lib.is_file():
+        _build(source, flags, lib)
+    kernels = ctypes.CDLL(str(lib))
+    for name, (argtypes, restype) in _SIGNATURES.items():
+        fn = getattr(kernels, name)
+        fn.argtypes, fn.restype = argtypes, restype
+    return kernels
+
+
+_kernels = _load_kernels()
+
+
+def _address(a: np.ndarray) -> int:
+    """The address of ``a``'s data, which a kernel reads and writes as a
+    C-contiguous float64 array; ShapeError when ``a`` is not one."""
+    if a.dtype != np.float64 or not a.flags.c_contiguous:
+        raise ShapeError(f"a kernel needs a C-contiguous float64 array, got "
+                         f"{a.dtype} with strides {a.strides}")
+    return a.ctypes.data
+
+
 def softmax_last_inplace(x: np.ndarray) -> np.ndarray:
-    """Max-subtracted softmax along the last axis, overwriting ``x``."""
-    if x.shape[-1] < 1:
+    """Max-subtracted softmax along the last axis, overwriting ``x``, a
+    C-contiguous float64 array."""
+    data = _address(x)
+    n = x.shape[-1]
+    if n < 1:
         raise ShapeError("softmax needs at least one element on the last axis")
-    x -= np.max(x, axis=-1, keepdims=True)
+    rows = x.size // n
+    _kernels.softmax_sub_max(data, rows, n)
     np.exp(x, out=x)
-    x /= np.sum(x, axis=-1, keepdims=True)
+    _kernels.softmax_div_sum(data, rows, n)
     return x
 
 

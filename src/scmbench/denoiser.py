@@ -30,8 +30,8 @@ from .attention import (
     spatial_forward,
 )
 from .cache import BLOCK_KINDS, RollingCache
-from .core import (CostCounters, Rng, _element_count, assert_finite,
-                   out_array, run_tiles, tiles)
+from .core import (CostCounters, Rng, _address, _element_count, _kernels,
+                   assert_finite, out_array, run_tiles, tiles)
 from .errors import ParameterError, ShapeError
 from .scheduler import (
     MODE_TABLE,
@@ -211,35 +211,17 @@ def ddim_update(z_t: np.ndarray, z0_hat: np.ndarray, t: int,
     return result
 
 
-def _reflect_avg(y: np.ndarray, axis_view, out: np.ndarray) -> np.ndarray:
-    """3-point moving average with width-1 reflect padding along one axis.
-
-    ``axis_view(a, sl)`` slices ``a`` along the averaged axis. Equivalent
-    to padding with mode="reflect" and averaging three shifted views, with
-    the same left-to-right accumulation order.
-    """
-    mid = axis_view(out, slice(1, -1))
-    np.add(axis_view(y, slice(0, -2)), axis_view(y, slice(1, -1)), out=mid)
-    mid += axis_view(y, slice(2, None))
-    first = axis_view(out, 0)
-    np.add(axis_view(y, 1), axis_view(y, 0), out=first)
-    first += axis_view(y, 1)
-    last = axis_view(out, -1)
-    np.add(axis_view(y, -2), axis_view(y, -1), out=last)
-    last += axis_view(y, -2)
-    out /= 3.0
-    return out
-
-
 def mixing(z: np.ndarray, mix: np.ndarray,
            counters: CostCounters | None = None,
            out: np.ndarray | None = None) -> np.ndarray:
-    """Channelwise linear map, then 3-point reflect-padded averaging.
+    """Channelwise linear map, then 3-point reflect-padded averaging
+    along H and then along W, ((y[i-1] + y[i]) + y[i+1]) / 3 with an
+    edge's missing neighbour taken from its other side.
 
-    Runs tile by tile over groups of (f, v) slices; the last stage of each
-    tile writes straight into ``out``, or into a fresh array when ``out``
-    is None. ``out`` may be z itself: a tile's first stage reads all of
-    its rows before the last one writes them.
+    Runs tile by tile over groups of (f, v) slices: the matmul into a tile
+    temporary, then the averaging kernel from it straight into ``out``, or
+    into a fresh array when ``out`` is None. ``out`` may be z itself: a
+    tile's matmul reads all of its rows before the kernel writes them.
     """
     f, v, h, w, c = z.shape
     g, l = f * v, h * w
@@ -250,15 +232,10 @@ def mixing(z: np.ndarray, mix: np.ndarray,
     def apply(i: int, j: int) -> None:
         # Each (f, v) slice is mixed on its own; a tile touches only the
         # rows of its slices.
-        shape = (j - i, h, w, c)
-        last = out[i:j]
-        y = last if h == w == 1 else np.empty(shape)
-        np.matmul(rows[i * l:j * l], mix, out=y.reshape(-1, c))
-        if h > 1:
-            y = _reflect_avg(y, lambda a, s: a[:, s],
-                             last if w == 1 else np.empty(shape))
-        if w > 1:
-            _reflect_avg(y, lambda a, s: a[:, :, s], last)
+        y = rows[i * l:j * l] @ mix
+        if _kernels.reflect_average(_address(y), out[i:j].ctypes.data,
+                                    j - i, h, w, c):
+            raise MemoryError("no row buffer for the reflect average")
 
     run_tiles(tiles(g, l), apply)
     if counters is not None:

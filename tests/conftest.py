@@ -26,13 +26,63 @@ from scmbench import core
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 
+# The numpy expressions that the compiled kernels replaced, in the order of
+# their operations; each kernel must give their bits.
+
+def softmax_reference(x: np.ndarray) -> np.ndarray:
+    """Max-subtracted softmax along the last axis of a copy of ``x``."""
+    x = np.array(x, dtype=np.float64)
+    x -= np.max(x, axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= np.sum(x, axis=-1, keepdims=True)
+    return x
+
+
 def gelu(x: np.ndarray) -> np.ndarray:
-    """tanh-form GELU: 0.5 * x * (1 + tanh(sqrt(2/pi) * (x + 0.044715 x^3)))."""
+    """tanh-form GELU: 0.5 * x * (1 + tanh(sqrt(2/pi) * (x + 0.044715 x^3))),
+    with x^3 as (x * x) * x."""
     u = _SQRT_2_OVER_PI * (x + 0.044715 * (x * x * x))
     np.tanh(u, out=u)
     u += 1.0
     u *= 0.5 * x
     return u
+
+
+def _reflect_avg(y: np.ndarray, axis: int) -> np.ndarray:
+    """3-point moving average with width-1 reflect padding along ``axis``
+    (of length 2 or more): ((y[i-1] + y[i]) + y[i+1]) / 3, where an edge's
+    missing neighbour is the one on its other side."""
+    at = lambda a, s: a[(slice(None),) * axis + (s,)]
+    out = np.empty_like(y)
+    mid = at(out, slice(1, -1))
+    np.add(at(y, slice(0, -2)), at(y, slice(1, -1)), out=mid)
+    mid += at(y, slice(2, None))
+    first = at(out, 0)
+    np.add(at(y, 1), at(y, 0), out=first)
+    first += at(y, 1)
+    last = at(out, -1)
+    np.add(at(y, -2), at(y, -1), out=last)
+    last += at(y, -2)
+    out /= 3.0
+    return out
+
+
+def reflect_average_reference(y: np.ndarray) -> np.ndarray:
+    """Mixing's averaging of ``y`` [t, H, W, C]: along H, then along W, each
+    only where that axis has two or more positions."""
+    for axis in (1, 2):
+        if y.shape[axis] > 1:
+            y = _reflect_avg(y, axis)
+    return y
+
+
+def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    """Equal shapes, NaN at the same positions, every other element
+    bit-equal (so -0.0 differs from 0.0); NaN payloads may differ."""
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
 
 
 def chain_forward(

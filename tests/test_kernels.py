@@ -1,0 +1,248 @@
+"""The compiled kernels of ``_kernels.c``: each gives the bits of the numpy
+expression it replaced, at any optimization level, and the loader builds
+a library only when none of its key is cached."""
+
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from scmbench import core
+from scmbench.attention import _gelu_inplace
+from scmbench.core import softmax_last_inplace
+from scmbench.denoiser import mixing
+from scmbench.errors import ShapeError
+
+from conftest import (assert_same_bits, gelu, reflect_average_reference,
+                      softmax_reference)
+
+PACKAGE = Path(core.__file__).parent
+SIDES = (1, 2, 3, 16)
+
+
+def softmax_inputs() -> list[np.ndarray]:
+    """Rows of every length from 1 to 300 and of 1,000 and 4,097, at two
+    scales, and rows with ties, signed zeros, infinities and NaNs."""
+    rng = np.random.default_rng(0)
+    xs = [rng.standard_normal((3, n)) * rng.choice([1.0, 40.0], (3, 1))
+          for n in [*range(1, 301), 1000, 4097]]
+    xs.append(rng.standard_normal((4, 2, 16, 17)))  # attention's layout
+    inf, nan = np.inf, np.nan
+    for n in (2, 5, 9, 17, 40, 257):
+        for pos in (0, n // 2, n - 1):
+            for value in (inf, -inf, nan):
+                row = rng.standard_normal(n)
+                row[pos] = value
+                xs.append(row)
+        xs.append(np.full(n, 3.0))                    # a row of ties
+        xs.append(np.repeat([1.0, 2.0], [n - n // 2, n // 2]))
+        xs.append(np.full(n, -inf))
+        xs.append(np.where(np.arange(n) % 2, 0.0, -0.0))
+    xs.append(np.array([inf, nan, -inf, 1.0]))
+    return xs
+
+
+def gelu_input() -> np.ndarray:
+    """Signed zeros, subnormals, arguments whose cube overflows, the
+    infinities, NaN, normals over several decades, and a dense sample of
+    the range where the cubic term and tanh both matter."""
+    tiny = np.finfo(np.float64).smallest_subnormal
+    special = [0.0, -0.0, tiny, -tiny, 1e3 * tiny, -7e5 * tiny,
+               np.finfo(np.float64).tiny, 1e103, -1e103, 3e150, -1e200,
+               np.finfo(np.float64).max, np.inf, -np.inf, np.nan]
+    rng = np.random.default_rng(1)
+    normals = rng.standard_normal(1000) * 10.0 ** rng.integers(-8, 4, 1000)
+    return np.concatenate([special, normals, rng.uniform(-6.0, 6.0, 2000)])
+
+
+def reflect_inputs() -> list[np.ndarray]:
+    """[t, H, W, C] latents with H and W each 1, 2, 3 or 16."""
+    rng = np.random.default_rng(2)
+    return [rng.standard_normal((2, h, w, c))
+            for h in SIDES for w in SIDES for c in (1, 5, 64)]
+
+
+def reflect_with(kernels, y: np.ndarray) -> np.ndarray:
+    out = np.empty_like(y)
+    assert kernels.reflect_average(y.ctypes.data, out.ctypes.data,
+                                   *y.shape) == 0
+    return out
+
+
+# --- bits against the numpy references -------------------------------------
+
+def test_softmax_gives_the_numpy_bits():
+    for x in softmax_inputs():
+        got = x.copy()
+        assert softmax_last_inplace(got) is got
+        with np.errstate(invalid="ignore"):  # inf - inf, as in numpy
+            assert_same_bits(got, softmax_reference(x))
+
+
+def test_gelu_gives_the_numpy_bits():
+    x = gelu_input()
+    for n in (1, 7, 8, 9, 15, 64, len(x)):  # every tail of a vector loop
+        got = x[:n].copy()
+        assert _gelu_inplace(got) is got
+        with np.errstate(all="ignore"):
+            assert_same_bits(got, gelu(x[:n]))
+
+
+def test_reflect_average_gives_the_numpy_bits():
+    for y in reflect_inputs():
+        assert_same_bits(reflect_with(core._kernels, y),
+                         reflect_average_reference(y))
+
+
+@pytest.mark.parametrize("h", SIDES)
+@pytest.mark.parametrize("w", SIDES)
+def test_mixing_is_the_matmul_then_the_reference_average(h, w):
+    rng = np.random.default_rng(3)
+    z, mix = rng.standard_normal((2, 3, h, w, 4)), rng.standard_normal((4, 4))
+    y = (z.reshape(-1, 4) @ mix).reshape(6, h, w, 4)
+    assert_same_bits(mixing(z, mix),
+                     reflect_average_reference(y).reshape(z.shape))
+
+
+def test_unoptimized_build_gives_the_same_bits(tmp_path):
+    # At -O0 gcc neither vectorizes, contracts nor reorders anything, so
+    # any of those in the shipped build would show here.
+    plain = core._load_kernels(tmp_path, flags=("-O0", "-fPIC", "-shared"))
+    runs = []
+    for kernels in (core._kernels, plain):
+        got = []
+        for x in softmax_inputs():
+            x = np.ascontiguousarray(x)
+            a, n = x.copy(), x.shape[-1]
+            kernels.softmax_sub_max(a.ctypes.data, a.size // n, n)
+            b = x.copy()
+            kernels.softmax_div_sum(b.ctypes.data, b.size // n, n)
+            got += [a, b]
+        x = gelu_input()
+        t, y = np.empty_like(x), x.copy()
+        kernels.gelu_tanh_arg(x.ctypes.data, t.ctypes.data, x.size, 0.79)
+        got.append(t.copy())
+        np.tanh(t, out=t)
+        kernels.gelu_finish(y.ctypes.data, t.ctypes.data, x.size)
+        got.append(y)
+        got += [reflect_with(kernels, r) for r in reflect_inputs()]
+        runs.append(got)
+    for shipped, unoptimized in zip(*runs):
+        assert_same_bits(shipped, unoptimized)
+
+
+# --- the softmax contract --------------------------------------------------
+
+@pytest.mark.parametrize("x", [
+    np.ones((4, 6))[:, ::2],          # a strided view
+    np.ones((3, 4)).T,                # Fortran order
+    np.ones((2, 3), dtype=np.float32),
+    np.ones((2, 3), dtype=np.int64),
+], ids=["strided", "fortran", "float32", "int64"])
+def test_softmax_rejects_what_the_kernel_cannot_read(x):
+    before = x.copy()
+    with pytest.raises(ShapeError, match="C-contiguous float64"):
+        softmax_last_inplace(x)
+    assert np.array_equal(x, before)
+
+
+def test_gelu_and_mixing_reject_what_the_kernels_cannot_read():
+    with pytest.raises(ShapeError, match="C-contiguous float64"):
+        _gelu_inplace(np.ones((4, 6))[:, ::2])
+    z, mix = np.ones((1, 2, 3, 3, 4), np.float32), np.eye(4, dtype=np.float32)
+    with pytest.raises(ShapeError, match="C-contiguous float64"):
+        mixing(z, mix)
+
+
+# --- the loader ------------------------------------------------------------
+
+@pytest.fixture
+def compiles(monkeypatch):
+    """The commands of every gcc run from now on."""
+    commands = []
+    run = subprocess.run
+
+    def counted(command, *args, **kwargs):
+        commands.append(command)
+        return run(command, *args, **kwargs)
+
+    monkeypatch.setattr(subprocess, "run", counted)
+    return commands
+
+
+def test_a_changed_source_flag_or_cpu_key_rebuilds(tmp_path, compiles):
+    source = tmp_path / "k.c"
+    source.write_bytes(core._KERNEL_SOURCE.read_bytes())
+    cache = tmp_path / "cache"
+    flags = ("-O1", "-fPIC", "-shared")
+    core._load_kernels(cache, source, flags, "A")
+    core._load_kernels(cache, source, flags, "A")
+    assert len(compiles) == 1
+    core._load_kernels(cache, source, flags, "A B")
+    core._load_kernels(cache, source, ("-O2", *flags[1:]), "A")
+    source.write_bytes(source.read_bytes() + b"/* changed */\n")
+    core._load_kernels(cache, source, flags, "A")
+    assert len(compiles) == 4
+    assert len(list(cache.glob("_kernels-*.so"))) == 4
+    assert sorted(p.name for p in cache.iterdir()
+                  if not p.name.endswith(".so")) == []
+
+
+def test_a_current_library_loads_without_the_compiler(monkeypatch):
+    def no_compiler(*args, **kwargs):
+        pytest.fail(f"the compiler ran: {args}")
+
+    monkeypatch.setattr(subprocess, "run", no_compiler)
+    kernels = core._load_kernels()
+    assert Path(kernels._name).parent == core._KERNEL_CACHE
+
+
+def package_copy(tmp_path: Path) -> Path:
+    """A copy of the scmbench sources, with no library built, under a
+    directory to put first on ``sys.path``."""
+    shutil.copytree(PACKAGE, tmp_path / "pkg" / "scmbench",
+                    ignore=shutil.ignore_patterns(".kernels", "__pycache__"))
+    return tmp_path / "pkg"
+
+
+def importer(root: Path, env=None) -> subprocess.Popen:
+    code = (f"import sys; sys.path.insert(0, {str(root)!r}); "
+            f"import scmbench; print(scmbench.__file__)")
+    return subprocess.Popen([sys.executable, "-c", code], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True)
+
+
+def test_two_processes_importing_at_once_both_build_and_load(tmp_path):
+    root = package_copy(tmp_path)
+    procs = [importer(root) for _ in range(2)]
+    for proc in procs:
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        assert out.strip().startswith(str(root))
+    built = sorted(p.name for p in (root / "scmbench" / ".kernels").iterdir())
+    assert len(built) == 1 and built[0].endswith(".so")
+
+
+def test_a_failing_compiler_ends_import_with_one_error(tmp_path):
+    root = package_copy(tmp_path)
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    gcc = bin_dir / "gcc"
+    gcc.write_text("#!/bin/sh\necho 'gcc: out of order' >&2\nexit 3\n")
+    gcc.chmod(0o755)
+    env = dict(os.environ, PATH=f"{bin_dir}:{os.environ['PATH']}")
+    proc = importer(root, env)
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode != 0
+    assert err.count("Traceback") == 1
+    last = err.strip().splitlines()[-1]
+    assert last.startswith("ImportError: building scmbench's kernels failed: "
+                           "gcc -O3 -march=native -ffp-contract=off")
+    assert last.endswith("exit code 3: gcc: out of order")
+    assert not (root / "scmbench" / ".kernels").exists() or not any(
+        (root / "scmbench" / ".kernels").iterdir())

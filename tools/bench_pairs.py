@@ -23,13 +23,13 @@ in every arm, must give the same final latent. A run that fails
 (``run.RunFailed``: a timeout, a bad exit or bad output) is recorded, as
 ``perfbench/run.py``'s ``measure`` records it, with its error under
 ``problems`` and no metrics, and the session goes on. The output holds
-the machine, a SHA-256 of each tree's scmbench sources, every run and,
-per workload and seed, each arm's median and quartiles over the runs that
-ran, the parent's IQR, the change's median over the parent's and the
-pairs the change won, where a pair with a failed side counts for neither
-side, and a verdict (:func:`verdict`) against the metric's bound in the
-repository's ``BENCHMARK.json``, which is only read. The exit code is 1
-if any run failed or any check failed.
+the machine, a SHA-256 of each tree's scmbench sources (its ``*.py`` and
+``*.c`` files), every run and, per workload and seed, each arm's median
+and quartiles over the runs that ran, the parent's IQR, the change's
+median over the parent's and the pairs the change won, where a pair with
+a failed side counts for neither side, and a verdict (:func:`verdict`)
+against the metric's bound in the repository's ``BENCHMARK.json``, which
+is only read. The exit code is 1 if any run failed or any check failed.
 """
 
 from __future__ import annotations
@@ -104,9 +104,11 @@ def cpu_model() -> str | None:
 
 
 def source_digest(tree: Path) -> str:
-    """SHA-256 over the paths and bytes of ``tree``'s scmbench sources."""
+    """SHA-256 over the paths and bytes of ``tree``'s scmbench sources, the
+    Python modules and the C kernels."""
     h = hashlib.sha256()
-    for path in sorted((tree / "src").rglob("*.py")):
+    for path in sorted(p for p in (tree / "src").rglob("*")
+                       if p.suffix in (".py", ".c")):
         h.update(str(path.relative_to(tree)).encode() + b"\0")
         h.update(path.read_bytes())
     return h.hexdigest()

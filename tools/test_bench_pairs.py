@@ -160,3 +160,18 @@ def test_a_failed_run_is_recorded_and_its_pair_left_out(tmp_path,
     # pair 1 only: change 5.0 against parent 6.0, not parent 1.0
     assert seed0["run_s"]["pairs_change_better"] == "1 of 1"
     assert seed0["final_latent_sha256"] == ["d"]
+
+
+def test_the_source_digest_covers_the_c_kernels_and_nothing_built(tmp_path):
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\n")
+    (package / "k.c").write_text("int k;\n")
+    first = bench_pairs.source_digest(tmp_path)
+    (package / "k.so").write_bytes(b"\x7fELF")
+    assert bench_pairs.source_digest(tmp_path) == first
+    (package / "k.c").write_text("int k = 1;\n")
+    second = bench_pairs.source_digest(tmp_path)
+    assert second != first
+    (package / "a.py").write_text("x = 2\n")
+    assert bench_pairs.source_digest(tmp_path) not in (first, second)
