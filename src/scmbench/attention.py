@@ -25,19 +25,19 @@ its whole range into tiles of about ``core._TILE_TOKENS`` tokens, where
 an attention sequence weighs its tokens or its score elements divided by
 :data:`_SCORES_PER_TOKEN`, whichever is more. Attention runs its whole
 pipeline (kv concat, fused Q/K/V projection, scores, softmax, weighted
-sum, head merge, output projection) once per tile, the FFN adds the
-residual per tile, and camera and motion read their sequences from the
-[F, V, H, W, C] layout through transposed views and get their attention
-back in that layout's memory order. No full-size temporary or transposed
-copy is made, every attention output is contiguous in the latent's
-layout, and per-row results do not depend on the tiles.
+sum, head merge, output projection) once per tile, and camera and motion
+read their sequences from the [F, V, H, W, C] layout through transposed
+views and write their results back in that layout's memory order. No
+full-size temporary or transposed copy is made, every attention output is
+contiguous in the latent's layout, and per-row results do not depend on
+the tiles.
 
 Ownership: every stage writes its result to ``out``, or to a fresh array
 when ``out`` is None, and writes its inputs only when one of them is
 ``out``. A caller passes ``out`` only for a latent it owns and no longer
 needs, so a step holds one working latent that each stage writes over.
-When no cache stores a block's attention, the block never builds it at
-full size: each attention tile adds it into its own rows of the output.
+Each attention tile of an unpruned block writes z + attention over its
+rows of the output, and its rows of a cache's copy when a cache keeps it.
 """
 
 from __future__ import annotations
@@ -111,8 +111,8 @@ class PriorSet:
 @dataclass
 class BlockOutput:
     out: np.ndarray        # [F, V, H, W, C], post-FFN
-    # [F, V, H, W, C], pre-FFN attention result; None when the block was
-    # asked not to return it (see axis_block)
+    # [F, V, H, W, C], a pruned block's refilled attention; None for an
+    # unpruned block, which hands its attention only to a sink
     attention: np.ndarray | None
     semantic: np.ndarray | None = None  # [F, V, H, W], spatial block only
 
@@ -188,17 +188,18 @@ def _batch_tiles(outer: int, inner: int,
     return grid
 
 
-def _attend_tile(z: np.ndarray, prior: np.ndarray, out: np.ndarray,
-                 prior_weight: np.ndarray, p: BlockParams,
-                 w_qkv: np.ndarray, residual: bool) -> None:
+def _attend_tile(z: np.ndarray, prior: np.ndarray, prior_weight: np.ndarray,
+                 att: np.ndarray | None, total: np.ndarray | None,
+                 p: BlockParams, w_qkv: np.ndarray) -> None:
     """The whole attention pipeline for one rectangular tile of sequences.
 
-    z and out are [ot, it, n, C] with any strides, prior is [ot, it, 1, C]
-    and prior_weight a contiguous [ot, it, n]. Scores, softmax and the
-    weighted sum run once over the whole tile, whose size
+    z, att and total are [ot, it, n, C] with any strides, prior is
+    [ot, it, 1, C] and prior_weight a contiguous [ot, it, n]. Scores,
+    softmax and the weighted sum run once over the whole tile, whose size
     :func:`axis_attention` bounds by its tokens and by its score elements.
-    Every temporary is a plain array sized by the tile. ``out`` gets the
-    attention, or with ``residual`` z + attention; it may be z itself,
+    Every temporary is a plain array sized by the tile. ``att`` gets the
+    attention, which stays a tile temporary when it is None, and then
+    ``total``, when given, gets z + attention; ``total`` may be z itself,
     whose rows are copied before anything is written.
     """
     ot, it, n, c = z.shape
@@ -228,19 +229,22 @@ def _attend_tile(z: np.ndarray, prior: np.ndarray, out: np.ndarray,
         # one-row product as a matrix-vector product, which sums in
         # another order, so pad it to two rows.
         rows = np.concatenate((rows, rows))
-    if residual:
-        np.add(z, (rows @ p.wo)[:t * n].reshape(out.shape), out=out)
-    elif out.flags.c_contiguous and t * n > 1:
-        np.matmul(rows, p.wo, out=out.reshape(t * n, c))
+    if att is None:
+        att = (rows @ p.wo)[:t * n].reshape(z.shape)
+    elif att.flags.c_contiguous and t * n > 1:
+        np.matmul(rows, p.wo, out=att.reshape(t * n, c))
     else:
-        np.copyto(out, (rows @ p.wo)[:t * n].reshape(out.shape))
+        np.copyto(att, (rows @ p.wo)[:t * n].reshape(att.shape))
+    if total is not None:
+        np.add(z, att, out=total)
     np.mean(scores[..., -1], axis=1, out=prior_weight.reshape(t, n))
 
 
 def axis_attention(z_seq: np.ndarray, prior_token: np.ndarray, p: BlockParams,
                    counters: CostCounters | None = None,
                    block: str | None = None,
-                   residual_out: np.ndarray | None = None
+                   residual_out: np.ndarray | None = None,
+                   attention_out: np.ndarray | None = None
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Multi-head attention over one axis with the prior as an extra key.
 
@@ -254,10 +258,11 @@ def axis_attention(z_seq: np.ndarray, prior_token: np.ndarray, p: BlockParams,
 
     With ``residual_out``, an array of z_seq's shape (z_seq itself is
     allowed), each tile writes z_seq + attention over its own sequences'
-    rows of it instead, and it is returned in place of the attended
-    output: the block's residual sum, made without a full-size attention
-    array. The caller must own it. Every tile copies its sequences before
-    it writes them, and no tile reads another's rows.
+    rows of it, and it is returned in place of the attended output: the
+    block's residual sum. The attention goes to ``attention_out`` when
+    given, an array of z_seq's shape that overlaps neither, and is else
+    never made at full size. The caller must own both. Every tile copies
+    its sequences before it writes them, and no tile reads another's rows.
 
     The batch grid runs over the cores as rectangular tiles
     (:func:`_batch_tiles`), each attended in one pass.
@@ -274,21 +279,22 @@ def axis_attention(z_seq: np.ndarray, prior_token: np.ndarray, p: BlockParams,
         raise ShapeError(f"axis_attention: empty input, z_seq shape "
                          f"{z_seq.shape}")
     p.head_dim()  # raises unless n_heads divides C
-    residual = residual_out is not None
-    if residual and residual_out.shape != z_seq.shape:
-        raise ShapeError(f"residual_out shape {residual_out.shape} != "
-                         f"{z_seq.shape}")
-    out = residual_out if residual else np.empty_like(z_seq, dtype=np.float64)
+    for a in (residual_out, attention_out):
+        if a is not None and a.shape != z_seq.shape:
+            raise ShapeError(f"output shape {a.shape} != {z_seq.shape}")
+    att = attention_out
+    if att is None and residual_out is None:
+        att = np.empty_like(z_seq, dtype=np.float64)
     prior_weight = np.empty((*batch, n))
+    views = [z_seq, prior_token, prior_weight, att, residual_out]
     if z_seq.ndim == 3:
-        views = (z_seq[None], prior_token[None], out[None], prior_weight[None])
-    else:
-        views = (z_seq, prior_token, out, prior_weight)
+        views = [None if a is None else a[None] for a in views]
     w_qkv = np.concatenate((p.wq, p.wk, p.wv), axis=1)
 
     def attend(o0: int, o1: int, i0: int, i1: int) -> None:
-        # The tile writes only the rows of its own sequences of both outputs.
-        _attend_tile(*(a[o0:o1, i0:i1] for a in views), p, w_qkv, residual)
+        # The tile writes only the rows of its own sequences of each output.
+        _attend_tile(*(None if a is None else a[o0:o1, i0:i1]
+                       for a in views), p, w_qkv)
 
     weight = max(n, p.n_heads * n * (n + 1) // _SCORES_PER_TOKEN)
     run_tiles(_batch_tiles(*views[0].shape[:2], weight), attend)
@@ -297,7 +303,7 @@ def axis_attention(z_seq: np.ndarray, prior_token: np.ndarray, p: BlockParams,
         counters.add_attention(attention_flop_count(b, n, c, p.n_heads),
                                block=block)
         counters.acquire_workspace(_attention_workspace(b, n, c, p.n_heads))
-    return out, prior_weight
+    return (att if residual_out is None else residual_out), prior_weight
 
 
 def ffn(x: np.ndarray, p: BlockParams,
@@ -362,15 +368,14 @@ def axis_block(z: np.ndarray, axis: str, prior: np.ndarray, w: BlockParams,
                keep: np.ndarray | None = None,
                cached: np.ndarray | None = None,
                out: np.ndarray | None = None,
-               return_attention: bool = True,
                sink: AttentionSink | None = None) -> BlockOutput:
     """One SCM block: attention along ``axis``, then FFN(z + attention).
 
     ``axis`` is "spatial", "camera" or "motion" and ``prior`` is that
     axis's prior: k_s [F, V, 1, C], k_c [F, H, W, C] or k_m [V, H, W, C].
     With no ``keep``, every sequence is read in place through a transposed
-    view of the latent, and the attention comes back in the latent's own
-    memory order, so mapping it back is a view as well.
+    view of the latent, and each attention tile writes z + attention over
+    its own rows of the output, where the FFN then runs in place.
 
     With ``keep`` [G, K], a list of kept spatial positions per frame
     (camera) or per view (motion), only the kept sequences are gathered
@@ -382,17 +387,12 @@ def axis_block(z: np.ndarray, axis: str, prior: np.ndarray, w: BlockParams,
 
     The block output goes to ``out``, or to a fresh array when ``out`` is
     None; z is written only when it is ``out``, which a caller passes only
-    for a latent it owns. With ``return_attention`` False and no
-    ``sink``, an unpruned block builds no full-size attention: each
-    attention tile writes z + attention straight into its rows of the
-    output, the FFN then runs over the output in place, and
-    ``BlockOutput.attention`` is None. A pruned block always returns its
-    refilled attention.
+    for a latent it owns. A pruned block returns its refilled attention.
 
-    A block given a ``sink`` always builds its attention, whatever
-    ``return_attention`` says, and hands it over before it returns:
-    ``sink.before()`` is called just before the full-size attention is
-    allocated, so the caller can free memory first, and
+    A block given a ``sink`` hands its full-size, latent-ordered attention
+    over before it returns; an unpruned block's attention tiles write it
+    beside the residual sum. ``sink.before()`` is called before the block
+    allocates it, so the caller can free memory first, and
     ``sink.take(attention)`` as soon as it is complete, which for an
     unpruned block is before its FFN and for a pruned block after it,
     since the refill completes inside the FFN's tiles.
@@ -418,19 +418,19 @@ def axis_block(z: np.ndarray, axis: str, prior: np.ndarray, w: BlockParams,
     def sequences(a: np.ndarray) -> np.ndarray:
         return a.reshape(f, v, l, c).transpose(axes)
 
-    if keep is None and not return_attention and sink is None:
-        out = out_array(out, z.shape)
-        _, pw = axis_attention(sequences(z), prior, w, counters, block=axis,
-                               residual_out=sequences(out))
-        # The FFN reads z + attention from out and writes over it.
-        z, attention = out, None
-    elif keep is None:
+    if keep is None:
         if sink is not None:
             sink.before()
-        att, pw = axis_attention(sequences(z), prior, w, counters, block=axis)
-        attention = att.transpose(np.argsort(axes)).reshape(z.shape)
+        out = out_array(out, z.shape)
+        attention = None if sink is None else np.empty(z.shape)
+        _, pw = axis_attention(
+            sequences(z), prior, w, counters, block=axis,
+            residual_out=sequences(out),
+            attention_out=None if sink is None else sequences(attention))
         if sink is not None:
             sink.take(attention)
+        # The FFN reads z + attention from out and writes over it.
+        z, attention = out, None
     else:
         if cached is None or cached.shape != z.shape:
             raise ShapeError(f"cached {axis} attention must have shape "
@@ -474,28 +474,22 @@ def axis_block(z: np.ndarray, axis: str, prior: np.ndarray, w: BlockParams,
 def spatial_forward(z: np.ndarray, k_s: np.ndarray, w: BlockParams,
                     counters: CostCounters | None = None,
                     out: np.ndarray | None = None,
-                    return_attention: bool = True,
                     sink: AttentionSink | None = None) -> BlockOutput:
     """Attention along the flattened H*W axis for each (f, v)."""
-    return axis_block(z, "spatial", k_s, w, counters, out=out,
-                      return_attention=return_attention, sink=sink)
+    return axis_block(z, "spatial", k_s, w, counters, out=out, sink=sink)
 
 
 def camera_forward(z: np.ndarray, k_c: np.ndarray, w: BlockParams,
                    counters: CostCounters | None = None,
                    out: np.ndarray | None = None,
-                   return_attention: bool = True,
                    sink: AttentionSink | None = None) -> BlockOutput:
     """Attention along the V axis for each (f, h, w)."""
-    return axis_block(z, "camera", k_c, w, counters, out=out,
-                      return_attention=return_attention, sink=sink)
+    return axis_block(z, "camera", k_c, w, counters, out=out, sink=sink)
 
 
 def motion_forward(z: np.ndarray, k_m: np.ndarray, w: BlockParams,
                    counters: CostCounters | None = None,
                    out: np.ndarray | None = None,
-                   return_attention: bool = True,
                    sink: AttentionSink | None = None) -> BlockOutput:
     """Attention along the F axis for each (v, h, w)."""
-    return axis_block(z, "motion", k_m, w, counters, out=out,
-                      return_attention=return_attention, sink=sink)
+    return axis_block(z, "motion", k_m, w, counters, out=out, sink=sink)

@@ -435,9 +435,11 @@ def _load_kernels(cache: Path = _KERNEL_CACHE, source: Path = _KERNEL_SOURCE,
 
     The library lives in ``cache`` under a CRC-32 of the source, the flags
     and the CPU features (numpy's when ``features`` is None); it is built
-    only when no library of that key is there. Processes that import at
-    once may each build it, and each loads a whole file. A failed build
-    raises ImportError naming the command.
+    only when no library of that key is there, and a build then deletes
+    every other library there, whose key is stale; part files stay, since
+    another process may still write one. Processes that import at once may
+    each build it, and each loads a whole file. A failed build raises
+    ImportError naming the command.
     """
     if features is None:
         features = _cpu_features()
@@ -447,6 +449,8 @@ def _load_kernels(cache: Path = _KERNEL_CACHE, source: Path = _KERNEL_SOURCE,
     lib = cache / f"_kernels-{key:08x}.so"
     if not lib.is_file():
         _build(source, flags, lib)
+        for stale in set(cache.glob("_kernels-*.so")) - {lib}:
+            stale.unlink(missing_ok=True)
     kernels = ctypes.CDLL(str(lib))
     for name, (argtypes, restype) in _SIGNATURES.items():
         fn = getattr(kernels, name)

@@ -294,8 +294,8 @@ def cached_chain_forward(
     to ``out`` (a fresh array when None, so a plain call never writes z),
     and every later block writes over that. Besides it, the pass holds
     only the spatial semantic map and, with a cache, the attention arrays
-    it is about to store. With no cache, no full-size attention is made:
-    each block adds its attention into its output's rows tile by tile.
+    it is about to store. Each block adds its attention into its output's
+    rows tile by tile; with no cache, no full-size attention is made.
     """
     if select is not None and cache is None:
         raise ParameterError("prune step: no cache given")
@@ -320,13 +320,13 @@ def cached_chain_forward(
         return np.zeros_like(cached) if zero_refill else cached
 
     so = spatial_forward(z, priors.k_s, w.spatial, counters, out=out,
-                         return_attention=False, sink=sink("spatial"))
+                         sink=sink("spatial"))
     z, semantic = so.out, so.semantic
     if select is None:
         z = camera_forward(z, priors.k_c, w.camera, counters, out=z,
-                           return_attention=False, sink=sink("camera")).out
+                           sink=sink("camera")).out
         z = motion_forward(z, priors.k_m, w.motion, counters, out=z,
-                           return_attention=False, sink=sink("motion")).out
+                           sink=sink("motion")).out
     else:
         idx = select(semantic)
         z = pruning.pruned_camera_forward(

@@ -21,6 +21,7 @@ from scmbench import (
     synth_priors,
 )
 from scmbench import core
+from scmbench.attention import AttentionSink
 
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -85,17 +86,31 @@ def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
     assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
 
 
+def with_attention(forward, *args, **kwargs
+                   ) -> tuple[BlockOutput, np.ndarray]:
+    """An unpruned block forward's output, and the attention it hands to a
+    sink that keeps it."""
+    kept = []
+    block = forward(*args, sink=AttentionSink(lambda: None, kept.append),
+                    **kwargs)
+    return block, kept[0]
+
+
 def chain_forward(
     z: np.ndarray,
     priors: PriorSet,
     w: ChainWeights,
     counters: CostCounters | None = None,
-) -> tuple[np.ndarray, tuple[BlockOutput, BlockOutput, BlockOutput]]:
-    """spatial -> camera -> motion composition; returns all block outputs."""
-    so = spatial_forward(z, priors.k_s, w.spatial, counters)
-    co = camera_forward(so.out, priors.k_c, w.camera, counters)
-    mo = motion_forward(co.out, priors.k_m, w.motion, counters)
-    return mo.out, (so, co, mo)
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """spatial -> camera -> motion composition; returns the output and each
+    block's attention, kept by a sink."""
+    so, a_s = with_attention(spatial_forward, z, priors.k_s, w.spatial,
+                             counters)
+    co, a_c = with_attention(camera_forward, so.out, priors.k_c, w.camera,
+                             counters)
+    mo, a_m = with_attention(motion_forward, co.out, priors.k_m, w.motion,
+                             counters)
+    return mo.out, (a_s, a_c, a_m)
 
 
 def normal_reference(seed: int, shape) -> np.ndarray:

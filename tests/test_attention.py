@@ -22,7 +22,7 @@ from scmbench import (
 from scmbench.attention import attention_flop_count, axis_block, ffn_flop_count
 
 from conftest import (chain_forward, config_at, gelu, make_block,
-                      make_setup)
+                      make_setup, with_attention)
 
 
 # --- independent transcription oracle -------------------------------------
@@ -181,14 +181,14 @@ def test_spatial_forward_oracle():
     cfg = config_at(1, 1, 2, 2, 2, n_heads=1, seed=70)
     model, priors, z = make_setup(cfg)
     p = model.layers[0].chain.spatial
-    so = spatial_forward(z, priors.k_s, p)
+    so, att = with_attention(spatial_forward, z, priors.k_s, p)
     f, v, h, w, c = cfg.latent_shape
     layout = (lambda t: t.reshape(f * v, h * w, c),
               lambda t: t.reshape(f, v, h, w, c))
     want_out, want_att = oracle_block(z, priors.k_s.reshape(f * v, 1, c), p,
                                       layout)
     assert np.max(np.abs(so.out - want_out)) < 1e-12
-    assert np.max(np.abs(so.attention - want_att)) < 1e-12
+    assert np.max(np.abs(att - want_att)) < 1e-12
 
 
 def test_spatial_forward_degenerate_axis():
@@ -211,7 +211,7 @@ def test_camera_forward_oracle():
     cfg = config_at(2, 3, 2, 2, 4, seed=73)
     model, priors, z = make_setup(cfg)
     p = model.layers[0].chain.camera
-    co = camera_forward(z, priors.k_c, p)
+    co, att = with_attention(camera_forward, z, priors.k_c, p)
     f, v, h, w, c = cfg.latent_shape
     l = h * w
     layout = (
@@ -221,7 +221,7 @@ def test_camera_forward_oracle():
     want_out, want_att = oracle_block(z, priors.k_c.reshape(f * l, 1, c), p,
                                       layout)
     assert np.max(np.abs(co.out - want_out)) < 1e-12
-    assert np.max(np.abs(co.attention - want_att)) < 1e-12
+    assert np.max(np.abs(att - want_att)) < 1e-12
 
 
 def test_camera_forward_degenerate_axis():
@@ -245,7 +245,7 @@ def test_motion_forward_oracle():
     cfg = config_at(3, 2, 2, 2, 4, seed=76)
     model, priors, z = make_setup(cfg)
     p = model.layers[0].chain.motion
-    mo = motion_forward(z, priors.k_m, p)
+    mo, att = with_attention(motion_forward, z, priors.k_m, p)
     f, v, h, w, c = cfg.latent_shape
     l = h * w
     layout = (
@@ -255,7 +255,7 @@ def test_motion_forward_oracle():
     want_out, want_att = oracle_block(z, priors.k_m.reshape(v * l, 1, c), p,
                                       layout)
     assert np.max(np.abs(mo.out - want_out)) < 1e-12
-    assert np.max(np.abs(mo.attention - want_att)) < 1e-12
+    assert np.max(np.abs(att - want_att)) < 1e-12
 
 
 def test_motion_forward_degenerate_axis():
@@ -299,19 +299,29 @@ def test_axis_attention_rejects_empty_input(shape):
         axis_attention(np.zeros(shape), prior, p)
 
 
+@pytest.mark.parametrize("name", ["residual_out", "attention_out"])
+def test_axis_attention_rejects_an_output_of_another_shape(name):
+    p = make_block(8, 2, 92)
+    z, prior = np.zeros((3, 4, 8)), np.zeros((3, 1, 8))
+    with pytest.raises(ShapeError, match=re.escape("(3, 4, 9) != (3, 4, 8)")):
+        axis_attention(z, prior, p, **{name: np.zeros((3, 4, 9))})
+
+
 # --- chain ----------------------------------------------------------------
 
 def test_chain_equals_manual_composition(small_setup):
     _, model, priors, z = small_setup
     chain = model.layers[0].chain
-    a, (so, co, mo) = chain_forward(z, priors, chain)
-    so2 = spatial_forward(z, priors.k_s, chain.spatial)
-    co2 = camera_forward(so2.out, priors.k_c, chain.camera)
-    mo2 = motion_forward(co2.out, priors.k_m, chain.motion)
+    a, (a_s, a_c, a_m) = chain_forward(z, priors, chain)
+    so2, a_s2 = with_attention(spatial_forward, z, priors.k_s, chain.spatial)
+    co2, a_c2 = with_attention(camera_forward, so2.out, priors.k_c,
+                               chain.camera)
+    mo2, a_m2 = with_attention(motion_forward, co2.out, priors.k_m,
+                               chain.motion)
     assert np.array_equal(a, mo2.out)
-    assert np.array_equal(so.attention, so2.attention)
-    assert np.array_equal(co.attention, co2.attention)
-    assert np.array_equal(mo.attention, mo2.attention)
+    assert np.array_equal(a_s, a_s2)
+    assert np.array_equal(a_c, a_c2)
+    assert np.array_equal(a_m, a_m2)
 
 
 def test_chain_pure_function(small_setup):

@@ -187,9 +187,48 @@ def test_a_changed_source_flag_or_cpu_key_rebuilds(tmp_path, compiles):
     source.write_bytes(source.read_bytes() + b"/* changed */\n")
     core._load_kernels(cache, source, flags, "A")
     assert len(compiles) == 4
-    assert len(list(cache.glob("_kernels-*.so"))) == 4
+    assert len(list(cache.glob("_kernels-*.so"))) == 1
     assert sorted(p.name for p in cache.iterdir()
                   if not p.name.endswith(".so")) == []
+
+
+def libraries(cache: Path) -> list[str]:
+    return sorted(p.name for p in cache.iterdir())
+
+
+def test_building_a_second_key_leaves_one_library(tmp_path):
+    # The first key's library is stale once the second is built; another
+    # process's part file may still be written, so it stays.
+    flags = ("-O1", "-fPIC", "-shared")
+    first = Path(core._load_kernels(tmp_path, flags=flags,
+                                    features="A")._name)
+    part = tmp_path / "_kernels-0badc0de.so.4242"
+    part.write_bytes(b"")
+    second = Path(core._load_kernels(tmp_path, flags=flags,
+                                     features="A B")._name)
+    assert second != first
+    assert libraries(tmp_path) == sorted([second.name, part.name])
+
+
+def test_loading_a_current_library_neither_builds_nor_deletes(tmp_path,
+                                                              compiles):
+    flags = ("-O1", "-fPIC", "-shared")
+    core._load_kernels(tmp_path, flags=flags, features="A")
+    shutil.copy(next(tmp_path.glob("*.so")), tmp_path / "_kernels-0.so")
+    before = libraries(tmp_path)
+    core._load_kernels(tmp_path, flags=flags, features="A")
+    assert len(compiles) == 1
+    assert libraries(tmp_path) == before
+
+
+def test_a_failing_build_deletes_nothing(tmp_path):
+    core._load_kernels(tmp_path, flags=("-O1", "-fPIC", "-shared"),
+                       features="A")
+    before = libraries(tmp_path)
+    with pytest.raises(ImportError, match="-fno-such-option"):
+        core._load_kernels(tmp_path, flags=("-fno-such-option", "-fPIC",
+                                            "-shared"), features="A")
+    assert libraries(tmp_path) == before
 
 
 def test_a_current_library_loads_without_the_compiler(monkeypatch):

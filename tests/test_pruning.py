@@ -19,7 +19,8 @@ from scmbench import (
     token_count,
 )
 
-from conftest import chain_forward, config_at, make_setup, planted_latent
+from conftest import (chain_forward, config_at, make_setup, planted_latent,
+                      with_attention)
 
 
 def complement(row, length):
@@ -113,8 +114,8 @@ def test_random_differs_from_semantic_on_planted():
 def _mask_oracle_camera(z_s, k_c, w, idx, cached):
     """Dense camera attention, non-selected positions overwritten by cache."""
     f, v, h, ww, c = z_s.shape
-    dense = camera_forward(z_s, k_c, w)
-    att = dense.attention.reshape(f, v, h * ww, c).copy()
+    _, dense = with_attention(camera_forward, z_s, k_c, w)
+    att = dense.reshape(f, v, h * ww, c).copy()
     cached_flat = cached.reshape(f, v, h * ww, c)
     for fi in range(f):
         comp = complement(idx.i_c[fi], h * ww)
@@ -127,8 +128,8 @@ def _mask_oracle_camera(z_s, k_c, w, idx, cached):
 
 def _mask_oracle_motion(z_c, k_m, w, idx, cached):
     f, v, h, ww, c = z_c.shape
-    dense = motion_forward(z_c, k_m, w)
-    att = dense.attention.reshape(f, v, h * ww, c).copy()
+    _, dense = with_attention(motion_forward, z_c, k_m, w)
+    att = dense.reshape(f, v, h * ww, c).copy()
     cached_flat = cached.reshape(f, v, h * ww, c)
     for vi in range(v):
         comp = complement(idx.i_m[vi], h * ww)
@@ -182,7 +183,7 @@ def test_pruned_complement_refill_bit_exact():
 def test_pruned_chain_ratio_one_equals_dense():
     model, priors, z = make_setup(config_at(2, 2, 4, 4, 8, seed=96))
     chain = model.layers[0].chain
-    dense_out, (so, co, mo) = chain_forward(z, priors, chain)
+    dense_out, (a_s, a_c, a_m) = chain_forward(z, priors, chain)
     cache = RollingCache()
     cache.store(0, Rng(97).normal(z.shape), Rng(98).normal(z.shape),
                 Rng(99).normal(z.shape), step=0)
@@ -190,16 +191,16 @@ def test_pruned_chain_ratio_one_equals_dense():
                                select=semantic(1.0))
     assert np.array_equal(got, dense_out)
     # cache now holds exactly the dense outputs
-    assert np.array_equal(cache.retrieve(0, "spatial"), so.attention)
-    assert np.array_equal(cache.retrieve(0, "camera"), co.attention)
-    assert np.array_equal(cache.retrieve(0, "motion"), mo.attention)
+    assert np.array_equal(cache.retrieve(0, "spatial"), a_s)
+    assert np.array_equal(cache.retrieve(0, "camera"), a_c)
+    assert np.array_equal(cache.retrieve(0, "motion"), a_m)
 
 
 def test_cached_chain_dense_step_supersedes_entries():
     # no selector: a dense step, which compares to and replaces the entries
     model, priors, z = make_setup(config_at(2, 2, 4, 4, 8, seed=103))
     chain = model.layers[0].chain
-    dense_out, (so, co, mo) = chain_forward(z, priors, chain)
+    dense_out, attention = chain_forward(z, priors, chain)
     cache = RollingCache()
     assert np.array_equal(
         cached_chain_forward(z, priors, chain, cache, layer=0, step=0),
@@ -210,16 +211,16 @@ def test_cached_chain_dense_step_supersedes_entries():
     assert [r.kind for r in cache.similarity_log] == [
         "spatial", "camera", "motion"]
     assert cache.peek(0, "spatial") is not old
-    for kind, block in zip(("spatial", "camera", "motion"), (so, co, mo)):
-        assert np.array_equal(cache.retrieve(0, kind), block.attention)
+    for kind, att in zip(("spatial", "camera", "motion"), attention):
+        assert np.array_equal(cache.retrieve(0, kind), att)
 
 
 def test_pruned_chain_records_similarities():
     model, priors, z = make_setup(config_at(2, 2, 4, 4, 8, seed=100))
     chain = model.layers[0].chain
     cache = RollingCache()
-    _, (so, co, mo) = chain_forward(z, priors, chain)
-    cache.store(0, so.attention, co.attention, mo.attention, step=0)
+    _, attention = chain_forward(z, priors, chain)
+    cache.store(0, *attention, step=0)
     cached_chain_forward(z, priors, chain, cache, layer=0, step=1,
                          select=semantic(0.5))
     assert len(cache.similarity_log) == 3
@@ -230,11 +231,11 @@ def test_pruned_chain_records_similarities():
 def test_pruned_flops_scale_with_ratio():
     model, priors, z = make_setup(config_at(2, 2, 8, 8, 8, seed=101))
     chain = model.layers[0].chain
-    _, (so, co, mo) = chain_forward(z, priors, chain)
+    _, attention = chain_forward(z, priors, chain)
 
     def att_flops(ratio):
         cache = RollingCache()
-        cache.store(0, so.attention, co.attention, mo.attention, step=0)
+        cache.store(0, *attention, step=0)
         counters = CostCounters()
         cached_chain_forward(z, priors, chain, cache, 0, 1, counters,
                              semantic(ratio))
@@ -249,11 +250,11 @@ def test_pruned_flops_scale_with_ratio():
 def test_pruned_chain_zero_refill():
     model, priors, z = make_setup(config_at(2, 2, 4, 4, 8, seed=102))
     chain = model.layers[0].chain
-    _, (so, co, mo) = chain_forward(z, priors, chain)
+    _, attention = chain_forward(z, priors, chain)
 
     def run(zero_refill):
         cache = RollingCache()
-        cache.store(0, so.attention, co.attention, mo.attention, step=0)
+        cache.store(0, *attention, step=0)
         return cached_chain_forward(z, priors, chain, cache, 0, 1,
                                     select=semantic(0.25),
                                     zero_refill=zero_refill)

@@ -33,14 +33,18 @@ from scmbench import (
     pruned_motion_forward,
 )
 from scmbench import core
-from scmbench.attention import _batch_tiles
+from scmbench.attention import AttentionSink, _batch_tiles, axis_block
 from scmbench.denoiser import mixing
 from scmbench.scheduler import StepMode
 
-from conftest import config_at, make_block, make_setup, working_set
+from conftest import (config_at, make_block, make_setup, with_attention,
+                      working_set)
 
 F, V, H, W, C = 3, 5, 3, 4, 8
 L = H * W
+# Each axis's prior as its block takes it.
+PRIOR_SHAPES = {"spatial": (F, V, 1, C), "camera": (F, H, W, C),
+                "motion": (V, H, W, C)}
 
 
 def _layouts(prior_seed: int):
@@ -62,9 +66,13 @@ def _tiled_outputs():
     addend = Rng(303).normal(z.shape)
     mix = Rng(304).normal((C, C))
     got = []
-    for _, view, prior in _layouts(305):
+    for axis, view, prior in _layouts(305):
         got += axis_attention(view(z.reshape(F, V, L, C)), prior, p,
                               block="camera")
+        # a dense block writes its attention beside the residual sum
+        block, att = with_attention(axis_block, z, axis,
+                                    prior.reshape(PRIOR_SHAPES[axis]), p)
+        got += [block.out, att]
     got.append(ffn(z, p, addend=addend))
     got.append(mixing(z, mix))
     # the pruned blocks refill the cached attention inside the FFN's tiles
@@ -136,6 +144,27 @@ def test_strided_layouts_match_contiguous_copies(monkeypatch):
         assert np.array_equal(
             np.ascontiguousarray(out).reshape(-1, n, C), flat), name
         assert np.array_equal(pw.reshape(-1, n), flat_pw), name
+
+
+@pytest.mark.parametrize("axis", ["spatial", "camera", "motion"])
+def test_a_sink_changes_no_bit_of_a_dense_block(monkeypatch, axis):
+    # The attention tiles write the sink's copy beside the residual sum, so
+    # the block's output is the sinkless one, bit for bit, and the copy is
+    # a fresh axis_attention result in the latent's order.
+    p = make_block(C, 2, 401)
+    z = Rng(402).normal((F, V, H, W, C))
+    view, prior = {name: (view, prior)
+                   for name, view, prior in _layouts(403)}[axis]
+    for tile in (23, core._TILE_TOKENS):
+        monkeypatch.setattr(core, "_TILE_TOKENS", tile)
+        plain = axis_block(z, axis, prior.reshape(PRIOR_SHAPES[axis]), p)
+        block, att = with_attention(axis_block, z, axis,
+                                    prior.reshape(PRIOR_SHAPES[axis]), p)
+        assert plain.attention is None and block.attention is None
+        assert block.out.tobytes() == plain.out.tobytes(), tile
+        fresh, _ = axis_attention(view(z.reshape(F, V, L, C)), prior, p)
+        assert att.shape == z.shape and att.flags.c_contiguous
+        assert view(att.reshape(F, V, L, C)).tobytes() == fresh.tobytes()
 
 
 def test_ffn_addend_is_the_residual():
@@ -299,12 +328,12 @@ def _stages(f, v, h, w, c, seed):
         ("ddim_update", lambda a, out: ddim_update(a["z"], a["att"], 3,
                                                    schedule, out=out)),
         ("axis_attention", lambda a, out: attention_sum(a, out)),
-        *[(f"{fwd.__name__} return_attention={keep}",
-           lambda a, out, fwd=fwd, prior=prior, keep=keep:
-               fwd(a["z"], prior, p, out=out, return_attention=keep).out)
+        *[(f"{fwd.__name__} {'with' if sink else 'without'} a sink",
+           lambda a, out, fwd=fwd, prior=prior, sink=sink:
+               fwd(a["z"], prior, p, out=out, sink=sink).out)
           for fwd, prior in ((spatial_forward, k_s), (camera_forward, k_c),
                              (motion_forward, k_m))
-          for keep in (True, False)],
+          for sink in (None, AttentionSink(lambda: None, lambda att: None))],
         ("pruned_camera_forward", lambda a, out: pruned_camera_forward(
             a["z"], k_c, p, idx, a["att"], out=out).out),
         ("pruned_motion_forward", lambda a, out: pruned_motion_forward(

@@ -10,7 +10,9 @@ checks that the child imported that tree's scmbench), at the change tree's
 arm: parent, change, serial in even pairs and the reverse in odd pairs.
 The serial arm is the change tree with a one-CPU affinity set (CPU 0, set
 on this process around the spawn and inherited by the child), so each
-stage has one drainer.
+stage has one drainer. Before the first pair, each tree's scmbench is
+imported once in a fresh interpreter (:func:`build_kernels`), so that no
+timed run's ``setup_s`` holds the build of its compiled kernels.
 
 Per run it records ``run_s``, ``setup_s`` and ``peak_rss_mb`` as
 ``perfbench/run.py`` takes them, the child's CPU time
@@ -42,6 +44,7 @@ import os
 import platform
 import resource
 import statistics
+import subprocess
 import sys
 from pathlib import Path
 
@@ -112,6 +115,14 @@ def source_digest(tree: Path) -> str:
         h.update(str(path.relative_to(tree)).encode() + b"\0")
         h.update(path.read_bytes())
     return h.hexdigest()
+
+
+def build_kernels(src: Path) -> None:
+    """Import the scmbench under ``src`` in a fresh interpreter, which
+    builds its compiled kernels if none of the current key are cached."""
+    subprocess.run([sys.executable, "-c", "import sys; "
+                    "sys.path.insert(0, sys.argv[1]); import scmbench",
+                    str(src)], check=True)
 
 
 def one_run(run, config: dict,
@@ -208,6 +219,8 @@ def main(argv: list[str]) -> int:
                "change": load_run(change, "change_run")}
     modules["serial"] = modules["change"]
     run = modules["change"]
+    for tree in ("parent", "change"):
+        build_kernels(modules[tree].SRC)
     sys.path.insert(0, str(run.SRC))  # for run.dense_reference
     runs: list[dict] = []
     for seed in (run.DEV_SEED, run.HOLDOUT_SEED):

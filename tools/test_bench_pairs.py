@@ -139,6 +139,7 @@ def test_a_failed_run_is_recorded_and_its_pair_left_out(tmp_path,
     log: list = []
     stub = stub_run(tmp_path, log, fail_at=1)
     monkeypatch.setattr(bench_pairs, "load_run", lambda tree, name: stub)
+    monkeypatch.setattr(bench_pairs, "build_kernels", lambda src: None)
     monkeypatch.setattr(bench_pairs, "PAIRS", 2)
     monkeypatch.setattr(sys, "path", list(sys.path))
     out = tmp_path / "out.json"
@@ -160,6 +161,29 @@ def test_a_failed_run_is_recorded_and_its_pair_left_out(tmp_path,
     # pair 1 only: change 5.0 against parent 6.0, not parent 1.0
     assert seed0["run_s"]["pairs_change_better"] == "1 of 1"
     assert seed0["final_latent_sha256"] == ["d"]
+
+
+def test_both_trees_are_built_before_the_first_run(tmp_path, monkeypatch):
+    # Builds and runs go to one log: the two builds come first.
+    log: list = []
+    stubs = {}
+    for tree in ("parent", "change"):
+        (tmp_path / tree / "src").mkdir(parents=True)
+        stubs[tree] = stub_run(tmp_path / tree, log, fail_at=-1)
+    monkeypatch.setattr(bench_pairs, "load_run",
+                        lambda tree, name: stubs[tree.name])
+    monkeypatch.setattr(bench_pairs, "build_kernels",
+                        lambda src: log.append(("built", src)))
+    monkeypatch.setattr(bench_pairs, "PAIRS", 1)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    assert bench_pairs.main([str(tmp_path / "parent"),
+                             str(tmp_path / "change"),
+                             str(tmp_path / "out.json")]) == 0
+    assert log[:2] == [("built", tmp_path / "parent" / "src"),
+                       ("built", tmp_path / "change" / "src")]
+    # then one run per arm and seed, none of them a build
+    assert len(log) == 2 + 6
+    assert all(isinstance(spec, dict) for spec in log[2:])
 
 
 def test_the_source_digest_covers_the_c_kernels_and_nothing_built(tmp_path):
