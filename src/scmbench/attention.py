@@ -13,10 +13,10 @@ and no extra residual around the FFN. The spatial block additionally
 reports the mean weight each query assigns to the prior token; that map is
 what drives token pruning downstream.
 
-All three blocks, dense or pruned, are one function, :func:`axis_block`.
-Dense, it reads every sequence through a transposed view of the latent.
-Given a keep list, it attends the kept sequences only and refills the
-rest of the attention from a cached entry inside the FFN's tiles.
+All three blocks, dense or pruned, are one function, :func:`axis_block`,
+which attends through a transposed view of a latent: its input, or, given
+a keep list, a latent of the kept positions only, whose other positions'
+attention is refilled from a cached entry inside the FFN's tiles.
 
 Layout discipline: every batched matmul runs over identical-shaped slices
 regardless of batch size, which keeps pruned and dense paths bit-identical
@@ -110,10 +110,9 @@ class PriorSet:
 
 @dataclass
 class BlockOutput:
+    """A block's result; its attention leaves it only through a sink."""
+
     out: np.ndarray        # [F, V, H, W, C], post-FFN
-    # [F, V, H, W, C], a pruned block's refilled attention; None for an
-    # unpruned block, which hands its attention only to a sink
-    attention: np.ndarray | None
     semantic: np.ndarray | None = None  # [F, V, H, W], spatial block only
 
 
@@ -197,10 +196,10 @@ def _attend_tile(z: np.ndarray, prior: np.ndarray, prior_weight: np.ndarray,
     [ot, it, 1, C] and prior_weight a contiguous [ot, it, n]. Scores,
     softmax and the weighted sum run once over the whole tile, whose size
     :func:`axis_attention` bounds by its tokens and by its score elements.
-    Every temporary is a plain array sized by the tile. ``att`` gets the
-    attention, which stays a tile temporary when it is None, and then
-    ``total``, when given, gets z + attention; ``total`` may be z itself,
-    whose rows are copied before anything is written.
+    Every temporary is a plain array sized by the tile, the projected
+    attention too: ``att``, when given, gets a copy of it, and ``total``,
+    when given, gets z + attention; ``total`` may be z itself, whose rows
+    are copied before anything is written.
     """
     ot, it, n, c = z.shape
     t = ot * it
@@ -229,14 +228,11 @@ def _attend_tile(z: np.ndarray, prior: np.ndarray, prior_weight: np.ndarray,
         # one-row product as a matrix-vector product, which sums in
         # another order, so pad it to two rows.
         rows = np.concatenate((rows, rows))
-    if att is None:
-        att = (rows @ p.wo)[:t * n].reshape(z.shape)
-    elif att.flags.c_contiguous and t * n > 1:
-        np.matmul(rows, p.wo, out=att.reshape(t * n, c))
-    else:
-        np.copyto(att, (rows @ p.wo)[:t * n].reshape(att.shape))
+    proj = (rows @ p.wo)[:t * n].reshape(z.shape)
+    if att is not None:
+        np.copyto(att, proj)
     if total is not None:
-        np.add(z, att, out=total)
+        np.add(z, proj, out=total)
     np.mean(scores[..., -1], axis=1, out=prior_weight.reshape(t, n))
 
 
@@ -248,13 +244,13 @@ def axis_attention(z_seq: np.ndarray, prior_token: np.ndarray, p: BlockParams,
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Multi-head attention over one axis with the prior as an extra key.
 
-    z_seq is [B, n, C], or [O, I, n, C] with any strides, so a transposed
-    view of a latent is read in place; prior_token has the same batch axes
-    and one token, [..., 1, C]. Returns the attended output, of z_seq's
-    shape, and the per-query prior weight [..., n] (mean over heads of the
-    softmax mass on the prior token). The attended output is a fresh array
-    laid out in memory like z_seq, so for a transposed view of a latent it
-    is contiguous in the latent's own order.
+    z_seq is the [O, I, n, C] grid of sequences, with any strides, so a
+    transposed view of a latent is read in place; prior_token is
+    [O, I, 1, C]. Returns the attended output, of z_seq's shape, and the
+    per-query prior weight [O, I, n] (mean over heads of the softmax mass
+    on the prior token). The attended output is a fresh array laid out in
+    memory like z_seq, so for a transposed view of a latent it is
+    contiguous in the latent's own order.
 
     With ``residual_out``, an array of z_seq's shape (z_seq itself is
     allowed), each tile writes z_seq + attention over its own sequences'
@@ -267,15 +263,13 @@ def axis_attention(z_seq: np.ndarray, prior_token: np.ndarray, p: BlockParams,
     The batch grid runs over the cores as rectangular tiles
     (:func:`_batch_tiles`), each attended in one pass.
     """
-    if z_seq.ndim not in (3, 4) or prior_token.ndim != z_seq.ndim \
-            or prior_token.shape[-2] != 1:
-        raise ShapeError("axis_attention expects z_seq [...,n,C], "
-                         "prior [...,1,C] with one or two batch axes")
-    *batch, n, c = z_seq.shape
-    if prior_token.shape != (*batch, 1, c):
-        raise ShapeError(f"prior shape {prior_token.shape} != "
-                         f"{(*batch, 1, c)}")
-    if n == 0 or 0 in batch:
+    if z_seq.ndim != 4 or \
+            prior_token.shape != (*z_seq.shape[:2], 1, z_seq.shape[3]):
+        raise ShapeError(f"axis_attention expects z_seq [O,I,n,C] and prior "
+                         f"[O,I,1,C], got {z_seq.shape} and "
+                         f"{prior_token.shape}")
+    o, i, n, c = z_seq.shape
+    if 0 in (o, i, n):
         raise ShapeError(f"axis_attention: empty input, z_seq shape "
                          f"{z_seq.shape}")
     p.head_dim()  # raises unless n_heads divides C
@@ -285,10 +279,8 @@ def axis_attention(z_seq: np.ndarray, prior_token: np.ndarray, p: BlockParams,
     att = attention_out
     if att is None and residual_out is None:
         att = np.empty_like(z_seq, dtype=np.float64)
-    prior_weight = np.empty((*batch, n))
-    views = [z_seq, prior_token, prior_weight, att, residual_out]
-    if z_seq.ndim == 3:
-        views = [None if a is None else a[None] for a in views]
+    prior_weight = np.empty((o, i, n))
+    views = (z_seq, prior_token, prior_weight, att, residual_out)
     w_qkv = np.concatenate((p.wq, p.wk, p.wv), axis=1)
 
     def attend(o0: int, o1: int, i0: int, i1: int) -> None:
@@ -297,8 +289,8 @@ def axis_attention(z_seq: np.ndarray, prior_token: np.ndarray, p: BlockParams,
                        for a in views), p, w_qkv)
 
     weight = max(n, p.n_heads * n * (n + 1) // _SCORES_PER_TOKEN)
-    run_tiles(_batch_tiles(*views[0].shape[:2], weight), attend)
-    b = math.prod(batch)
+    run_tiles(_batch_tiles(o, i, weight), attend)
+    b = o * i
     if counters is not None:
         counters.add_attention(attention_flop_count(b, n, c, p.n_heads),
                                block=block)
@@ -378,16 +370,18 @@ def axis_block(z: np.ndarray, axis: str, prior: np.ndarray, w: BlockParams,
     its own rows of the output, where the FFN then runs in place.
 
     With ``keep`` [G, K], a list of kept spatial positions per frame
-    (camera) or per view (motion), only the kept sequences are gathered
-    and attended. Every other position of the attention is taken from
-    ``cached``, which has the latent's shape. That refill runs inside the
-    FFN's tiles: each tile copies its rows of ``cached`` and overwrites the
-    attended ones among them just before the FFN adds them, so no serial
-    full-size copy or scatter is made.
+    (camera) or per view (motion), ascending in each row, the kept
+    positions are gathered in latent order into an [F, V, K, C] latent,
+    whose sequences are attended through the same transposed view; it is
+    dropped as soon as attention returns. Every other position of the
+    attention is taken from ``cached``, which has the latent's shape.
+    That refill runs inside the FFN's tiles: each tile copies its rows of
+    ``cached`` and overwrites the attended ones among them just before
+    the FFN adds them, so no serial full-size copy or scatter is made.
 
     The block output goes to ``out``, or to a fresh array when ``out`` is
     None; z is written only when it is ``out``, which a caller passes only
-    for a latent it owns. A pruned block returns its refilled attention.
+    for a latent it owns.
 
     A block given a ``sink`` hands its full-size, latent-ordered attention
     over before it returns; an unpruned block's attention tiles write it
@@ -413,7 +407,6 @@ def axis_block(z: np.ndarray, axis: str, prior: np.ndarray, w: BlockParams,
     axes = _AXES[axis]
     grid = (f, v, l)
     prior = prior.reshape(grid[axes[0]], grid[axes[1]], 1, c)
-    refill = None
 
     def sequences(a: np.ndarray) -> np.ndarray:
         return a.reshape(f, v, l, c).transpose(axes)
@@ -430,26 +423,23 @@ def axis_block(z: np.ndarray, axis: str, prior: np.ndarray, w: BlockParams,
         if sink is not None:
             sink.take(attention)
         # The FFN reads z + attention from out and writes over it.
-        z, attention = out, None
+        z, attention, refill = out, None, None
     else:
         if cached is None or cached.shape != z.shape:
             raise ShapeError(f"cached {axis} attention must have shape "
                              f"{z.shape}")
-        g, k = keep.shape
-        groups = np.arange(g)[:, None]
-        # Latent row of token i of the sequence at kept position keep[g, k].
+        groups = np.arange(keep.shape[0])[:, None]
+        back = np.argsort(axes)  # the inverse permutation of axes
+        # The latent rows of the kept positions, [F, V, K] and ascending,
+        # since every keep row ascends.
         dst = np.arange(f * v * l).reshape(grid).transpose(axes[:3])[
-            groups, keep]
-        n = dst.shape[2]
-        kept = np.take(z.reshape(-1, c), dst.ravel(), axis=0)
-        att, pw = axis_attention(kept.reshape(g * k, n, c),
-                                 prior[groups, keep].reshape(g * k, 1, c),
+            groups, keep].transpose(back[:3]).ravel()
+        kept = np.take(z.reshape(-1, c), dst, axis=0).reshape(f, v, -1, c)
+        att, pw = axis_attention(kept.transpose(axes), prior[groups, keep],
                                  w, counters, block=axis)
-        # The attended rows in latent order, so a tile finds its own with
-        # one search.
-        order = np.argsort(dst, axis=None)
-        dst = dst.ravel()[order]
-        src = att.reshape(g * k * n, c)
+        del kept
+        # att is laid out like its input, so its rows are in dst's order.
+        src = att.transpose(back).reshape(-1, c)
         old = cached.reshape(-1, c)
         if sink is not None:
             sink.before()
@@ -459,7 +449,7 @@ def axis_block(z: np.ndarray, axis: str, prior: np.ndarray, w: BlockParams,
         def refill(i: int, j: int) -> None:
             np.copyto(new[i:j], old[i:j])
             a, b = np.searchsorted(dst, (i, j))
-            new[dst[a:b]] = src[order[a:b]]
+            new[dst[a:b]] = src[a:b]
 
     if counters is not None:
         # Modeled as a full-size attention array whether or not one is made.
@@ -468,7 +458,7 @@ def axis_block(z: np.ndarray, axis: str, prior: np.ndarray, w: BlockParams,
     out = ffn(z, w, counters, addend=attention, before_tile=refill, out=out)
     if keep is not None and sink is not None:
         sink.take(attention)
-    return BlockOutput(out=out, attention=attention, semantic=semantic)
+    return BlockOutput(out=out, semantic=semantic)
 
 
 def spatial_forward(z: np.ndarray, k_s: np.ndarray, w: BlockParams,

@@ -88,8 +88,8 @@ def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
 
 def with_attention(forward, *args, **kwargs
                    ) -> tuple[BlockOutput, np.ndarray]:
-    """An unpruned block forward's output, and the attention it hands to a
-    sink that keeps it."""
+    """A block forward's output, and the attention it hands to a sink that
+    keeps it."""
     kept = []
     block = forward(*args, sink=AttentionSink(lambda: None, kept.append),
                     **kwargs)

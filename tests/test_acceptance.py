@@ -40,7 +40,7 @@ from test_pruning import (
     _mask_oracle_motion,
 )
 from scmbench import pruned_camera_forward, pruned_motion_forward
-from conftest import config_at, make_setup, planted_latent
+from conftest import config_at, make_setup, planted_latent, with_attention
 
 # Calibrated once against the dense oracle on the default seeded config
 # (seed 0); the comparison tolerance absorbs low-bit kernel variation
@@ -108,19 +108,21 @@ def test_criterion_02_pruned_forward_oracle():
         idx = identify_tokens(so.semantic, ratio)
         cached_c = Rng(18).normal(z.shape)
         cached_m = Rng(19).normal(z.shape)
-        got_c = pruned_camera_forward(so.out, priors.k_c, chain.camera, idx,
-                                      cached_c)
+        got_c, got_c_att = with_attention(pruned_camera_forward, so.out,
+                                          priors.k_c, chain.camera, idx,
+                                          cached_c)
         want_c, want_c_att = _mask_oracle_camera(so.out, priors.k_c,
                                                  chain.camera, idx, cached_c)
-        got_m = pruned_motion_forward(got_c.out, priors.k_m, chain.motion,
-                                      idx, cached_m)
+        got_m, got_m_att = with_attention(pruned_motion_forward, got_c.out,
+                                          priors.k_m, chain.motion, idx,
+                                          cached_m)
         want_m, want_m_att = _mask_oracle_motion(got_c.out, priors.k_m,
                                                  chain.motion, idx, cached_m)
         worst = max(worst,
                     float(np.max(np.abs(got_c.out - want_c))),
-                    float(np.max(np.abs(got_c.attention - want_c_att))),
+                    float(np.max(np.abs(got_c_att - want_c_att))),
                     float(np.max(np.abs(got_m.out - want_m))),
-                    float(np.max(np.abs(got_m.attention - want_m_att))))
+                    float(np.max(np.abs(got_m_att - want_m_att))))
     report_line(2, "pruned-forward-oracle", worst == 0.0,
                 f"max abs diff {worst} over ratios 0.25/0.5/1.0")
 

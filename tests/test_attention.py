@@ -70,9 +70,9 @@ def test_axis_attention_symmetric_prior():
     c = 2
     p = BlockParams(wq=np.eye(c), wk=np.eye(c), wv=np.eye(c), wo=np.eye(c),
                     w1=np.zeros((c, 2 * c)), w2=np.zeros((2 * c, c)), n_heads=1)
-    z = np.array([[[1.0, 2.0]]])
+    z = np.array([[[[1.0, 2.0]]]])
     out, pw = axis_attention(z, z.copy(), p)
-    assert pw[0, 0] == pytest.approx(0.5, abs=1e-12)
+    assert pw[0, 0, 0] == pytest.approx(0.5, abs=1e-12)
     assert np.allclose(out, z, atol=1e-12)  # average of two equal values
 
 
@@ -81,7 +81,7 @@ def test_axis_attention_zero_values():
     p.wv = np.zeros_like(p.wv)
     z = Rng(1).normal((3, 5, 4))
     prior = Rng(2).normal((3, 1, 4))
-    out, _ = axis_attention(z, prior, p)
+    out, _ = axis_attention(z[None], prior[None], p)
     assert np.array_equal(out, np.zeros_like(out))
 
 
@@ -89,8 +89,9 @@ def test_axis_attention_scalar_oracle():
     p = make_block(2, 1, 11)
     z = Rng(12).normal((1, 2, 2))
     prior = Rng(13).normal((1, 1, 2))
-    got, got_pw = axis_attention(z, prior, p)
+    got, got_pw = axis_attention(z[None], prior[None], p)
     want, want_pw = oracle_axis_attention(z, prior, p)
+    got, got_pw = got[0], got_pw[0]
     assert np.max(np.abs(got - want)) < 1e-12
     assert np.max(np.abs(got_pw - want_pw)) < 1e-12
 
@@ -99,8 +100,9 @@ def test_axis_attention_oracle_multihead_batch():
     p = make_block(8, 2, 21)
     z = Rng(22).normal((4, 5, 8))
     prior = Rng(23).normal((4, 1, 8))
-    got, got_pw = axis_attention(z, prior, p)
+    got, got_pw = axis_attention(z[None], prior[None], p)
     want, want_pw = oracle_axis_attention(z, prior, p)
+    got, got_pw = got[0], got_pw[0]
     assert np.max(np.abs(got - want)) < 1e-12
     assert np.max(np.abs(got_pw - want_pw)) < 1e-12
 
@@ -109,7 +111,7 @@ def test_axis_attention_prior_weight_range():
     p = make_block(8, 2, 31)
     z = Rng(32).normal((3, 6, 8))
     prior = Rng(33).normal((3, 1, 8))
-    _, pw = axis_attention(z, prior, p)
+    _, pw = axis_attention(z[None], prior[None], p)
     assert np.all((pw > 0.0) & (pw < 1.0))
 
 
@@ -119,9 +121,9 @@ def test_axis_attention_value_scaling():
     p = make_block(4, 2, 41)
     z = Rng(42).normal((2, 3, 4))
     prior = Rng(43).normal((2, 1, 4))
-    base, _ = axis_attention(z, prior, p)
+    base, _ = axis_attention(z[None], prior[None], p)
     p.wv = 2.5 * p.wv
-    scaled, _ = axis_attention(z, prior, p)
+    scaled, _ = axis_attention(z[None], prior[None], p)
     assert np.max(np.abs(scaled - 2.5 * base)) < 1e-12
 
 
@@ -129,16 +131,17 @@ def test_axis_attention_head_divisibility():
     p = make_block(4, 2, 1)
     p.n_heads = 3
     with pytest.raises(ParameterError):
-        axis_attention(np.zeros((1, 2, 4)), np.zeros((1, 1, 4)), p)
+        axis_attention(np.zeros((1, 1, 2, 4)), np.zeros((1, 1, 1, 4)), p)
 
 
 def test_axis_attention_returns_fresh_arrays():
     # a second call must not overwrite what the first returned
     p = make_block(4, 2, 51)
     z1, pr1 = Rng(52).normal((2, 3, 4)), Rng(53).normal((2, 1, 4))
-    out1, pw1 = axis_attention(z1, pr1, p)
+    out1, pw1 = axis_attention(z1[None], pr1[None], p)
     saved, saved_pw = out1.copy(), pw1.copy()
-    axis_attention(Rng(54).normal((2, 3, 4)), Rng(55).normal((2, 1, 4)), p)
+    axis_attention(Rng(54).normal((2, 3, 4))[None],
+                   Rng(55).normal((2, 1, 4))[None], p)
     assert np.array_equal(out1, saved)
     assert np.array_equal(pw1, saved_pw)
 
@@ -289,9 +292,10 @@ def test_axis_block_rejects_a_wrong_prior_and_a_pruned_spatial_block(
                    cached=z)
 
 
-@pytest.mark.parametrize("shape", [(0, 4, 8), (3, 0, 4, 8), (2, 0, 8)],
+@pytest.mark.parametrize("shape", [(0, 1, 4, 8), (3, 0, 4, 8), (1, 2, 0, 8),
+                                   (3, 4, 8)],
                          ids=["empty batch", "empty inner batch",
-                              "empty sequence"])
+                              "empty sequence", "one batch axis"])
 def test_axis_attention_rejects_empty_input(shape):
     p = make_block(8, 2, 91)
     prior = np.zeros((*shape[:-2], 1, 8))
@@ -302,9 +306,10 @@ def test_axis_attention_rejects_empty_input(shape):
 @pytest.mark.parametrize("name", ["residual_out", "attention_out"])
 def test_axis_attention_rejects_an_output_of_another_shape(name):
     p = make_block(8, 2, 92)
-    z, prior = np.zeros((3, 4, 8)), np.zeros((3, 1, 8))
-    with pytest.raises(ShapeError, match=re.escape("(3, 4, 9) != (3, 4, 8)")):
-        axis_attention(z, prior, p, **{name: np.zeros((3, 4, 9))})
+    z, prior = np.zeros((1, 3, 4, 8)), np.zeros((1, 3, 1, 8))
+    with pytest.raises(ShapeError,
+                       match=re.escape("(1, 3, 4, 9) != (1, 3, 4, 8)")):
+        axis_attention(z, prior, p, **{name: np.zeros((1, 3, 4, 9))})
 
 
 # --- chain ----------------------------------------------------------------

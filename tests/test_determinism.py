@@ -51,8 +51,8 @@ def test_final_latent_does_not_depend_on_blas_threads():
 def test_outputs_and_counters_do_not_depend_on_split(split_into, batch):
     c, n = 8, 5
     p = make_block(c, 2, 91)
-    z_seq = Rng(92).normal((batch, n, c))
-    prior = Rng(93).normal((batch, 1, c))
+    z_seq = Rng(92).normal((1, batch, n, c))
+    prior = Rng(93).normal((1, batch, 1, c))
     z = Rng(94).normal((batch, 1, 3, 4, c))
     mix = Rng(95).normal((c, c))
 

@@ -147,9 +147,10 @@ def test_pruned_camera_exact_vs_mask_oracle(ratio):
     so = spatial_forward(z, priors.k_s, model.layers[0].chain.spatial)
     idx = identify_tokens(so.semantic, ratio)
     cached = Rng(91).normal(z.shape)
-    got = pruned_camera_forward(so.out, priors.k_c, w, idx, cached)
+    got, got_att = with_attention(pruned_camera_forward, so.out, priors.k_c,
+                                  w, idx, cached)
     want_out, want_att = _mask_oracle_camera(so.out, priors.k_c, w, idx, cached)
-    assert np.max(np.abs(got.attention - want_att)) == 0.0
+    assert np.max(np.abs(got_att - want_att)) == 0.0
     assert np.max(np.abs(got.out - want_out)) == 0.0
 
 
@@ -160,9 +161,10 @@ def test_pruned_motion_exact_vs_mask_oracle(ratio):
     so = spatial_forward(z, priors.k_s, model.layers[0].chain.spatial)
     idx = identify_tokens(so.semantic, ratio)
     cached = Rng(93).normal(z.shape)
-    got = pruned_motion_forward(so.out, priors.k_m, w, idx, cached)
+    got, got_att = with_attention(pruned_motion_forward, so.out, priors.k_m,
+                                  w, idx, cached)
     want_out, want_att = _mask_oracle_motion(so.out, priors.k_m, w, idx, cached)
-    assert np.max(np.abs(got.attention - want_att)) == 0.0
+    assert np.max(np.abs(got_att - want_att)) == 0.0
     assert np.max(np.abs(got.out - want_out)) == 0.0
 
 
@@ -172,8 +174,9 @@ def test_pruned_complement_refill_bit_exact():
     so = spatial_forward(z, priors.k_s, model.layers[0].chain.spatial)
     idx = identify_tokens(so.semantic, 0.5)
     cached = Rng(95).normal(z.shape)
-    got = pruned_camera_forward(so.out, priors.k_c, w, idx, cached)
-    att = got.attention.reshape(2, 2, 16, 8)
+    _, att = with_attention(pruned_camera_forward, so.out, priors.k_c, w,
+                            idx, cached)
+    att = att.reshape(2, 2, 16, 8)
     cached_flat = cached.reshape(2, 2, 16, 8)
     for fi in range(2):
         comp = complement(idx.i_c[fi], 16)

@@ -53,8 +53,8 @@ def _layouts(prior_seed: int):
     as the block forwards read and write them."""
     rng = Rng(prior_seed)
     return [
-        ("spatial", lambda a: a.reshape(F * V, L, C),
-         rng.normal((F * V, 1, C))),
+        ("spatial", lambda a: a.reshape(1, F * V, L, C),
+         rng.normal((1, F * V, 1, C))),
         ("camera", lambda a: a.transpose(0, 2, 1, 3), rng.normal((F, L, 1, C))),
         ("motion", lambda a: a.transpose(1, 2, 0, 3), rng.normal((V, L, 1, C))),
     ]
@@ -79,8 +79,9 @@ def _tiled_outputs():
     idx = identify_tokens(Rng(306).uniform((F, V, H, W)), 0.4)
     for forward, prior in ((pruned_camera_forward, (F, H, W, C)),
                            (pruned_motion_forward, (V, H, W, C))):
-        block = forward(z, Rng(307).normal(prior), p, idx, addend)
-        got += [block.out, block.attention]
+        block, att = with_attention(forward, z, Rng(307).normal(prior), p,
+                                    idx, addend)
+        got += [block.out, att]
     return [a.tobytes() for a in got]
 
 
@@ -121,9 +122,9 @@ def test_one_token_call_matches_its_row_in_a_batch_of_two():
     p = make_block(C, 2, 306)
     z = Rng(307).normal((2, 1, C))
     prior = Rng(308).normal((2, 1, C))
-    one = axis_attention(z[:1], prior[:1], p)
-    two = axis_attention(z, prior, p)
-    assert [a.tobytes() for a in one] == [a[:1].tobytes() for a in two]
+    one = axis_attention(z[None, :1], prior[None, :1], p)
+    two = axis_attention(z[None], prior[None], p)
+    assert [a.tobytes() for a in one] == [a[:, :1].tobytes() for a in two]
 
 
 def test_strided_layouts_match_contiguous_copies(monkeypatch):
@@ -139,11 +140,11 @@ def test_strided_layouts_match_contiguous_copies(monkeypatch):
         out, pw = axis_attention(seq, prior, p)
         assert out.strides == seq.strides, name
         flat, flat_pw = axis_attention(
-            np.ascontiguousarray(seq).reshape(-1, n, C),
-            prior.reshape(-1, 1, C), p)
+            np.ascontiguousarray(seq).reshape(1, -1, n, C),
+            prior.reshape(1, -1, 1, C), p)
         assert np.array_equal(
-            np.ascontiguousarray(out).reshape(-1, n, C), flat), name
-        assert np.array_equal(pw.reshape(-1, n), flat_pw), name
+            np.ascontiguousarray(out).reshape(1, -1, n, C), flat), name
+        assert np.array_equal(pw.reshape(1, -1, n), flat_pw), name
 
 
 @pytest.mark.parametrize("axis", ["spatial", "camera", "motion"])
@@ -160,7 +161,6 @@ def test_a_sink_changes_no_bit_of_a_dense_block(monkeypatch, axis):
         plain = axis_block(z, axis, prior.reshape(PRIOR_SHAPES[axis]), p)
         block, att = with_attention(axis_block, z, axis,
                                     prior.reshape(PRIOR_SHAPES[axis]), p)
-        assert plain.attention is None and block.attention is None
         assert block.out.tobytes() == plain.out.tobytes(), tile
         fresh, _ = axis_attention(view(z.reshape(F, V, L, C)), prior, p)
         assert att.shape == z.shape and att.flags.c_contiguous
@@ -186,7 +186,8 @@ def _stage_calls(scale: int):
         z = rng.normal((batch * scale, n, c))
         prior = rng.normal((batch * scale, 1, c))
         calls.append((f"attention n={n}",
-                      lambda z=z, prior=prior: axis_attention(z, prior, p)))
+                      lambda z=z, prior=prior: axis_attention(z[None],
+                                                              prior[None], p)))
     x = rng.normal((2 * scale, 4, 16, 16, c))
     mix = rng.normal((c, c))
     calls.append(("ffn", lambda: (ffn(x, p, addend=x),)))

@@ -26,7 +26,7 @@ in every arm, must give the same final latent. A run that fails
 ``perfbench/run.py``'s ``measure`` records it, with its error under
 ``problems`` and no metrics, and the session goes on. The output holds
 the machine, a SHA-256 of each tree's scmbench sources (its ``*.py`` and
-``*.c`` files), every run and, per workload and seed, each arm's median
+``*.c`` files) with their Python and C line counts, every run and, per workload and seed, each arm's median
 and quartiles over the runs that ran, the parent's IQR, the change's
 median over the parent's and the pairs the change won, where a pair with
 a failed side counts for neither side, and a verdict (:func:`verdict`)
@@ -106,15 +106,29 @@ def cpu_model() -> str | None:
     return None
 
 
+def source_files(tree: Path) -> list[Path]:
+    """``tree``'s scmbench sources, the Python modules and the C kernels."""
+    return sorted(p for p in (tree / "src").rglob("*")
+                  if p.suffix in (".py", ".c"))
+
+
 def source_digest(tree: Path) -> str:
-    """SHA-256 over the paths and bytes of ``tree``'s scmbench sources, the
-    Python modules and the C kernels."""
+    """SHA-256 over the paths and bytes of ``tree``'s scmbench sources."""
     h = hashlib.sha256()
-    for path in sorted(p for p in (tree / "src").rglob("*")
-                       if p.suffix in (".py", ".c")):
+    for path in source_files(tree):
         h.update(str(path.relative_to(tree)).encode() + b"\0")
         h.update(path.read_bytes())
     return h.hexdigest()
+
+
+def source_lines(tree: Path) -> dict[str, int]:
+    """Lines of ``tree``'s Python and C sources, each file's newlines, as
+    ``wc -l`` counts them."""
+    lines = {"python": 0, "c": 0}
+    for path in source_files(tree):
+        lines["c" if path.suffix == ".c" else "python"] += \
+            path.read_bytes().count(b"\n")
+    return lines
 
 
 def build_kernels(src: Path) -> None:
@@ -257,8 +271,10 @@ def main(argv: list[str]) -> int:
     Path(argv[2]).write_text(json.dumps({
         "command": "python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR OUT",
         "machine": machine,
-        "sources": {"parent": source_digest(parent),
-                    "change": source_digest(change)},
+        "sources": {name: {"sha256": source_digest(tree),
+                           "lines": source_lines(tree)}
+                    for name, tree in (("parent", parent),
+                                       ("change", change))},
         "summary": summary, "runs": runs},
         indent=1) + "\n")
     return 1 if any(r["problems"] for r in runs) else 0

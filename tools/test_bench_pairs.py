@@ -199,3 +199,30 @@ def test_the_source_digest_covers_the_c_kernels_and_nothing_built(tmp_path):
     assert second != first
     (package / "a.py").write_text("x = 2\n")
     assert bench_pairs.source_digest(tmp_path) not in (first, second)
+
+
+def test_source_lines_count_newlines_by_language(tmp_path, monkeypatch):
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\ny = 2\n")
+    (package / "b.py").write_text("z = 3")  # no final newline, as wc -l
+    (package / "k.c").write_text("int k;\n\n")
+    (package / "k.so").write_bytes(b"\n\n\n")
+    assert bench_pairs.source_lines(tmp_path) == {"python": 2, "c": 2}
+    # a session records both trees' counts next to their digests
+    for tree in ("parent", "change"):
+        (tmp_path / tree / "src").mkdir(parents=True)
+    (tmp_path / "change" / "src" / "m.py").write_text("a\nb\nc\n")
+    stub = stub_run(tmp_path, [], fail_at=-1)
+    monkeypatch.setattr(bench_pairs, "load_run", lambda tree, name: stub)
+    monkeypatch.setattr(bench_pairs, "build_kernels", lambda src: None)
+    monkeypatch.setattr(bench_pairs, "PAIRS", 1)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    out = tmp_path / "out.json"
+    bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                      str(out)])
+    sources = json.loads(out.read_text())["sources"]
+    assert sources["parent"] == {
+        "sha256": bench_pairs.source_digest(tmp_path / "parent"),
+        "lines": {"python": 0, "c": 0}}
+    assert sources["change"]["lines"] == {"python": 3, "c": 0}
