@@ -200,6 +200,14 @@ def _attend_tile(z: np.ndarray, prior: np.ndarray, prior_weight: np.ndarray,
     attention too: ``att``, when given, gets a copy of it, and ``total``,
     when given, gets z + attention; ``total`` may be z itself, whose rows
     are copied before anything is written.
+
+    Each temporary is dropped after its last read: kv once the fused
+    Q/K/V product has read it; qkv, its head views and the scores once
+    the weighted sum has read them, the prior-weight mean being taken
+    right after the softmax; the merged heads once the output projection
+    has read them. So a tile holds kv and qkv, then qkv, the scores and
+    the merged heads, then the merged heads and the projection, and never
+    more than the larger of the first two sets.
     """
     ot, it, n, c = z.shape
     t = ot * it
@@ -212,6 +220,7 @@ def _attend_tile(z: np.ndarray, prior: np.ndarray, prior_weight: np.ndarray,
     # of the prior rows are never read, which costs less than a second
     # gather of the tokens and two more BLAS calls.
     qkv = kv.reshape(t * (n + 1), c) @ w_qkv
+    del kv
     heads = qkv.reshape(t, n + 1, 3, nh, d)
     qh = heads[:, :n, 0].transpose(0, 2, 1, 3)      # [t, nh, n, d]
     qh *= 1.0 / math.sqrt(d)
@@ -219,8 +228,10 @@ def _attend_tile(z: np.ndarray, prior: np.ndarray, prior_weight: np.ndarray,
     vh = heads[:, :, 2].transpose(0, 2, 1, 3)       # [t, nh, n+1, d]
 
     scores = softmax_last_inplace(qh @ kht)         # [t, nh, n, n+1]
+    np.mean(scores[..., -1], axis=1, out=prior_weight.reshape(t, n))
     merged = np.empty((t, n, nh, d))
     np.matmul(scores, vh, out=merged.transpose(0, 2, 1, 3))
+    del qkv, heads, qh, kht, vh, scores
     rows = merged.reshape(t * n, c)
     if t * n == 1:
         # The whole call is one one-token sequence, as at all dims 1
@@ -229,11 +240,11 @@ def _attend_tile(z: np.ndarray, prior: np.ndarray, prior_weight: np.ndarray,
         # another order, so pad it to two rows.
         rows = np.concatenate((rows, rows))
     proj = (rows @ p.wo)[:t * n].reshape(z.shape)
+    del merged, rows
     if att is not None:
         np.copyto(att, proj)
     if total is not None:
         np.add(z, proj, out=total)
-    np.mean(scores[..., -1], axis=1, out=prior_weight.reshape(t, n))
 
 
 def axis_attention(z_seq: np.ndarray, prior_token: np.ndarray, p: BlockParams,
@@ -313,7 +324,9 @@ def ffn(x: np.ndarray, p: BlockParams,
     The result, of x's shape, goes to ``out``, or to a fresh array when
     ``out`` is None; x is written only when it is ``out``. ``out`` may be
     x itself: each tile takes its rows of x + addend into a temporary
-    before it writes them.
+    before it writes them. That sum is dropped once the ``w1`` product
+    has read it, so a tile holds no more than its hidden activation and
+    GELU's temporary, each [rows, 2C].
 
     ``before_tile(i, j)``, when given, is called on the tile's thread just
     before flat rows i:j of ``addend`` are read, so a caller can fill
@@ -338,6 +351,7 @@ def ffn(x: np.ndarray, p: BlockParams,
         if addend is not None:
             src = src + addend[i:j]
         hidden = src @ p.w1
+        del src
         _gelu_inplace(hidden)
         np.matmul(hidden, p.w2, out=out[i:j])
 

@@ -412,7 +412,11 @@ def _build(source: Path, flags: tuple[str, ...], lib: Path) -> None:
     # imports it.
     import subprocess
 
-    lib.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        lib.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ImportError(f"scmbench's kernel cache {lib.parent} cannot be "
+                          f"made: {exc}") from None
     part = lib.with_name(f"{lib.name}.{os.getpid()}")
     command = ["gcc", *flags, "-o", str(part), str(source)]
     try:
@@ -439,7 +443,8 @@ def _load_kernels(cache: Path = _KERNEL_CACHE, source: Path = _KERNEL_SOURCE,
     every other library there, whose key is stale; part files stay, since
     another process may still write one. Processes that import at once may
     each build it, and each loads a whole file. A failed build raises
-    ImportError naming the command.
+    ImportError naming the command, and a cache directory that cannot be
+    made one naming the directory and the OS error.
     """
     if features is None:
         features = _cpu_features()

@@ -231,6 +231,21 @@ def test_a_failing_build_deletes_nothing(tmp_path):
     assert libraries(tmp_path) == before
 
 
+def test_a_cache_that_cannot_be_made_ends_in_an_import_error(tmp_path):
+    # A cache under a regular file cannot be made, as one in a read-only
+    # site-packages cannot; the error names the directory and the cause.
+    blocker = tmp_path / "file"
+    blocker.write_bytes(b"")
+    cache = blocker / "cache"
+    with pytest.raises(ImportError) as info:
+        core._load_kernels(cache, flags=("-O1", "-fPIC", "-shared"),
+                           features="A")
+    message = str(info.value)
+    assert message.startswith(f"scmbench's kernel cache {cache} cannot be "
+                              f"made: ")
+    assert "Not a directory" in message
+
+
 def test_a_current_library_loads_without_the_compiler(monkeypatch):
     def no_compiler(*args, **kwargs):
         pytest.fail(f"the compiler ran: {args}")

@@ -33,7 +33,8 @@ from scmbench import (
     pruned_motion_forward,
 )
 from scmbench import core
-from scmbench.attention import AttentionSink, _batch_tiles, axis_block
+from scmbench.attention import (AttentionSink, _attend_tile, _batch_tiles,
+                                axis_block)
 from scmbench.denoiser import mixing
 from scmbench.scheduler import StepMode
 
@@ -296,6 +297,48 @@ def test_reuse_pass_peaks_at_one_point_three_latents(traced_serial):
     peak = _peak_latents(lambda: model_forward(
         model, z, priors, StepMode(StepKind.REUSE), 1, cache))
     assert peak <= 1.3, peak
+
+
+# Array headers and Python objects a traced peak holds beside the arrays.
+OBJECT_BYTES = 16 * 2**10
+
+
+@pytest.mark.parametrize("ot, it, n", [(1, 1, 256), (1, 64, 8), (1, 128, 5)],
+                         ids=["spatial", "camera", "motion"])
+def test_an_attention_tile_holds_only_its_live_set(traced_serial, ot, it, n):
+    # One tile of each block at the default dims (H*W = 256, V = 8, F = 5,
+    # C = 64, 2 heads). It holds kv and qkv while it projects, then qkv,
+    # the scores and the merged heads; a tile that kept kv, the scores and
+    # qkv to its end peaked at 1.84, 1.78 and 2.29 MB.
+    c, nh = 64, 2
+    p = make_block(c, nh, 409)
+    w_qkv = np.concatenate((p.wq, p.wk, p.wv), axis=1)
+    z = Rng(410).normal((ot, it, n, c))
+    prior = Rng(411).normal((ot, it, 1, c))
+    prior_weight, total = np.empty((ot, it, n)), np.empty_like(z)
+
+    def call():
+        _attend_tile(z, prior, prior_weight, None, total, p, w_qkv)
+        return ()
+
+    peak = working_set(call)
+    t = ot * it
+    kv, qkv = 8 * t * (n + 1) * c, 8 * t * (n + 1) * 3 * c
+    scores, merged = 8 * t * nh * n * (n + 1), 8 * t * n * c
+    live = max(kv + qkv, qkv + scores + merged)
+    assert peak <= live + OBJECT_BYTES, (peak, live)
+
+
+def test_an_ffn_tile_holds_only_its_hidden_activation(traced_serial):
+    # One 512-row tile with an addend: beyond its output, the hidden
+    # activation and GELU's temporary. Keeping x + addend to the end of
+    # the tile peaked a quarter higher.
+    c = 64
+    p = make_block(c, 2, 412)
+    x, addend = Rng(413).normal((512, c)), Rng(414).normal((512, c))
+    peak = working_set(lambda: (ffn(x, p, addend=addend),))
+    hidden = 8 * 512 * 2 * c
+    assert peak <= 2 * hidden + OBJECT_BYTES, (peak, hidden)
 
 
 def _stages(f, v, h, w, c, seed):

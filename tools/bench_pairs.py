@@ -25,13 +25,15 @@ in every arm, must give the same final latent. A run that fails
 (``run.RunFailed``: a timeout, a bad exit or bad output) is recorded, as
 ``perfbench/run.py``'s ``measure`` records it, with its error under
 ``problems`` and no metrics, and the session goes on. The output holds
-the machine, a SHA-256 of each tree's scmbench sources (its ``*.py`` and
-``*.c`` files) with their Python and C line counts, every run and, per workload and seed, each arm's median
-and quartiles over the runs that ran, the parent's IQR, the change's
-median over the parent's and the pairs the change won, where a pair with
-a failed side counts for neither side, and a verdict (:func:`verdict`)
-against the metric's bound in the repository's ``BENCHMARK.json``, which
-is only read. The exit code is 1 if any run failed or any check failed.
+the machine, with whether the children write bytecode, a SHA-256 of
+each tree's scmbench sources (its ``*.py`` and ``*.c`` files) with their
+Python and C line counts, every run and, per workload and seed, each
+arm's median and quartiles over the runs that ran, the parent's IQR, the
+change's median over the parent's and the pairs the change won, where a
+pair with a failed side counts for neither side, and a verdict
+(:func:`verdict`) against the metric's bound in the repository's
+``BENCHMARK.json``, which is only read. The exit code is 1 if any run
+failed or any check failed.
 """
 
 from __future__ import annotations
@@ -262,9 +264,13 @@ def main(argv: list[str]) -> int:
                                        "problems")}), flush=True)
     machine = run.machine(next((r["blas"] for r in runs if "blas" in r),
                                None))
+    # The children inherit this environment; one that may not write
+    # bytecode compiles scmbench's sources inside every run's setup_s.
     machine.update(cpu=cpu_model(), blas_build=blas_build(),
                    ram_gb=round(os.sysconf("SC_PAGE_SIZE")
-                                * os.sysconf("SC_PHYS_PAGES") / 2**30, 1))
+                                * os.sysconf("SC_PHYS_PAGES") / 2**30, 1),
+                   child_writes_bytecode=not os.environ.get(
+                       "PYTHONDONTWRITEBYTECODE"))
     summary = {f"{w}/seed{s}": summarize(
         [r for r in runs if r["workload"] == w and r["seed"] == s])
         for s in (run.DEV_SEED, run.HOLDOUT_SEED) for w in run.WORKLOADS}

@@ -130,6 +130,20 @@ def stub_run(root: Path, log: list, fail_at: int) -> types.SimpleNamespace:
         machine=lambda blas: {"blas_threads": blas})
 
 
+def stub_session(tmp_path: Path, monkeypatch) -> dict:
+    """The output of a one-pair session of ``tmp_path``'s ``parent`` and
+    ``change`` trees through ``stub_run``, which builds nothing."""
+    stub = stub_run(tmp_path, [], fail_at=-1)
+    monkeypatch.setattr(bench_pairs, "load_run", lambda tree, name: stub)
+    monkeypatch.setattr(bench_pairs, "build_kernels", lambda src: None)
+    monkeypatch.setattr(bench_pairs, "PAIRS", 1)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    out = tmp_path / "out.json"
+    bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                      str(out)])
+    return json.loads(out.read_text())
+
+
 def test_a_failed_run_is_recorded_and_its_pair_left_out(tmp_path,
                                                         monkeypatch):
     # Two pairs per seed: parent, change, serial, then serial, change,
@@ -213,16 +227,25 @@ def test_source_lines_count_newlines_by_language(tmp_path, monkeypatch):
     for tree in ("parent", "change"):
         (tmp_path / tree / "src").mkdir(parents=True)
     (tmp_path / "change" / "src" / "m.py").write_text("a\nb\nc\n")
-    stub = stub_run(tmp_path, [], fail_at=-1)
-    monkeypatch.setattr(bench_pairs, "load_run", lambda tree, name: stub)
-    monkeypatch.setattr(bench_pairs, "build_kernels", lambda src: None)
-    monkeypatch.setattr(bench_pairs, "PAIRS", 1)
-    monkeypatch.setattr(sys, "path", list(sys.path))
-    out = tmp_path / "out.json"
-    bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
-                      str(out)])
-    sources = json.loads(out.read_text())["sources"]
+    sources = stub_session(tmp_path, monkeypatch)["sources"]
     assert sources["parent"] == {
         "sha256": bench_pairs.source_digest(tmp_path / "parent"),
         "lines": {"python": 0, "c": 0}}
     assert sources["change"]["lines"] == {"python": 3, "c": 0}
+
+
+@pytest.mark.parametrize("value, writes", [(None, True), ("", True),
+                                           ("1", False)],
+                         ids=["unset", "empty", "set"])
+def test_the_machine_records_whether_children_write_bytecode(
+        tmp_path, monkeypatch, value, writes):
+    # The children inherit PYTHONDONTWRITEBYTECODE; Python honours it only
+    # when it is non-empty.
+    if value is None:
+        monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", value)
+    for tree in ("parent", "change"):
+        (tmp_path / tree / "src").mkdir(parents=True)
+    machine = stub_session(tmp_path, monkeypatch)["machine"]
+    assert machine["child_writes_bytecode"] is writes
