@@ -383,15 +383,16 @@ def axis_block(z: np.ndarray, axis: str, prior: np.ndarray, w: BlockParams,
     view of the latent, and each attention tile writes z + attention over
     its own rows of the output, where the FFN then runs in place.
 
-    With ``keep`` [G, K], a list of kept spatial positions per frame
-    (camera) or per view (motion), ascending in each row, the kept
-    positions are gathered in latent order into an [F, V, K, C] latent,
-    whose sequences are attended through the same transposed view; it is
-    dropped as soon as attention returns. Every other position of the
-    attention is taken from ``cached``, which has the latent's shape.
-    That refill runs inside the FFN's tiles: each tile copies its rows of
-    ``cached`` and overwrites the attended ones among them just before
-    the FFN adds them, so no serial full-size copy or scatter is made.
+    With ``keep`` [G, K], a list of 1 <= K <= H*W kept spatial positions
+    per frame (camera) or per view (motion), integers strictly increasing
+    within [0, H*W) in each row (checked), the kept positions are gathered
+    in latent order into an [F, V, K, C] latent, whose sequences are
+    attended through the same transposed view; it is dropped as soon as
+    attention returns. Every other position of the attention is taken
+    from ``cached``, which has the latent's shape. That refill runs inside
+    the FFN's tiles: each tile copies its rows of ``cached`` and
+    overwrites the attended ones among them just before the FFN adds
+    them, so no serial full-size copy or scatter is made.
 
     The block output goes to ``out``, or to a fresh array when ``out`` is
     None; z is written only when it is ``out``, which a caller passes only
@@ -442,7 +443,16 @@ def axis_block(z: np.ndarray, axis: str, prior: np.ndarray, w: BlockParams,
         if cached is None or cached.shape != z.shape:
             raise ShapeError(f"cached {axis} attention must have shape "
                              f"{z.shape}")
-        groups = np.arange(keep.shape[0])[:, None]
+        keep, g = np.asarray(keep), grid[axes[0]]
+        if (keep.ndim != 2 or keep.shape[0] != g
+                or keep.dtype.kind not in "iu" or not 1 <= keep.shape[1] <= l):
+            raise ShapeError(f"{axis} keep lists must be {g} rows of 1 to {l}"
+                             f" integers, got {keep.dtype} {keep.shape}")
+        if (keep[:, 0].min() < 0 or keep[:, -1].max() >= l
+                or np.any(keep[:, 1:] <= keep[:, :-1])):
+            raise ParameterError(f"{axis} keep rows must be strictly "
+                                 f"increasing within [0, {l})")
+        groups = np.arange(g)[:, None]
         back = np.argsort(axes)  # the inverse permutation of axes
         # The latent rows of the kept positions, [F, V, K] and ascending,
         # since every keep row ascends.

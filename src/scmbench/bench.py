@@ -170,9 +170,8 @@ class RunReport:
             "totals": self.totals(),
             "peak_live_elements": self.counters.peak_live_elements,
             "asr_trace": [[s, v] for s, v in self.trace.asr_trace],
-            "mode_trace": [[s, m.kind.value] for s, m in
-                           self.trace.scheduler.mode_trace],
-            "bypass_active": self.trace.scheduler.bypass_active,
+            "mode_trace": [[r.step, r.kind] for r in self.trace.steps],
+            "bypass_active": self.trace.bypass_active,
         }
         if self.drift_cosine is not None:
             doc["drift"] = {
@@ -246,11 +245,9 @@ def emit_report(report: RunReport, path, similarity_csv: bool = False) -> None:
                 f"{r.wall_us:.1f}",
             ])
     if similarity_csv:
-        cache = report.trace.cache
-        log = [] if cache is None else cache.similarity_log
         with open(path.with_name(path.stem + "_similarity.csv"), "w",
                   newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["step", "layer", "kind", "cosine"])
             writer.writerows([r.step, r.layer, r.kind, repr(r.value)]
-                             for r in log)
+                             for r in report.trace.similarity_log)

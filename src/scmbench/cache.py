@@ -32,7 +32,6 @@ class SimilarityRecord:
     layer: int
     kind: str
     value: float
-    degenerate: bool = False
 
 
 class RollingCache:
@@ -99,16 +98,13 @@ class RollingCache:
     def record_similarity(self, layer: int, kind: str, new_value: np.ndarray,
                           step: int, cached: np.ndarray) -> float:
         """Log and return the cosine between ``new_value`` and ``cached``,
-        the (layer, kind) entry it supersedes. Not for use while a
-        comparison runs aside."""
+        the (layer, kind) entry it supersedes; 0.0 when either has zero
+        norm. Not for use while a comparison runs aside."""
         try:
             value = cosine(cached, new_value)
-            degenerate = False
         except DegenerateInputError:
             value = 0.0
-            degenerate = True
-        self._log.append(
-            SimilarityRecord(step, layer, kind, value, degenerate))
+        self._log.append(SimilarityRecord(step, layer, kind, value))
         return value
 
     def supersede(self, layer: int, kind: str, new_value: np.ndarray,

@@ -29,7 +29,7 @@ from .attention import (
     motion_forward,
     spatial_forward,
 )
-from .cache import BLOCK_KINDS, RollingCache
+from .cache import BLOCK_KINDS, RollingCache, SimilarityRecord
 from .core import (CostCounters, Rng, _address, _element_count, _kernels,
                    assert_finite, out_array, run_tiles, tiles)
 from .errors import ParameterError, ShapeError
@@ -422,9 +422,12 @@ class StepRecord:
 
 @dataclass
 class SampleTrace:
+    """A run's records: its steps, the ASR read before each, whether
+    bypass latched and the settled similarity log (empty with no cache)."""
+
     steps: list[StepRecord]
-    scheduler: SchedulerState
-    cache: RollingCache | None
+    bypass_active: bool
+    similarity_log: list[SimilarityRecord]
     wall_seconds: float
     asr_trace: list[tuple[int, float]]
 
@@ -440,9 +443,11 @@ def sample(
     """Run the full reverse loop under the configured acceleration mode.
 
     Reads only the sampling fields of ``cfg``, never its shape or seed.
+    Before each step the ASR is read from the similarity log, settled.
     When bypass latches, the bypassed layers' cache entries are evicted:
     bypass never un-latches, so nothing reads them again. Returns only
-    once the cache's last cosine, run aside, is done.
+    once the cache's last cosine, run aside, is done, and then drops the
+    cache: no entry outlives the call.
     """
     n_layers = len(model.layers)
     total = schedule.total_steps
@@ -465,19 +470,16 @@ def sample(
         def select(q_s: np.ndarray) -> pruning.TokenIndexSet:
             return pruning.identify_tokens(q_s, cfg.topk_ratio)
 
+    def settled_log() -> list[SimilarityRecord]:
+        return [] if cache is None else cache.similarity_log
+
     records: list[StepRecord] = []
     asr_trace: list[tuple[int, float]] = []
     run_start = time.perf_counter()
     for step in range(total):
         t = total - step
-        if cache is not None and cache.similarity_log:
-            # Records are appended in step order, so the window ends at
-            # the latest step that logged one.
-            exclude = bypass_set(n_layers) if state.bypass_active else frozenset()
-            asr = compute_asr(cache, cache.similarity_log[-1].step,
-                              cfg.delta_t, exclude)
-        else:
-            asr = 0.0
+        exclude = bypass_set(n_layers) if state.bypass_active else frozenset()
+        asr = compute_asr(settled_log(), cfg.delta_t, exclude)
         asr_trace.append((step, asr))
         was_latched = state.bypass_active
         mode = select_mode(state, step, asr, n_layers,
@@ -500,14 +502,14 @@ def sample(
             **{k: v - before[k] for k, v in counters.flops().items()},
             wall_us=wall_us,
         ))
-    if cache is not None:
-        cache.settle()  # the last cosine is part of the run, and may fail
+    log = settled_log()  # the last cosine is part of the run, and may fail
     wall_seconds = time.perf_counter() - run_start
+    del cache
     assert_finite(z, "final latent")
     return z, SampleTrace(
         steps=records,
-        scheduler=state,
-        cache=cache,
+        bypass_active=state.bypass_active,
+        similarity_log=log,
         wall_seconds=wall_seconds,
         asr_trace=asr_trace,
     )

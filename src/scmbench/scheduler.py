@@ -18,9 +18,7 @@ latest compute step, and it never un-triggers.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-
-from .cache import RollingCache
+from dataclasses import dataclass
 
 __all__ = ["StepKind", "StepMode", "ModeSpec", "MODE_TABLE", "SchedulerState",
            "compute_asr", "select_mode"]
@@ -78,7 +76,6 @@ class SchedulerState:
     alpha: float
     warmup: int
     bypass_active: bool = False
-    mode_trace: list[tuple[int, StepMode]] = field(default_factory=list)
 
 
 def bypass_set(total_layers: int) -> frozenset[int]:
@@ -86,23 +83,20 @@ def bypass_set(total_layers: int) -> frozenset[int]:
     return frozenset(range(1, total_layers - 1))
 
 
-def compute_asr(cache: RollingCache, step: int, delta_t: int,
+def compute_asr(log: list, delta_t: int,
                 exclude_layers: frozenset[int] = frozenset()) -> float:
-    """Windowed mean of logged similarities; 0.0 when the window is empty.
+    """Windowed mean of a similarity log (records with ``step``, ``layer``
+    and ``value``, appended in step order); 0.0 when the window is empty.
 
-    The window covers records from compute steps in [step - delta_t, step],
-    all block kinds and all non-excluded layers. An empty window is the
-    not-ready signal: bypass cannot trigger on it.
+    The window ends at the log's latest step, s, and covers records from
+    steps in [s - delta_t, s], all block kinds and all non-excluded
+    layers. An empty log or window is the not-ready signal: bypass cannot
+    trigger on it.
     """
-    lo = step - delta_t
-    values = [
-        rec.value
-        for rec in cache.similarity_log
-        if lo <= rec.step <= step and rec.layer not in exclude_layers
-    ]
-    if not values:
-        return 0.0
-    return sum(values) / len(values)
+    lo = log[-1].step - delta_t if log else 0
+    values = [rec.value for rec in log
+              if rec.step >= lo and rec.layer not in exclude_layers]
+    return sum(values) / len(values) if values else 0.0
 
 
 def select_mode(state: SchedulerState, step: int, asr: float,
@@ -112,6 +106,4 @@ def select_mode(state: SchedulerState, step: int, asr: float,
     if not state.bypass_active and step >= state.warmup and asr >= state.alpha:
         state.bypass_active = True
     layers = bypass_set(total_layers) if state.bypass_active else frozenset()
-    mode = StepMode(kind=kind, bypassed_layers=layers)
-    state.mode_trace.append((step, mode))
-    return mode
+    return StepMode(kind=kind, bypassed_layers=layers)

@@ -148,17 +148,12 @@ def test_criterion_03_reuse_step_correctness():
 # --- 4. ASR algebra and bypass monotonicity -------------------------------
 
 def test_criterion_04_asr_algebra(turbo_run):
-    cache = RollingCache()
-    for v in (1.0, 1.0, 1.0):
-        cache.similarity_log.append(SimilarityRecord(4, 0, "spatial", v))
-    ones = compute_asr(cache, 4, 3)
-    cache2 = RollingCache()
-    for v in (1.0, 0.8, 0.6):
-        cache2.similarity_log.append(SimilarityRecord(4, 0, "spatial", v))
-    mixed = compute_asr(cache2, 4, 3)
+    ones = compute_asr([SimilarityRecord(4, 0, "spatial", v)
+                        for v in (1.0, 1.0, 1.0)], 3)
+    mixed = compute_asr([SimilarityRecord(4, 0, "spatial", v)
+                         for v in (1.0, 0.8, 0.6)], 3)
 
-    trace = turbo_run.trace.scheduler.mode_trace
-    bypassed = [bool(m.bypassed_layers) for _, m in trace]
+    bypassed = [bool(r.bypassed_layers) for r in turbo_run.trace.steps]
     monotone = all(b or not a for a, b in zip(bypassed, bypassed[1:]))
     first_trigger = bypassed.index(True) if any(bypassed) else None
     # the latch must coincide with the first boundary where ASR >= alpha
@@ -255,7 +250,7 @@ def test_criterion_08_semantic_recall():
 # --- 9. similarity trend ----------------------------------------------------
 
 def test_criterion_09_similarity_trend(turbo_run):
-    log = turbo_run.trace.cache.similarity_log
+    log = turbo_run.trace.similarity_log
     steps = sorted({r.step for r in log})
 
     def mean_over(selected):

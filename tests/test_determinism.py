@@ -207,8 +207,8 @@ def test_similarity_log_does_not_depend_on_drainers(split_into):
     for parts in (1, 3):
         split_into(parts)
         reports.append(run_benchmark(build_config(None, config)))
-    logs = [[(r.step, r.layer, r.kind, r.value, r.degenerate)
-             for r in rep.trace.cache.similarity_log] for rep in reports]
+    logs = [[(r.step, r.layer, r.kind, r.value)
+             for r in rep.trace.similarity_log] for rep in reports]
     assert logs[0] == logs[1] and len(logs[0]) > 0
     assert np.array_equal(reports[0].z_final, reports[1].z_final)
 

@@ -8,6 +8,8 @@ from scmbench import (
     ParameterError,
     RollingCache,
     Rng,
+    ShapeError,
+    TokenIndexSet,
     cached_chain_forward,
     camera_forward,
     identify_tokens,
@@ -181,6 +183,39 @@ def test_pruned_complement_refill_bit_exact():
     for fi in range(2):
         comp = complement(idx.i_c[fi], 16)
         assert np.array_equal(att[fi, :, comp, :], cached_flat[fi, :, comp, :])
+
+
+# Keep lists one wrong way each, made from the well-formed rows [1, 5, 15]
+# at H*W = 16, and the error each must raise.
+_BAD_KEEP = {
+    "reversed": (lambda k: k[:, ::-1], ParameterError),
+    "duplicate": (lambda k: k[:, [0, 0, 2]], ParameterError),
+    "negative": (lambda k: k - 2, ParameterError),
+    "past-the-end": (lambda k: k + 1, ParameterError),
+    "row-short": (lambda k: k[:-1], ShapeError),
+    "float": (lambda k: k.astype(float), ShapeError),
+    "empty-rows": (lambda k: k[:, :0], ShapeError),
+    "too-long": (lambda k: np.tile(np.arange(17), (len(k), 1)), ShapeError),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(_BAD_KEEP))
+@pytest.mark.parametrize("block", ["camera", "motion"])
+def test_pruned_block_rejects_a_bad_keep_list(block, bad):
+    # A keep list is G rows (F for camera, V for motion) of 1 to H*W
+    # integers, strictly increasing within [0, H*W); nothing else reaches
+    # the gather or the refill.
+    model, priors, z = make_setup(config_at(2, 3, 4, 4, 8, seed=100))
+    forward, prior, groups = {
+        "camera": (pruned_camera_forward, priors.k_c, 2),
+        "motion": (pruned_motion_forward, priors.k_m, 3)}[block]
+    w = getattr(model.layers[0].chain, block)
+    cached = Rng(101).normal(z.shape)
+    keep = np.tile(np.array([1, 5, 15]), (groups, 1))
+    forward(z, prior, w, TokenIndexSet(keep, keep), cached)  # well formed
+    make, error = _BAD_KEEP[bad]
+    with pytest.raises(error):
+        forward(z, prior, w, TokenIndexSet(make(keep), make(keep)), cached)
 
 
 def test_pruned_chain_ratio_one_equals_dense():

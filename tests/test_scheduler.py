@@ -2,67 +2,68 @@
 
 import pytest
 
-from scmbench import (CostCounters, RollingCache, Rng, RunConfig,
-                      SchedulerState, StepKind, compute_asr, cosine_schedule,
-                      sample, select_mode)
+from scmbench import (CostCounters, Rng, RunConfig, SchedulerState, StepKind,
+                      compute_asr, cosine_schedule, run_benchmark, sample,
+                      select_mode)
 from scmbench.cache import SimilarityRecord
 from scmbench.scheduler import MODE_TABLE, bypass_set
 
 from conftest import config_at, make_setup
 
 
-def log_into(cache, values, step=0, layer=0):
+def log_into(log, values, step=0, layer=0):
     for v in values:
-        cache.similarity_log.append(SimilarityRecord(step, layer, "spatial", v))
+        log.append(SimilarityRecord(step, layer, "spatial", v))
 
 
 def test_asr_all_ones():
-    cache = RollingCache()
-    log_into(cache, [1.0, 1.0, 1.0], step=5)
-    assert compute_asr(cache, 5, 3) == pytest.approx(1.0, abs=1e-12)
+    log = []
+    log_into(log, [1.0, 1.0, 1.0], step=5)
+    assert compute_asr(log, 3) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_asr_mean():
-    cache = RollingCache()
-    log_into(cache, [1.0, 0.8, 0.6], step=5)
-    assert compute_asr(cache, 5, 3) == pytest.approx(0.8, abs=1e-12)
+    log = []
+    log_into(log, [1.0, 0.8, 0.6], step=5)
+    assert compute_asr(log, 3) == pytest.approx(0.8, abs=1e-12)
 
 
 def test_asr_window_excludes_old_steps():
-    cache = RollingCache()
-    log_into(cache, [0.0], step=1)
-    log_into(cache, [1.0], step=5)
-    assert compute_asr(cache, 5, 3) == 1.0  # step 1 outside [2, 5]
-    assert compute_asr(cache, 5, 4) == 0.5
+    log = []
+    log_into(log, [0.0], step=1)
+    log_into(log, [1.0], step=5)
+    assert compute_asr(log, 3) == 1.0  # step 1 outside [2, 5]
+    assert compute_asr(log, 4) == 0.5
 
 
 def test_asr_empty_window_not_ready():
-    cache = RollingCache()
-    assert compute_asr(cache, 5, 3) == 0.0
-    log_into(cache, [1.0], step=0)
-    assert compute_asr(cache, 10, 3) == 0.0
+    assert compute_asr([], 3) == 0.0
+    # Every record in the window is from an excluded layer.
+    log = []
+    log_into(log, [1.0], step=0, layer=0)
+    log_into(log, [1.0], step=10, layer=2)
+    assert compute_asr(log, 3, exclude_layers=frozenset({2})) == 0.0
 
 
 def test_asr_layer_exclusion():
-    cache = RollingCache()
-    log_into(cache, [1.0], step=4, layer=0)
-    log_into(cache, [0.0], step=4, layer=2)
-    assert compute_asr(cache, 4, 3) == 0.5
-    assert compute_asr(cache, 4, 3, exclude_layers=frozenset({2})) == 1.0
+    log = []
+    log_into(log, [1.0], step=4, layer=0)
+    log_into(log, [0.0], step=4, layer=2)
+    assert compute_asr(log, 3) == 0.5
+    assert compute_asr(log, 3, exclude_layers=frozenset({2})) == 1.0
 
 
 def test_asr_reads_only_the_window_of_a_longer_log():
-    # Records before the window, inside it, after ``step`` and from an
-    # excluded layer: the rate is the mean of the window's kept values,
-    # summed in log order.
-    cache = RollingCache()
+    # Records before the window, inside it and from an excluded layer: the
+    # rate is the mean of the window's kept values, summed in log order.
+    log = []
     rng = Rng(7)
-    records = [(s, layer, float(v)) for s in range(12) for layer in range(3)
+    records = [(s, layer, float(v)) for s in range(10) for layer in range(3)
                for v in rng.uniform(2)]
     for s, layer, v in records:
-        log_into(cache, [v], step=s, layer=layer)
+        log_into(log, [v], step=s, layer=layer)
     kept = [v for s, layer, v in records if 6 <= s <= 9 and layer != 1]
-    assert compute_asr(cache, 9, 3, exclude_layers=frozenset({1})) == \
+    assert compute_asr(log, 3, exclude_layers=frozenset({1})) == \
         sum(kept) / len(kept)
 
 
@@ -87,8 +88,8 @@ def test_modes_at_warmup2(mode):
     _, trace = sample(model, priors, cosine_schedule(8), cfg, Rng(2),
                       CostCounters())
     assert "".join(r.kind[0].upper() for r in trace.steps) == kinds
-    assert (trace.cache is not None) == cached
-    assert trace.scheduler.bypass_active == latches
+    assert bool(trace.similarity_log) == cached
+    assert trace.bypass_active == latches
 
 
 def test_bypass_set_excludes_first_last():
@@ -127,10 +128,9 @@ def test_alpha_above_one_never_triggers():
 
 
 def test_mode_trace_recorded():
-    state = SchedulerState(alpha=0.9, warmup=1)
-    for step in range(4):
-        select_mode(state, step, asr=0.0, total_layers=4,
-                    kind=MODE_TABLE["turbo"].kind(step, state.warmup))
-    assert [s for s, _ in state.mode_trace] == [0, 1, 2, 3]
-    assert [m.kind for _, m in state.mode_trace] == [
-        StepKind.DENSE, StepKind.REUSE, StepKind.PRUNE, StepKind.REUSE]
+    report = run_benchmark(config_at(2, 2, 4, 4, 8, layers=4, steps=4,
+                                     mode="turbo", warmup=1))
+    mode_trace = report.to_dict()["mode_trace"]
+    assert mode_trace == [[r.step, r.kind] for r in report.trace.steps]
+    assert mode_trace == [
+        [0, "dense"], [1, "reuse"], [2, "prune"], [3, "reuse"]]
