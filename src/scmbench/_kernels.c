@@ -1,4 +1,5 @@
-/* The elementwise arithmetic around numpy's transcendentals, one pass each.
+/* The elementwise arithmetic around numpy's transcendentals, one pass each,
+and the index work of token pruning.
 
 Every kernel computes each element with the same IEEE-754 double
 operations, in the same order, as the numpy expressions it replaces, so
@@ -8,9 +9,11 @@ when the compiler neither contracts a multiply and an add into an FMA
 (-ffp-contract=off) nor reorders a sum (no -ffast-math, no
 -fassociative-math): scmbench.core builds this file with those flags.
 
-Arrays are C-contiguous float64. The softmax and GELU kernels are the
-halves before and after the numpy call; the reflect average is all of
-mixing after its matmul.
+Arrays are C-contiguous float64, and index arrays int64. The softmax and
+GELU kernels are the halves before and after the numpy call; the reflect
+average is all of mixing after its matmul. The top-k selection and the
+refill only compare and copy values, so a prune step runs none of
+numpy's sort, search or fancy-assignment code.
 */
 
 #include <stddef.h>
@@ -168,4 +171,98 @@ int reflect_average(const double *y, double *out, ptrdiff_t t, ptrdiff_t h,
     }
     free(avg);
     return 0;
+}
+
+/* Restore the min-heap order of heap[0:k] below position i. */
+static void sift_down(double *heap, ptrdiff_t k, ptrdiff_t i)
+{
+    double x = heap[i];
+    for (ptrdiff_t c; (c = 2 * i + 1) < k; i = c) {
+        if (c + 1 < k && heap[c + 1] < heap[c])
+            c++;
+        if (!(heap[c] < x))
+            break;
+        heap[i] = heap[c];
+    }
+    heap[i] = x;
+}
+
+/* The k largest of each row of s[rows][n], 1 <= k <= n, as ascending
+   indices into idx[rows][k]: np.sort(np.argsort(-s, kind="stable")[:, :k]),
+   so equal values go to the lower index and a NaN ranks below every
+   number. A min-heap of the k largest numbers seen gives the k-th
+   largest, t, in O(n log k); then one ascending pass emits every index
+   above t and the first of those equal to t, as many as the heap holds.
+   A row with fewer than k numbers keeps them all and its first NaNs.
+   Returns 0, or -1 when the heap cannot be allocated. */
+int row_topk(const double *s, long long *idx, ptrdiff_t rows, ptrdiff_t n,
+             ptrdiff_t k)
+{
+    double *heap = malloc(k * sizeof(double));
+    if (heap == NULL)
+        return -1;
+    for (ptrdiff_t r = 0; r < rows; r++, s += n, idx += k) {
+        ptrdiff_t held = 0, out = 0;
+        for (ptrdiff_t i = 0; i < n; i++) {
+            double x = s[i];
+            if (x != x)
+                continue;
+            if (held < k) {
+                heap[held++] = x;
+                if (held == k)
+                    for (ptrdiff_t p = k / 2 - 1; p >= 0; p--)
+                        sift_down(heap, k, p);
+            } else if (x > heap[0]) {
+                heap[0] = x;
+                sift_down(heap, k, 0);
+            }
+        }
+        if (held < k) {
+            ptrdiff_t nans = k - held;
+            for (ptrdiff_t i = 0; out < k; i++)
+                if (s[i] == s[i])
+                    idx[out++] = i;
+                else if (nans > 0) {
+                    idx[out++] = i;
+                    nans--;
+                }
+            continue;
+        }
+        double t = heap[0];
+        ptrdiff_t ties = 0;
+        for (ptrdiff_t j = 0; j < k; j++)
+            ties += heap[j] == t;
+        for (ptrdiff_t i = 0; out < k; i++)
+            if (s[i] > t)
+                idx[out++] = i;
+            else if (s[i] == t && ties > 0) {
+                idx[out++] = i;
+                ties--;
+            }
+    }
+    free(heap);
+    return 0;
+}
+
+/* Rows i:j of a pruned block's refilled attention out[][c]: row r is
+   row a of att where dst[a] == r, and row r of cached where dst, kept
+   ascending entries, does not name r. */
+void refill_rows(double *out, const double *cached, const double *att,
+                 const long long *dst, ptrdiff_t kept, ptrdiff_t c,
+                 ptrdiff_t i, ptrdiff_t j)
+{
+    ptrdiff_t a = 0, b = kept;
+    while (a < b) {  /* a: the first entry of dst at or after row i */
+        ptrdiff_t mid = a + (b - a) / 2;
+        if (dst[mid] < i)
+            a = mid + 1;
+        else
+            b = mid;
+    }
+    for (ptrdiff_t r = i; r < j; r++) {
+        const double *row = cached + r * c;
+        if (a < kept && dst[a] == r)
+            row = att + a++ * c;
+        memcpy(out + r * c, row, c * sizeof(double));
+    }
 }

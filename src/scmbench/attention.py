@@ -367,6 +367,10 @@ def ffn(x: np.ndarray, p: BlockParams,
 # for camera and [V, L, F, C] for motion.
 _AXES = {"spatial": (0, 1, 2, 3), "camera": (0, 2, 1, 3),
          "motion": (1, 2, 0, 3)}
+# Per axis, the inverse permutation of _AXES, which takes a transposed
+# view back to the latent's order.
+_BACK = {name: tuple(axes.index(i) for i in range(4))
+         for name, axes in _AXES.items()}
 
 
 def axis_block(z: np.ndarray, axis: str, prior: np.ndarray, w: BlockParams,
@@ -390,9 +394,13 @@ def axis_block(z: np.ndarray, axis: str, prior: np.ndarray, w: BlockParams,
     attended through the same transposed view; it is dropped as soon as
     attention returns. Every other position of the attention is taken
     from ``cached``, which has the latent's shape. That refill runs inside
-    the FFN's tiles: each tile copies its rows of ``cached`` and
-    overwrites the attended ones among them just before the FFN adds
-    them, so no serial full-size copy or scatter is made.
+    the FFN's tiles: just before the FFN adds its rows, each tile takes
+    every row from the attended rows where the kept positions name it and
+    from ``cached`` otherwise, in one pass of the compiled ``refill_rows``,
+    so no serial full-size copy or scatter is made. The kept positions'
+    latent rows come from index arithmetic on the keep list through the
+    axis's constant inverse permutation (``_BACK``), so a pruned block
+    runs none of numpy's sort or search code.
 
     The block output goes to ``out``, or to a fresh array when ``out`` is
     None; z is written only when it is ``out``, which a caller passes only
@@ -452,28 +460,27 @@ def axis_block(z: np.ndarray, axis: str, prior: np.ndarray, w: BlockParams,
                 or np.any(keep[:, 1:] <= keep[:, :-1])):
             raise ParameterError(f"{axis} keep rows must be strictly "
                                  f"increasing within [0, {l})")
-        groups = np.arange(g)[:, None]
-        back = np.argsort(axes)  # the inverse permutation of axes
+        groups, back = np.arange(g)[:, None], _BACK[axis]
         # The latent rows of the kept positions, [F, V, K] and ascending,
         # since every keep row ascends.
-        dst = np.arange(f * v * l).reshape(grid).transpose(axes[:3])[
-            groups, keep].transpose(back[:3]).ravel()
+        dst = np.arange(f * v * l, dtype=np.int64).reshape(grid).transpose(
+            axes[:3])[groups, keep].transpose(back[:3]).ravel()
         kept = np.take(z.reshape(-1, c), dst, axis=0).reshape(f, v, -1, c)
         att, pw = axis_attention(kept.transpose(axes), prior[groups, keep],
                                  w, counters, block=axis)
         del kept
         # att is laid out like its input, so its rows are in dst's order.
-        src = att.transpose(back).reshape(-1, c)
-        old = cached.reshape(-1, c)
+        src = att.transpose(back)
+        old = np.ascontiguousarray(cached, dtype=np.float64)
         if sink is not None:
             sink.before()
         attention = np.empty(z.shape)
-        new = attention.reshape(-1, c)
+        # Each array stays alive, as a local, until the FFN has returned.
+        arrays = (attention.ctypes.data, _address(old), _address(src),
+                  dst.ctypes.data, dst.size, c)
 
         def refill(i: int, j: int) -> None:
-            np.copyto(new[i:j], old[i:j])
-            a, b = np.searchsorted(dst, (i, j))
-            new[dst[a:b]] = src[a:b]
+            _kernels.refill_rows(*arrays, i, j)
 
     if counters is not None:
         # Modeled as a full-size attention array whether or not one is made.

@@ -21,7 +21,7 @@ from .attention import AttentionSink, BlockOutput, BlockParams, axis_block
 # Not called here, but perfbench/tracer.py wraps these names in this
 # module too and reports any it cannot find.
 from .attention import axis_attention, ffn, spatial_forward  # noqa: F401
-from .core import CostCounters, Rng
+from .core import CostCounters, Rng, _kernels
 from .errors import ParameterError, ShapeError
 
 __all__ = [
@@ -51,13 +51,26 @@ def token_count(h: int, w: int, ratio: float) -> int:
 
 
 def _row_topk(scores: np.ndarray, k: int) -> np.ndarray:
-    """Row-wise top-k indices, ascending, ties to the lower index."""
-    order = np.argsort(-scores, axis=-1, kind="stable")[:, :k]
-    return np.sort(order, axis=-1)
+    """Row-wise top-k indices of a [rows, n] array, ascending, ties to the
+    lower index: ``np.sort(np.argsort(-scores, kind="stable")[:, :k])``,
+    computed by the compiled ``row_topk`` in O(n log k) per row."""
+    scores = np.ascontiguousarray(scores, dtype=np.float64)
+    rows, n = scores.shape
+    out = np.empty((rows, k), dtype=np.int64)
+    if _kernels.row_topk(scores.ctypes.data, out.ctypes.data, rows, n, k):
+        raise MemoryError("no heap for the top-k selection")
+    return out
 
 
 def identify_tokens(q_s: np.ndarray, ratio: float) -> TokenIndexSet:
-    """Select kept tokens from the spatial semantic map [F, V, H, W]."""
+    """Select kept tokens from the spatial semantic map [F, V, H, W].
+
+    Camera keeps, per frame, the top-K positions of the view-averaged map
+    and motion, per view, the top-K of the frame-averaged map, K being
+    :func:`token_count`; each list ascends, and equal scores go to the
+    lower position. The selection is the compiled ``row_topk``, so it
+    runs none of numpy's sort code.
+    """
     if q_s.ndim != 4:
         raise ShapeError(f"semantic map must be [F,V,H,W], got {q_s.shape}")
     f, v, h, w = q_s.shape
@@ -71,16 +84,18 @@ def identify_tokens(q_s: np.ndarray, ratio: float) -> TokenIndexSet:
 
 def random_tokens(f: int, v: int, h: int, w: int, ratio: float,
                   rng: Rng) -> TokenIndexSet:
-    """Uniformly random keep lists with the same structure (ablation)."""
+    """Uniformly random keep lists with the same structure (ablation).
+
+    Each row keeps the positions of its K smallest of H*W seeded uniform
+    keys, ties to the lower position, ascending: F rows for camera, then
+    V for motion, drawn in that order from ``rng``.
+    """
     l = h * w
     k = token_count(h, w, ratio)
-    def draw(rows: int) -> np.ndarray:
-        out = np.empty((rows, k), dtype=np.int64)
-        for r in range(rows):
-            # k distinct indices via a seeded uniform shuffle key
-            out[r] = np.sort(np.argsort(rng.uniform(l), kind="stable")[:k])
-        return out
-    return TokenIndexSet(draw(f), draw(v))
+    # The K smallest keys are the K largest negated ones; a multiply by -1
+    # negates them as np.negative would, in code a dense step has run.
+    i_c = _row_topk(rng.uniform((f, l)) * -1.0, k)
+    return TokenIndexSet(i_c, _row_topk(rng.uniform((v, l)) * -1.0, k))
 
 
 def pruned_camera_forward(z_s: np.ndarray, k_c: np.ndarray, w: BlockParams,

@@ -77,6 +77,33 @@ def reflect_average_reference(y: np.ndarray) -> np.ndarray:
     return y
 
 
+def row_topk_reference(scores: np.ndarray, k: int) -> np.ndarray:
+    """The k largest of each row of ``scores``, as ascending indices, ties
+    to the lower index."""
+    return np.sort(np.argsort(-scores, axis=-1, kind="stable")[:, :k],
+                   axis=-1)
+
+
+def random_tokens_reference(f: int, v: int, l: int, k: int,
+                            rng: Rng) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the positions of the k smallest of l fresh uniform keys,
+    ascending: f rows, then v rows, drawn one row at a time."""
+    def draw(rows: int) -> np.ndarray:
+        return np.array([np.sort(np.argsort(rng.uniform(l), kind="stable")[:k])
+                         for _ in range(rows)])
+    return draw(f), draw(v)
+
+
+def refill_reference(new: np.ndarray, cached: np.ndarray, att: np.ndarray,
+                     dst: np.ndarray, i: int, j: int) -> None:
+    """Rows i:j of a pruned block's attention ``new`` [rows, C]: ``cached``'s
+    rows, then ``att``'s rows over the ones that the ascending ``dst``
+    names."""
+    np.copyto(new[i:j], cached[i:j])
+    a, b = np.searchsorted(dst, (i, j))
+    new[dst[a:b]] = att[a:b]
+
+
 def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
     """Equal shapes, NaN at the same positions, every other element
     bit-equal (so -0.0 differs from 0.0); NaN payloads may differ."""

@@ -18,7 +18,7 @@ from scmbench.denoiser import mixing
 from scmbench.errors import ShapeError
 
 from conftest import (assert_same_bits, gelu, reflect_average_reference,
-                      softmax_reference)
+                      refill_reference, row_topk_reference, softmax_reference)
 
 PACKAGE = Path(core.__file__).parent
 SIDES = (1, 2, 3, 16)
@@ -73,6 +73,58 @@ def reflect_with(kernels, y: np.ndarray) -> np.ndarray:
     return out
 
 
+def topk_inputs() -> list[tuple[np.ndarray, int]]:
+    """(scores, k): random and tied rows at k = 1, 2, a fifth, n - 1 and n,
+    among them n = 1 and a single row; rows with signed zeros, infinities
+    and NaNs, an all-NaN row, at every k."""
+    rng = np.random.default_rng(4)
+    cases = []
+    for rows, n in ((1, 1), (3, 1), (1, 7), (4, 64), (5, 256), (2, 1000)):
+        scores = rng.standard_normal((rows, n))
+        tied = rng.integers(0, 3, (rows, n)).astype(np.float64)
+        for k in sorted({1, 2, -(-n // 5), n - 1, n} & set(range(1, n + 1))):
+            cases += [(scores, k), (tied, k)]
+    inf, nan = np.inf, np.nan
+    special = np.array([[nan, -inf, inf, 0.0, -0.0, 1.0, nan, -inf, 0.0],
+                        [-0.0, 0.0] * 4 + [nan],
+                        [nan] * 9])
+    cases += [(special, k) for k in range(1, 10)]
+    return cases
+
+
+def topk_with(kernels, scores: np.ndarray, k: int) -> np.ndarray:
+    out = np.empty((scores.shape[0], k), dtype=np.int64)
+    assert kernels.row_topk(scores.ctypes.data, out.ctypes.data,
+                            *scores.shape, k) == 0
+    return out
+
+
+def refill_inputs() -> list[tuple]:
+    """(cached, att, dst, tiles) over 40 rows of 1, 3 or 64 values: one,
+    seven or all 40 rows kept, and kept rows only in the last half, so
+    that a tile of the first half holds none."""
+    rng = np.random.default_rng(5)
+    cases = []
+    for c in (1, 3, 64):
+        cached = rng.standard_normal((40, c))
+        for dst in (np.array([17]), np.sort(rng.choice(40, 7, replace=False)),
+                    np.arange(40), np.arange(20, 40, 3)):
+            att = rng.standard_normal((dst.size, c))
+            for tiles in ([(0, 40)], [(i, i + 5) for i in range(0, 40, 5)],
+                          [(0, 10), (10, 40)]):
+                cases.append((cached, att, dst.astype(np.int64), tiles))
+    return cases
+
+
+def refill_with(kernels, cached, att, dst, tiles) -> np.ndarray:
+    new = np.full_like(cached, np.nan)
+    for i, j in tiles:
+        kernels.refill_rows(new.ctypes.data, cached.ctypes.data,
+                            att.ctypes.data, dst.ctypes.data, dst.size,
+                            cached.shape[1], i, j)
+    return new
+
+
 # --- bits against the numpy references -------------------------------------
 
 def test_softmax_gives_the_numpy_bits():
@@ -96,6 +148,21 @@ def test_reflect_average_gives_the_numpy_bits():
     for y in reflect_inputs():
         assert_same_bits(reflect_with(core._kernels, y),
                          reflect_average_reference(y))
+
+
+def test_row_topk_gives_the_numpy_indices():
+    for scores, k in topk_inputs():
+        assert np.array_equal(topk_with(core._kernels, scores, k),
+                              row_topk_reference(scores, k))
+
+
+def test_refill_rows_gives_the_numpy_rows():
+    for cached, att, dst, tiles in refill_inputs():
+        want = np.full_like(cached, np.nan)
+        for i, j in tiles:
+            refill_reference(want, cached, att, dst, i, j)
+        assert_same_bits(refill_with(core._kernels, cached, att, dst, tiles),
+                         want)
 
 
 @pytest.mark.parametrize("h", SIDES)
@@ -130,6 +197,8 @@ def test_unoptimized_build_gives_the_same_bits(tmp_path):
         kernels.gelu_finish(y.ctypes.data, t.ctypes.data, x.size)
         got.append(y)
         got += [reflect_with(kernels, r) for r in reflect_inputs()]
+        got += [topk_with(kernels, *case) for case in topk_inputs()]
+        got += [refill_with(kernels, *case) for case in refill_inputs()]
         runs.append(got)
     for shipped, unoptimized in zip(*runs):
         assert_same_bits(shipped, unoptimized)

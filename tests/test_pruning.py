@@ -8,6 +8,7 @@ from scmbench import (
     ParameterError,
     RollingCache,
     Rng,
+    run_benchmark,
     ShapeError,
     TokenIndexSet,
     cached_chain_forward,
@@ -22,6 +23,7 @@ from scmbench import (
 )
 
 from conftest import (chain_forward, config_at, make_setup, planted_latent,
+                      random_tokens_reference, row_topk_reference,
                       with_attention)
 
 
@@ -96,6 +98,50 @@ def test_random_tokens_structure():
     # deterministic in the stream
     again = random_tokens(2, 3, 4, 4, 0.25, Rng(7))
     assert np.array_equal(idx.i_c, again.i_c)
+
+
+@pytest.mark.parametrize("shape, ratio", [((2, 3, 4, 4), 0.25),
+                                          ((5, 8, 16, 16), 0.2),
+                                          ((1, 1, 1, 1), 0.5),
+                                          ((3, 2, 4, 5), 1.0)])
+def test_identify_matches_the_stable_argsort(shape, ratio):
+    f, v, h, w = shape
+    k = token_count(h, w, ratio)
+    for q_s in (Rng(9).uniform(shape),
+                np.floor(Rng(10).uniform(shape) * 3)):  # many ties
+        idx = identify_tokens(q_s, ratio)
+        flat = q_s.reshape(f, v, h * w)
+        assert np.array_equal(idx.i_c, row_topk_reference(flat.mean(1), k))
+        assert np.array_equal(idx.i_m, row_topk_reference(flat.mean(0), k))
+
+
+@pytest.mark.parametrize("shape, ratio", [((2, 3, 4, 4), 0.25),
+                                          ((5, 8, 16, 16), 0.2),
+                                          ((1, 1, 1, 1), 0.5),
+                                          ((3, 2, 4, 5), 1.0)])
+def test_random_tokens_are_the_per_row_argsort_draws(shape, ratio):
+    f, v, h, w = shape
+    k = token_count(h, w, ratio)
+    rng, ref = Rng(11), Rng(11)
+    for _ in range(2):  # a second draw continues the same stream
+        idx = random_tokens(f, v, h, w, ratio, rng)
+        i_c, i_m = random_tokens_reference(f, v, h * w, k, ref)
+        assert np.array_equal(idx.i_c, i_c)
+        assert np.array_equal(idx.i_m, i_m)
+
+
+@pytest.mark.parametrize("mode", ["prune-only", "random-prune"])
+def test_a_pruned_run_calls_no_numpy_sort_or_search(monkeypatch, mode):
+    # A prune step's keep lists and refill run in the compiled kernels, so
+    # it loads none of numpy's sort or search code.
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy sort or search called")
+
+    for name in ("sort", "argsort", "searchsorted"):
+        monkeypatch.setattr(np, name, refuse)
+    report = run_benchmark(config_at(2, 2, 4, 4, 8, layers=2, steps=5,
+                                     mode=mode))
+    assert "prune" in {r.kind for r in report.trace.steps}
 
 
 def test_random_differs_from_semantic_on_planted():
