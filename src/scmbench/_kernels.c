@@ -246,7 +246,8 @@ int row_topk(const double *s, long long *idx, ptrdiff_t rows, ptrdiff_t n,
 
 /* Rows i:j of a pruned block's refilled attention out[][c]: row r is
    row a of att where dst[a] == r, and row r of cached where dst, kept
-   ascending entries, does not name r. */
+   ascending entries, does not name r. Each run of cached rows between
+   two kept ones is one copy. */
 void refill_rows(double *out, const double *cached, const double *att,
                  const long long *dst, ptrdiff_t kept, ptrdiff_t c,
                  ptrdiff_t i, ptrdiff_t j)
@@ -259,10 +260,11 @@ void refill_rows(double *out, const double *cached, const double *att,
         else
             b = mid;
     }
-    for (ptrdiff_t r = i; r < j; r++) {
-        const double *row = cached + r * c;
-        if (a < kept && dst[a] == r)
-            row = att + a++ * c;
-        memcpy(out + r * c, row, c * sizeof(double));
+    for (ptrdiff_t r = i; r < j; a++) {
+        ptrdiff_t next = a < kept && dst[a] < j ? dst[a] : j;
+        memcpy(out + r * c, cached + r * c, (next - r) * c * sizeof(double));
+        if (next < j)
+            memcpy(out + next * c, att + a * c, c * sizeof(double));
+        r = next + 1;
     }
 }

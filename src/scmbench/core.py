@@ -16,10 +16,9 @@ hold on any machine:
   not by the latent; :class:`Rng` likewise draws in chunks straight
   into its output;
 * :func:`run_tiles` hands a stage's tiles out one at a time from one
-  queue, which one thread per CPU in the process's affinity set drains,
-  each pinned to its own CPU where they fit; :func:`run_aside` runs one
-  whole job, such as a cosine's dots, on the pool while the calling
-  thread goes on;
+  queue, which one thread per CPU in the process's affinity set drains;
+  :func:`run_aside` runs one whole job, such as a cosine's dots, on the
+  pool while the calling thread goes on;
 * per-row results do not depend on the tiles or on which thread runs
   each, so outputs do not depend on the core count or on
   ``OPENBLAS_NUM_THREADS``.
@@ -281,49 +280,19 @@ _PARTS = len(os.sched_getaffinity(0)) if _pin_blas_to_one_thread() else 1
 _TILE_TOKENS = 512
 
 _executor = None
-# The CPU a calling thread drains on while pool workers hold the others, or
-# None when the drainers do not fit on distinct CPUs of the affinity set.
-_caller_cpu = None
-
-
-def _pin_to(cpu: int) -> None:
-    """Restrict the calling thread to ``cpu``, where the OS allows it."""
-    try:
-        os.sched_setaffinity(0, {cpu})
-    except OSError:
-        pass
 
 
 def _pool():
     """The persistent pool, started on first use with one worker per CPU
-    besides the calling thread.
-
-    When the calling thread and the workers fit on distinct CPUs of the
-    affinity set, each worker is pinned to its own CPU as it starts, and
-    :func:`run_tiles` pins its caller to the remaining one, so no two
-    drainers of a stage share a CPU while another idles.
-    """
-    global _executor, _caller_cpu
+    besides the calling thread."""
+    global _executor
     if _executor is None:
         # Imported here, not at the top, so that importing scmbench stays
         # as cheap as it was before the pool existed.
         from concurrent.futures import ThreadPoolExecutor
 
-        workers = max(1, _PARTS - 1)
-        cpus = sorted(os.sched_getaffinity(0))
-        pin, _caller_cpu = None, None
-        if workers < len(cpus):
-            free, lock = iter(cpus[1:]), threading.Lock()
-
-            def pin() -> None:  # runs on each worker as it starts
-                with lock:
-                    cpu = next(free)
-                _pin_to(cpu)
-
-            _caller_cpu = cpus[0]
-        _executor = ThreadPoolExecutor(max_workers=workers,
-                                       thread_name_prefix="scmbench",
-                                       initializer=pin)
+        _executor = ThreadPoolExecutor(max_workers=max(1, _PARTS - 1),
+                                       thread_name_prefix="scmbench")
     return _executor
 
 
@@ -368,12 +337,9 @@ def run_tiles(tile_list: list[tuple], run) -> None:
     drainers empty: the calling thread and the rest on the pool. A thread
     that finishes a tile takes the next one, so a stalled thread holds up
     only the tile it is on, and a stage of one tile runs on the calling
-    thread. Where the pool's workers are pinned (:func:`_pool`), the
-    calling thread is pinned to the CPU they leave for the stage, and its
-    own mask is restored afterwards. ``run`` must write only the rows of
-    its own tile and not call ``run_tiles`` itself, so that the result is
-    the same whichever thread runs a tile and no drainer waits on a pool
-    it occupies.
+    thread. ``run`` must write only the rows of its own tile and not call
+    ``run_tiles`` itself, so that the result is the same whichever thread
+    runs a tile and no drainer waits on a pool it occupies.
     """
     queue = iter(tile_list)
     lock = threading.Lock()
@@ -388,17 +354,11 @@ def run_tiles(tile_list: list[tuple], run) -> None:
 
     futures = [_pool().submit(drain)
                for _ in range(min(_PARTS, len(tile_list)) - 1)]
-    mask = None
-    if futures and _caller_cpu is not None:
-        mask = os.sched_getaffinity(0)
-        _pin_to(_caller_cpu)
     try:
         drain()
     finally:
         for fut in futures:
             fut.exception()  # waits for the drainer, even if this one failed
-        if mask is not None:
-            os.sched_setaffinity(0, mask)
     for fut in futures:
         fut.result()
 

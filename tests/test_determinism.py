@@ -136,52 +136,6 @@ def test_split_reraises_a_failing_part(split_into):
             core.run_tiles([(i, i + 1) for i in range(4)], fail_on_one_side)
 
 
-@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
-                    reason="needs two CPUs in the affinity set")
-def test_each_drainer_of_a_stage_runs_on_its_own_cpu(monkeypatch):
-    # A fresh pool with one worker per CPU besides the caller. Each
-    # drainer takes one of the tiles and waits at the barrier for the
-    # others, so every drainer runs a tile.
-    cpus = os.sched_getaffinity(0)
-    monkeypatch.setattr(core, "_PARTS", len(cpus))
-    monkeypatch.setattr(core, "_executor", None)
-    monkeypatch.setattr(core, "_caller_cpu", None)
-    barrier = threading.Barrier(len(cpus), timeout=5)
-    seen = {}
-
-    def run(lo, hi):
-        seen[threading.get_ident()] = os.sched_getaffinity(0)
-        barrier.wait()
-
-    mask = os.sched_getaffinity(0)
-    try:
-        core.run_tiles([(i, i + 1) for i in range(len(cpus))], run)
-        after = os.sched_getaffinity(0)
-    finally:
-        os.sched_setaffinity(0, mask)
-        core._executor.shutdown()
-    assert threading.get_ident() in seen
-    assert len(seen) == len(cpus)
-    assert all(len(s) == 1 for s in seen.values())
-    assert set.union(*seen.values()) == cpus
-    assert after == mask
-
-
-def test_drainers_that_outnumber_the_cpus_are_not_pinned(monkeypatch):
-    cpus = os.sched_getaffinity(0)
-    monkeypatch.setattr(core, "_PARTS", len(cpus) + 1)
-    monkeypatch.setattr(core, "_executor", None)
-    monkeypatch.setattr(core, "_caller_cpu", None)
-    seen = []
-    try:
-        core.run_tiles([(i, i + 1) for i in range(8)],
-                       lambda lo, hi: seen.append(os.sched_getaffinity(0)))
-    finally:
-        core._executor.shutdown()
-    assert core._caller_cpu is None
-    assert all(s == cpus for s in seen)
-
-
 def test_a_stalled_thread_holds_up_only_its_own_tile(split_into):
     # The helper's first tile stalls until the calling thread has run
     # every other tile. A split fixed before the stage starts would leave

@@ -25,13 +25,12 @@ in every arm, must give the same final latent. A run that fails
 (``run.RunFailed``: a timeout, a bad exit or bad output) is recorded, as
 ``perfbench/run.py``'s ``measure`` records it, with its error under
 ``problems`` and no metrics, and the session goes on. The output holds
-the machine, with whether the children write bytecode and each CPU's
-one-thread speed (:func:`cpu_speeds`), a SHA-256 of each tree's
-scmbench sources (its ``*.py`` and ``*.c`` files) with their Python and C
-line counts, every run and, per workload and seed, each arm's median
-and quartiles over the runs that ran, the parent's IQR, the change's
-median over the parent's and the pairs the change won, where a pair
-with a failed side counts for neither side, and a verdict
+the machine, with whether the children write bytecode, a SHA-256 of
+each tree's scmbench sources (its ``*.py`` and ``*.c`` files) with their
+Python and C line counts, every run and, per workload and seed, each
+arm's median and quartiles over the runs that ran, the parent's IQR, the
+change's median over the parent's and the pairs the change won, where a
+pair with a failed side counts for neither side, and a verdict
 (:func:`verdict`) against the metric's bound in the repository's
 ``BENCHMARK.json``, which is only read. The exit code is 1 if any run
 failed or any check failed.
@@ -132,45 +131,6 @@ def source_lines(tree: Path) -> dict[str, int]:
         lines["c" if path.suffix == ".c" else "python"] += \
             path.read_bytes().count(b"\n")
     return lines
-
-
-# A fixed one-thread numpy probe: the fastest of five rounds of 100
-# 256 x 256 matrix products, each followed by a tanh. It prints its time
-# and the CPUs it was allowed to run on.
-PROBE = """
-import os, time
-import numpy as np
-a = np.linspace(-1.0, 1.0, 1 << 16).reshape(256, 256)
-best = float("inf")
-for _ in range(5):
-    t0 = time.perf_counter()
-    for _ in range(100):
-        b = np.tanh(a @ a)
-    best = min(best, time.perf_counter() - t0)
-print(best, *sorted(os.sched_getaffinity(0)))
-"""
-
-
-def cpu_speeds() -> dict[str, float]:
-    """Seconds of :data:`PROBE` on each CPU of this process's affinity set,
-    each in a fresh interpreter pinned to that CPU alone (set on this
-    process around the spawn and inherited, then restored), with OpenBLAS
-    on one thread."""
-    affinity = os.sched_getaffinity(0)
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-    speeds = {}
-    try:
-        for cpu in sorted(affinity):
-            os.sched_setaffinity(0, {cpu})
-            seconds, *ran_on = subprocess.run(
-                [sys.executable, "-c", PROBE], env=env, check=True,
-                capture_output=True, text=True).stdout.split()
-            if ran_on != [str(cpu)]:
-                raise RuntimeError(f"the probe for CPU {cpu} ran on {ran_on}")
-            speeds[str(cpu)] = float(seconds)
-    finally:
-        os.sched_setaffinity(0, affinity)
-    return speeds
 
 
 def build_kernels(src: Path) -> None:
@@ -306,8 +266,7 @@ def main(argv: list[str]) -> int:
                                None))
     # The children inherit this environment; one that may not write
     # bytecode compiles scmbench's sources inside every run's setup_s.
-    machine.update(cpu=cpu_model(), cpu_probe_s=cpu_speeds(),
-                   blas_build=blas_build(),
+    machine.update(cpu=cpu_model(), blas_build=blas_build(),
                    ram_gb=round(os.sysconf("SC_PAGE_SIZE")
                                 * os.sysconf("SC_PHYS_PAGES") / 2**30, 1),
                    child_writes_bytecode=not os.environ.get(

@@ -4,7 +4,6 @@ started."""
 
 import importlib.util
 import json
-import os
 import sys
 import types
 from pathlib import Path
@@ -137,7 +136,6 @@ def stub_session(tmp_path: Path, monkeypatch) -> dict:
     stub = stub_run(tmp_path, [], fail_at=-1)
     monkeypatch.setattr(bench_pairs, "load_run", lambda tree, name: stub)
     monkeypatch.setattr(bench_pairs, "build_kernels", lambda src: None)
-    monkeypatch.setattr(bench_pairs, "cpu_speeds", lambda: {"0": 0.5})
     monkeypatch.setattr(bench_pairs, "PAIRS", 1)
     monkeypatch.setattr(sys, "path", list(sys.path))
     out = tmp_path / "out.json"
@@ -156,7 +154,6 @@ def test_a_failed_run_is_recorded_and_its_pair_left_out(tmp_path,
     stub = stub_run(tmp_path, log, fail_at=1)
     monkeypatch.setattr(bench_pairs, "load_run", lambda tree, name: stub)
     monkeypatch.setattr(bench_pairs, "build_kernels", lambda src: None)
-    monkeypatch.setattr(bench_pairs, "cpu_speeds", lambda: {"0": 0.5})
     monkeypatch.setattr(bench_pairs, "PAIRS", 2)
     monkeypatch.setattr(sys, "path", list(sys.path))
     out = tmp_path / "out.json"
@@ -191,7 +188,6 @@ def test_both_trees_are_built_before_the_first_run(tmp_path, monkeypatch):
                         lambda tree, name: stubs[tree.name])
     monkeypatch.setattr(bench_pairs, "build_kernels",
                         lambda src: log.append(("built", src)))
-    monkeypatch.setattr(bench_pairs, "cpu_speeds", lambda: {"0": 0.5})
     monkeypatch.setattr(bench_pairs, "PAIRS", 1)
     monkeypatch.setattr(sys, "path", list(sys.path))
     assert bench_pairs.main([str(tmp_path / "parent"),
@@ -253,20 +249,3 @@ def test_the_machine_records_whether_children_write_bytecode(
         (tmp_path / tree / "src").mkdir(parents=True)
     machine = stub_session(tmp_path, monkeypatch)["machine"]
     assert machine["child_writes_bytecode"] is writes
-
-
-def test_the_machine_records_each_cpus_probe_time(tmp_path, monkeypatch):
-    for tree in ("parent", "change"):
-        (tmp_path / tree / "src").mkdir(parents=True)
-    assert stub_session(tmp_path, monkeypatch)["machine"]["cpu_probe_s"] \
-        == {"0": 0.5}
-
-
-def test_the_probe_runs_once_on_each_cpu_and_restores_the_mask():
-    # One fresh interpreter per CPU; each checks that it ran on that CPU
-    # alone, and this process gets its own mask back.
-    mask = os.sched_getaffinity(0)
-    speeds = bench_pairs.cpu_speeds()
-    assert os.sched_getaffinity(0) == mask
-    assert sorted(speeds) == sorted(str(cpu) for cpu in mask)
-    assert all(0.0 < s < 60.0 for s in speeds.values())
