@@ -11,9 +11,11 @@ when the compiler neither contracts a multiply and an add into an FMA
 
 Arrays are C-contiguous float64, and index arrays int64. The softmax and
 GELU kernels are the halves before and after the numpy call; the reflect
-average is all of mixing after its matmul. The top-k selection and the
-refill only compare and copy values, so a prune step runs none of
-numpy's sort, search or fancy-assignment code.
+average is all of mixing after its matmul; the query scaling is the one
+multiply attention applies to its queries. The top-k selection, the
+kept rows' gather and scatter and the refill only compare and copy
+values, so a prune step runs none of numpy's sort, search or
+fancy-assignment code.
 */
 
 #include <stddef.h>
@@ -244,27 +246,71 @@ int row_topk(const double *s, long long *idx, ptrdiff_t rows, ptrdiff_t n,
     return 0;
 }
 
-/* Rows i:j of a pruned block's refilled attention out[][c]: row r is
-   row a of att where dst[a] == r, and row r of cached where dst, kept
-   ascending entries, does not name r. Each run of cached rows between
-   two kept ones is one copy. */
-void refill_rows(double *out, const double *cached, const double *att,
-                 const long long *dst, ptrdiff_t kept, ptrdiff_t c,
-                 ptrdiff_t i, ptrdiff_t j)
+/* The queries of an attention tile's fused projection qkv[seqs][n + 1][w],
+w >= c: the first c values of rows 0:n of each sequence times scale, one
+multiply each, as qh *= scale does. */
+void scale_queries(double *qkv, ptrdiff_t seqs, ptrdiff_t n, ptrdiff_t w,
+                   ptrdiff_t c, double scale)
 {
-    ptrdiff_t a = 0, b = kept;
-    while (a < b) {  /* a: the first entry of dst at or after row i */
-        ptrdiff_t mid = a + (b - a) / 2;
-        if (dst[mid] < i)
-            a = mid + 1;
-        else
-            b = mid;
+    for (ptrdiff_t s = 0; s < seqs; s++, qkv += w)
+        for (ptrdiff_t r = 0; r < n; r++, qkv += w)
+            for (ptrdiff_t i = 0; i < c; i++)
+                qkv[i] *= scale;
+}
+
+/* The key/value rows of seqs pruned sequences, kv[seqs][n + 1][c]: row j
+   of sequence s is row rows[s][j] of z[][c] for j < n, and its last row
+   is row rows[s][n] of prior[][c]. */
+void gather_kv(double *kv, const double *z, const double *prior,
+               const long long *rows, ptrdiff_t seqs, ptrdiff_t n,
+               ptrdiff_t c)
+{
+    size_t bytes = c * sizeof(double);
+    for (ptrdiff_t s = 0; s < seqs; s++, rows += n + 1) {
+        for (ptrdiff_t j = 0; j < n; j++, kv += c)
+            memcpy(kv, z + rows[j] * c, bytes);
+        memcpy(kv, prior + rows[n] * c, bytes);
+        kv += c;
     }
-    for (ptrdiff_t r = i; r < j; a++) {
-        ptrdiff_t next = a < kept && dst[a] < j ? dst[a] : j;
-        memcpy(out + r * c, cached + r * c, (next - r) * c * sizeof(double));
-        if (next < j)
-            memcpy(out + next * c, att + a * c, c * sizeof(double));
-        r = next + 1;
+}
+
+/* Row s * n + j of att[seqs * n][c] into row rows[s][j] of out[][c], for
+   j < n: each pruned sequence's attention to its own latent rows. */
+void scatter_rows(double *out, const double *att, const long long *rows,
+                  ptrdiff_t seqs, ptrdiff_t n, ptrdiff_t c)
+{
+    size_t bytes = c * sizeof(double);
+    for (ptrdiff_t s = 0; s < seqs; s++, rows += n + 1)
+        for (ptrdiff_t j = 0; j < n; j++, att += c)
+            memcpy(out + rows[j] * c, att, bytes);
+}
+
+/* Rows i:j of a pruned block's attention out[][c] that no keep list
+   names, each from the same row of cached; the kept rows, which
+   scatter_rows wrote, are left as they are. Row r is position r % l of
+   slab r / l, which keeps positions keep[owner[r / l]][0:k], ascending.
+   Each run of cached rows between two kept ones is one copy. */
+void refill_rows(double *out, const double *cached, const long long *keep,
+                 const long long *owner, ptrdiff_t k, ptrdiff_t l,
+                 ptrdiff_t c, ptrdiff_t i, ptrdiff_t j)
+{
+    while (i < j) {
+        ptrdiff_t base = i - i % l, end = base + l < j ? base + l : j;
+        const long long *kept = keep + owner[i / l] * k;
+        ptrdiff_t a = 0, b = k;
+        while (a < b) {  /* a: the first kept position at or after row i */
+            ptrdiff_t mid = a + (b - a) / 2;
+            if (base + kept[mid] < i)
+                a = mid + 1;
+            else
+                b = mid;
+        }
+        for (; i < end; a++) {
+            ptrdiff_t next = a < k && base + kept[a] < end ? base + kept[a]
+                                                           : end;
+            memcpy(out + i * c, cached + i * c,
+                   (next - i) * c * sizeof(double));
+            i = next < end ? next + 1 : end;
+        }
     }
 }

@@ -14,9 +14,11 @@ reports the mean weight each query assigns to the prior token; that map is
 what drives token pruning downstream.
 
 All three blocks, dense or pruned, are one function, :func:`axis_block`,
-which attends through a transposed view of a latent: its input, or, given
-a keep list, a latent of the kept positions only, whose other positions'
-attention is refilled from a cached entry inside the FFN's tiles.
+which attends through a transposed view of its input latent or, given a
+keep list, through a grid of the kept positions' rows of it, whose
+attention is written straight into the block's attention array; the
+other positions' attention is refilled from a cached entry inside the
+FFN's tiles.
 
 Layout discipline: every batched matmul runs over identical-shaped slices
 regardless of batch size, which keeps pruned and dense paths bit-identical
@@ -189,7 +191,8 @@ def _batch_tiles(outer: int, inner: int,
 
 def _attend_tile(z: np.ndarray, prior: np.ndarray, prior_weight: np.ndarray,
                  att: np.ndarray | None, total: np.ndarray | None,
-                 p: BlockParams, w_qkv: np.ndarray) -> None:
+                 p: BlockParams, w_qkv: np.ndarray,
+                 rows: np.ndarray | None = None) -> None:
     """The whole attention pipeline for one rectangular tile of sequences.
 
     z, att and total are [ot, it, n, C] with any strides, prior is
@@ -201,6 +204,13 @@ def _attend_tile(z: np.ndarray, prior: np.ndarray, prior_weight: np.ndarray,
     when given, gets z + attention; ``total`` may be z itself, whose rows
     are copied before anything is written.
 
+    Given ``rows``, the tile's contiguous [ot, it, n + 1] slice of a
+    pruned block's row grid (see :func:`axis_attention`), z, prior and
+    att are whole [rows, C] arrays instead: the compiled ``gather_kv``
+    copies each sequence's rows of z and its prior row straight into kv,
+    and ``scatter_rows`` writes each of its attention rows over the same
+    row of att. total is then None.
+
     Each temporary is dropped after its last read: kv once the fused
     Q/K/V product has read it; qkv, its head views and the scores once
     the weighted sum has read them, the prior-weight mean being taken
@@ -209,21 +219,29 @@ def _attend_tile(z: np.ndarray, prior: np.ndarray, prior_weight: np.ndarray,
     the merged heads, then the merged heads and the projection, and never
     more than the larger of the first two sets.
     """
-    ot, it, n, c = z.shape
+    if rows is None:
+        ot, it, n, c = z.shape
+    else:
+        (ot, it, n), c = rows.shape, z.shape[1]
+        n -= 1
     t = ot * it
     nh = p.n_heads
     d = c // nh
     kv = np.empty((ot, it, n + 1, c))
-    kv[:, :, :n] = z
-    kv[:, :, n:] = prior
+    if rows is None:
+        kv[:, :, :n] = z
+        kv[:, :, n:] = prior
+    else:
+        _kernels.gather_kv(kv.ctypes.data, z.ctypes.data, prior.ctypes.data,
+                           rows.ctypes.data, t, n, c)
     # One product for all three projections over every kv row; the queries
     # of the prior rows are never read, which costs less than a second
     # gather of the tokens and two more BLAS calls.
     qkv = kv.reshape(t * (n + 1), c) @ w_qkv
     del kv
+    _kernels.scale_queries(qkv.ctypes.data, t, n, 3 * c, c, 1.0 / math.sqrt(d))
     heads = qkv.reshape(t, n + 1, 3, nh, d)
     qh = heads[:, :n, 0].transpose(0, 2, 1, 3)      # [t, nh, n, d]
-    qh *= 1.0 / math.sqrt(d)
     kht = heads[:, :, 1].transpose(0, 2, 3, 1)      # [t, nh, d, n+1]
     vh = heads[:, :, 2].transpose(0, 2, 1, 3)       # [t, nh, n+1, d]
 
@@ -232,26 +250,58 @@ def _attend_tile(z: np.ndarray, prior: np.ndarray, prior_weight: np.ndarray,
     merged = np.empty((t, n, nh, d))
     np.matmul(scores, vh, out=merged.transpose(0, 2, 1, 3))
     del qkv, heads, qh, kht, vh, scores
-    rows = merged.reshape(t * n, c)
+    flat = merged.reshape(t * n, c)
     if t * n == 1:
         # The whole call is one one-token sequence, as at all dims 1
         # (tiles hold two tokens where the call has them): BLAS runs a
         # one-row product as a matrix-vector product, which sums in
         # another order, so pad it to two rows.
-        rows = np.concatenate((rows, rows))
-    proj = (rows @ p.wo)[:t * n].reshape(z.shape)
-    del merged, rows
+        flat = np.concatenate((flat, flat))
+    proj = (flat @ p.wo)[:t * n]
+    del merged, flat
+    if rows is not None:
+        _kernels.scatter_rows(att.ctypes.data, proj.ctypes.data,
+                              rows.ctypes.data, t, n, c)
+        return
+    proj = proj.reshape(z.shape)
     if att is not None:
         np.copyto(att, proj)
     if total is not None:
         np.add(z, proj, out=total)
 
 
+def _check_rows(z: np.ndarray, prior: np.ndarray, rows: np.ndarray,
+                attention_out: np.ndarray | None,
+                residual_out: np.ndarray | None) -> None:
+    """ShapeError unless a pruned :func:`axis_attention` call's arrays are
+    what its kernels read and write."""
+    for name, a in (("z_seq", z), ("prior_token", prior),
+                    ("attention_out", attention_out)):
+        if (a is None or a.ndim != 2 or a.dtype != np.float64
+                or not a.flags.c_contiguous):
+            raise ShapeError(f"with rows, {name} must be a C-contiguous "
+                             f"float64 [rows, C] array")
+    if (rows.ndim != 3 or rows.dtype != np.int64 or not rows.flags.c_contiguous
+            or rows.shape[2] < 2 or 0 in rows.shape):
+        raise ShapeError(f"rows must be a C-contiguous int64 [O, I, n + 1] "
+                         f"grid with n >= 1, got {rows.dtype} {rows.shape}")
+    if (attention_out.shape != z.shape or prior.shape[1] != z.shape[1]
+            or residual_out is not None):
+        raise ShapeError(f"with rows, attention_out must have z_seq's shape "
+                         f"{z.shape}, prior_token its C and residual_out "
+                         f"must be None")
+    for a, bound in ((rows[..., :-1], z.shape[0]),
+                     (rows[..., -1], prior.shape[0])):
+        if a.min() < 0 or a.max() >= bound:
+            raise ShapeError(f"rows name a row outside [0, {bound})")
+
+
 def axis_attention(z_seq: np.ndarray, prior_token: np.ndarray, p: BlockParams,
                    counters: CostCounters | None = None,
                    block: str | None = None,
                    residual_out: np.ndarray | None = None,
-                   attention_out: np.ndarray | None = None
+                   attention_out: np.ndarray | None = None,
+                   rows: np.ndarray | None = None
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Multi-head attention over one axis with the prior as an extra key.
 
@@ -271,33 +321,54 @@ def axis_attention(z_seq: np.ndarray, prior_token: np.ndarray, p: BlockParams,
     never made at full size. The caller must own both. Every tile copies
     its sequences before it writes them, and no tile reads another's rows.
 
+    With ``rows``, a C-contiguous int64 [O, I, n + 1] grid, the sequences
+    are named rows of C-contiguous [rows, C] arrays, as a pruned block
+    attends a latent's kept positions: sequence (o, i) is rows
+    ``rows[o, i, :n]`` of z_seq and has row ``rows[o, i, n]`` of
+    prior_token as its prior. Each tile gathers its sequences' rows into
+    its keys and values and writes their attention over the same rows of
+    ``attention_out``, an array of z_seq's shape that the caller owns,
+    which is returned; its other rows are left as they are, so no latent
+    row may be named twice. There is no residual sum.
+
     The batch grid runs over the cores as rectangular tiles
     (:func:`_batch_tiles`), each attended in one pass.
     """
-    if z_seq.ndim != 4 or \
-            prior_token.shape != (*z_seq.shape[:2], 1, z_seq.shape[3]):
-        raise ShapeError(f"axis_attention expects z_seq [O,I,n,C] and prior "
-                         f"[O,I,1,C], got {z_seq.shape} and "
-                         f"{prior_token.shape}")
-    o, i, n, c = z_seq.shape
-    if 0 in (o, i, n):
-        raise ShapeError(f"axis_attention: empty input, z_seq shape "
-                         f"{z_seq.shape}")
+    if rows is not None:
+        _check_rows(z_seq, prior_token, rows, attention_out, residual_out)
+        (o, i, n), c = rows.shape, z_seq.shape[1]
+        n -= 1
+    else:
+        if z_seq.ndim != 4 or \
+                prior_token.shape != (*z_seq.shape[:2], 1, z_seq.shape[3]):
+            raise ShapeError(f"axis_attention expects z_seq [O,I,n,C] and "
+                             f"prior [O,I,1,C], got {z_seq.shape} and "
+                             f"{prior_token.shape}")
+        o, i, n, c = z_seq.shape
+        if 0 in (o, i, n):
+            raise ShapeError(f"axis_attention: empty input, z_seq shape "
+                             f"{z_seq.shape}")
+        for a in (residual_out, attention_out):
+            if a is not None and a.shape != z_seq.shape:
+                raise ShapeError(f"output shape {a.shape} != {z_seq.shape}")
     p.head_dim()  # raises unless n_heads divides C
-    for a in (residual_out, attention_out):
-        if a is not None and a.shape != z_seq.shape:
-            raise ShapeError(f"output shape {a.shape} != {z_seq.shape}")
     att = attention_out
     if att is None and residual_out is None:
         att = np.empty_like(z_seq, dtype=np.float64)
     prior_weight = np.empty((o, i, n))
-    views = (z_seq, prior_token, prior_weight, att, residual_out)
     w_qkv = np.concatenate((p.wq, p.wk, p.wv), axis=1)
+    if rows is None:
+        views = (z_seq, prior_token, prior_weight, att, residual_out)
 
-    def attend(o0: int, o1: int, i0: int, i1: int) -> None:
-        # The tile writes only the rows of its own sequences of each output.
-        _attend_tile(*(None if a is None else a[o0:o1, i0:i1]
-                       for a in views), p, w_qkv)
+        def attend(o0: int, o1: int, i0: int, i1: int) -> None:
+            # The tile writes only the rows of its own sequences of each
+            # output.
+            _attend_tile(*(None if a is None else a[o0:o1, i0:i1]
+                           for a in views), p, w_qkv)
+    else:
+        def attend(o0: int, o1: int, i0: int, i1: int) -> None:
+            _attend_tile(z_seq, prior_token, prior_weight[o0:o1, i0:i1], att,
+                         None, p, w_qkv, rows[o0:o1, i0:i1])
 
     weight = max(n, p.n_heads * n * (n + 1) // _SCORES_PER_TOKEN)
     run_tiles(_batch_tiles(o, i, weight), attend)
@@ -367,10 +438,6 @@ def ffn(x: np.ndarray, p: BlockParams,
 # for camera and [V, L, F, C] for motion.
 _AXES = {"spatial": (0, 1, 2, 3), "camera": (0, 2, 1, 3),
          "motion": (1, 2, 0, 3)}
-# Per axis, the inverse permutation of _AXES, which takes a transposed
-# view back to the latent's order.
-_BACK = {name: tuple(axes.index(i) for i in range(4))
-         for name, axes in _AXES.items()}
 
 
 def axis_block(z: np.ndarray, axis: str, prior: np.ndarray, w: BlockParams,
@@ -389,18 +456,20 @@ def axis_block(z: np.ndarray, axis: str, prior: np.ndarray, w: BlockParams,
 
     With ``keep`` [G, K], a list of 1 <= K <= H*W kept spatial positions
     per frame (camera) or per view (motion), integers strictly increasing
-    within [0, H*W) in each row (checked), the kept positions are gathered
-    in latent order into an [F, V, K, C] latent, whose sequences are
-    attended through the same transposed view; it is dropped as soon as
-    attention returns. Every other position of the attention is taken
-    from ``cached``, which has the latent's shape. That refill runs inside
-    the FFN's tiles: just before the FFN adds its rows, each tile takes
-    every row from the attended rows where the kept positions name it and
-    from ``cached`` otherwise, in one pass of the compiled ``refill_rows``,
-    so no serial full-size copy or scatter is made. The kept positions'
-    latent rows come from index arithmetic on the keep list through the
-    axis's constant inverse permutation (``_BACK``), so a pruned block
-    runs none of numpy's sort or search code.
+    within [0, H*W) in each row (checked), attention runs on the kept
+    positions only, in place: the block allocates its full-size attention
+    first, and :func:`axis_attention`, given the kept positions' latent
+    rows as an [G, K, n + 1] row grid (with each sequence's prior row
+    last), has each tile gather its sequences' rows of z into its keys and
+    values and write their attention over the same rows of that array. So
+    neither a K-size latent nor a K-size attention is made. Every other
+    row of the attention is taken from ``cached``, which has the latent's
+    shape. That refill runs inside the FFN's tiles: just before the FFN
+    adds its rows, each tile copies the runs of rows around the kept ones
+    from ``cached``, in one pass of the compiled ``refill_rows``, which
+    reads the keep lists themselves. The row grid comes from index
+    arithmetic on the keep lists, so a pruned block runs none of numpy's
+    sort or search code.
 
     The block output goes to ``out``, or to a fresh array when ``out`` is
     None; z is written only when it is ``out``, which a caller passes only
@@ -408,8 +477,9 @@ def axis_block(z: np.ndarray, axis: str, prior: np.ndarray, w: BlockParams,
 
     A block given a ``sink`` hands its full-size, latent-ordered attention
     over before it returns; an unpruned block's attention tiles write it
-    beside the residual sum. ``sink.before()`` is called before the block
-    allocates it, so the caller can free memory first, and
+    beside the residual sum, and a pruned block's write its kept rows.
+    ``sink.before()`` is called before the block allocates it, and so
+    before its attention runs, so the caller can free memory first, and
     ``sink.take(attention)`` as soon as it is complete, which for an
     unpruned block is before its FFN and for a pruned block after it,
     since the refill completes inside the FFN's tiles.
@@ -445,6 +515,7 @@ def axis_block(z: np.ndarray, axis: str, prior: np.ndarray, w: BlockParams,
             attention_out=None if sink is None else sequences(attention))
         if sink is not None:
             sink.take(attention)
+        semantic = pw.reshape(f, v, h, ww) if axis == "spatial" else None
         # The FFN reads z + attention from out and writes over it.
         z, attention, refill = out, None, None
     else:
@@ -460,32 +531,41 @@ def axis_block(z: np.ndarray, axis: str, prior: np.ndarray, w: BlockParams,
                 or np.any(keep[:, 1:] <= keep[:, :-1])):
             raise ParameterError(f"{axis} keep rows must be strictly "
                                  f"increasing within [0, {l})")
-        groups, back = np.arange(g)[:, None], _BACK[axis]
-        # The latent rows of the kept positions, [F, V, K] and ascending,
-        # since every keep row ascends.
-        dst = np.arange(f * v * l, dtype=np.int64).reshape(grid).transpose(
-            axes[:3])[groups, keep].transpose(back[:3]).ravel()
-        kept = np.take(z.reshape(-1, c), dst, axis=0).reshape(f, v, -1, c)
-        att, pw = axis_attention(kept.transpose(axes), prior[groups, keep],
-                                 w, counters, block=axis)
-        del kept
-        # att is laid out like its input, so its rows are in dst's order.
-        src = att.transpose(back)
-        old = np.ascontiguousarray(cached, dtype=np.float64)
+        keep = np.ascontiguousarray(keep, dtype=np.int64)
+        groups = np.arange(g)[:, None]
+        # Sequence (o, i) of the pruned grid is the latent rows of kept
+        # position keep[o, i] along the attended axis, then its prior row.
+        seq_rows = np.arange(f * v * l).reshape(grid).transpose(
+            axes[:3])[groups, keep]
+        rows = np.concatenate((seq_rows, (groups * l + keep)[..., None]),
+                              axis=2)
+        del seq_rows
+
+        def flat(a: np.ndarray) -> np.ndarray:
+            return np.ascontiguousarray(a, dtype=np.float64).reshape(-1, c)
+
         if sink is not None:
             sink.before()
         attention = np.empty(z.shape)
+        axis_attention(flat(z), flat(prior), w, counters, block=axis,
+                       attention_out=flat(attention), rows=rows)
+        del rows
+        # The (f, v) slab of latent rows r // l keeps the positions of its
+        # frame's keep row (camera) or its view's (motion).
+        owner = np.indices((f, v))[axes[0]].ravel()
+        old = flat(cached)
         # Each array stays alive, as a local, until the FFN has returned.
-        arrays = (attention.ctypes.data, _address(old), _address(src),
-                  dst.ctypes.data, dst.size, c)
+        arrays = (attention.ctypes.data, old.ctypes.data, keep.ctypes.data,
+                  owner.ctypes.data, keep.shape[1], l, c)
 
         def refill(i: int, j: int) -> None:
             _kernels.refill_rows(*arrays, i, j)
 
+        semantic = None
+
     if counters is not None:
         # Modeled as a full-size attention array whether or not one is made.
         counters.acquire_workspace(z.size)
-    semantic = pw.reshape(f, v, h, ww) if axis == "spatial" else None
     out = ffn(z, w, counters, addend=attention, before_tile=refill, out=out)
     if keep is not None and sink is not None:
         sink.take(attention)

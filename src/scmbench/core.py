@@ -23,14 +23,14 @@ hold on any machine:
   each, so outputs do not depend on the core count or on
   ``OPENBLAS_NUM_THREADS``.
 
-The elementwise arithmetic of softmax, GELU and mixing's reflect average,
-and pruning's keep-list selection and refill, run in ``_kernels.c``,
-compiled with gcc on first import (see :func:`_load_kernels`) and called
-through ``ctypes``, which releases the GIL for each call, so the drainers
-run kernels at once. Each kernel computes every element with the same
-operations in the same order as the numpy expression it replaced, so the
-results are bit for bit the same; ``np.exp``, ``np.tanh`` and every matmul
-stay in numpy.
+The elementwise arithmetic of softmax, GELU, the query scaling and
+mixing's reflect average, and pruning's keep-list selection, kept-row
+copies and refill, run in ``_kernels.c``, compiled with gcc on first
+import (see :func:`_load_kernels`) and called through ``ctypes``, which
+releases the GIL for each call, so the drainers run kernels at once.
+Each kernel computes every element with the same operations in the same
+order as the numpy expression it replaced, so the results are bit for bit
+the same; ``np.exp``, ``np.tanh`` and every matmul stay in numpy.
 
 All array values flowing through public operations are finite; callers can
 assert this cheaply with :func:`assert_finite`.
@@ -397,7 +397,11 @@ _SIGNATURES = {
     "gelu_finish": ([_PTR, _PTR, _LEN], None),
     "reflect_average": ([_PTR, _PTR, _LEN, _LEN, _LEN, _LEN], ctypes.c_int),
     "row_topk": ([_PTR, _PTR, _LEN, _LEN, _LEN], ctypes.c_int),
-    "refill_rows": ([_PTR, _PTR, _PTR, _PTR, _LEN, _LEN, _LEN, _LEN], None),
+    "scale_queries": ([_PTR, _LEN, _LEN, _LEN, _LEN, ctypes.c_double], None),
+    "gather_kv": ([_PTR, _PTR, _PTR, _PTR, _LEN, _LEN, _LEN], None),
+    "scatter_rows": ([_PTR, _PTR, _PTR, _LEN, _LEN, _LEN], None),
+    "refill_rows": ([_PTR, _PTR, _PTR, _PTR, _LEN, _LEN, _LEN, _LEN, _LEN],
+                    None),
 }
 
 
@@ -440,8 +444,11 @@ def _load_kernels(cache: Path = _KERNEL_CACHE, source: Path = _KERNEL_SOURCE,
                   features: str | None = None) -> ctypes.CDLL:
     """The kernels of ``source`` compiled with ``flags``, loaded, each with
     its ctypes signature from ``_SIGNATURES``: softmax's two halves,
-    GELU's two halves, mixing's reflect average, and pruning's top-k
-    selection (``row_topk``) and refill (``refill_rows``).
+    GELU's two halves, mixing's reflect average, attention's query scaling
+    (``scale_queries``), and pruning's top-k selection (``row_topk``), the
+    kept rows' gather into a tile's keys and values (``gather_kv``) and
+    scatter of their attention into the new entry (``scatter_rows``), and
+    the refill of the entry's other rows from the cache (``refill_rows``).
 
     The library lives in ``cache`` under a CRC-32 of the source, the flags
     and the CPU features (numpy's when ``features`` is None); it is built

@@ -94,14 +94,54 @@ def random_tokens_reference(f: int, v: int, l: int, k: int,
     return draw(f), draw(v)
 
 
-def refill_reference(new: np.ndarray, cached: np.ndarray, att: np.ndarray,
-                     dst: np.ndarray, i: int, j: int) -> None:
-    """Rows i:j of a pruned block's attention ``new`` [rows, C]: ``cached``'s
-    rows, then ``att``'s rows over the ones that the ascending ``dst``
-    names."""
-    np.copyto(new[i:j], cached[i:j])
-    a, b = np.searchsorted(dst, (i, j))
-    new[dst[a:b]] = att[a:b]
+def scale_queries_reference(qkv: np.ndarray, t: int, n: int,
+                            n_heads: int) -> None:
+    """An attention tile's query scaling over its fused projection ``qkv``
+    [t * (n + 1), 3C], through the strided head view of its queries."""
+    d = qkv.shape[1] // 3 // n_heads
+    qh = qkv.reshape(t, n + 1, 3, n_heads, d)[:, :n, 0].transpose(0, 2, 1, 3)
+    qh *= 1.0 / math.sqrt(d)
+
+
+def pruned_rows_reference(axis: str, keep: np.ndarray, f: int, v: int,
+                          l: int) -> tuple[np.ndarray, np.ndarray]:
+    """A pruned block's row grid [G, K, n + 1] and per-slab keep row
+    [F * V], one entry at a time: camera sequence (f, i) is latent rows
+    (f, v', keep[f, i]) over the views v', motion sequence (v, i) rows
+    (f', v, keep[v, i]) over the frames f', each followed by prior row
+    (g, keep[g, i]); slab (f, v) keeps keep[f] (camera) or keep[v]."""
+    camera = axis == "camera"
+    rows = [[[(a * v + g) * l + x if not camera else (g * v + a) * l + x
+              for a in range(v if camera else f)] + [g * l + x]
+             for x in keep_row]
+            for g, keep_row in enumerate(keep.tolist())]
+    owner = [fi if camera else vi for fi in range(f) for vi in range(v)]
+    return np.array(rows, dtype=np.int64), np.array(owner, dtype=np.int64)
+
+
+def gather_kv_reference(z: np.ndarray, prior: np.ndarray,
+                        rows: np.ndarray) -> np.ndarray:
+    """Pruned sequences' keys and values [..., n + 1, C]: rows
+    ``rows[..., :n]`` of z, then row ``rows[..., n]`` of prior."""
+    return np.concatenate((z[rows[..., :-1]], prior[rows[..., -1:]]),
+                          axis=-2)
+
+
+def scatter_reference(out: np.ndarray, att: np.ndarray,
+                      rows: np.ndarray) -> None:
+    """Each pruned sequence's attention rows ``att`` [..., n, C] over rows
+    ``rows[..., :n]`` of ``out``."""
+    out[rows[..., :-1].ravel()] = att.reshape(-1, out.shape[1])
+
+
+def refill_reference(new: np.ndarray, cached: np.ndarray, keep: np.ndarray,
+                     owner: np.ndarray, l: int, i: int, j: int) -> None:
+    """Rows i:j of a pruned block's attention ``new`` [rows, C] that no
+    keep list names, from ``cached``: row r is position r % l of slab
+    r // l, which keeps ``keep[owner[r // l]]``."""
+    r = np.arange(i, j)
+    refilled = r[~(keep[owner[r // l]] == (r % l)[:, None]).any(axis=1)]
+    new[refilled] = cached[refilled]
 
 
 def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:

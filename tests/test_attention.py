@@ -312,6 +312,49 @@ def test_axis_attention_rejects_an_output_of_another_shape(name):
         axis_attention(z, prior, p, **{name: np.zeros((1, 3, 4, 9))})
 
 
+def _named_rows_case():
+    """A [12, 8] latent of rows, two priors, and a [2, 2, 3 + 1] row grid
+    naming 12 of its rows once each, with a gathered copy of each
+    sequence and prior."""
+    rng = Rng(93)
+    z, prior = rng.normal((16, 8)), rng.normal((2, 8))
+    rows = np.array([[[0, 5, 9, 1], [2, 7, 11, 0]],
+                     [[14, 3, 6, 1], [15, 12, 8, 0]]], dtype=np.int64)
+    return z, prior, rows, z[rows[..., :3]], prior[rows[..., 3:]]
+
+
+def test_axis_attention_on_named_rows_gives_the_gathered_bits():
+    # The attention of the named rows is each sequence's, given as a
+    # gathered copy, and every other row of attention_out keeps its value.
+    p = make_block(8, 2, 94)
+    z, prior, rows, z_seq, prior_seq = _named_rows_case()
+    att, pw = axis_attention(z_seq, prior_seq, p)
+    out = np.full_like(z, 7.0)
+    got, got_pw = axis_attention(z, prior, p, attention_out=out, rows=rows)
+    assert got is out
+    assert np.array_equal(got_pw, pw)
+    want = np.full_like(z, 7.0)
+    want[rows[..., :3].ravel()] = att.reshape(-1, 8)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("change, match", [
+    (lambda a: dict(a, rows=a["rows"] + 4), "outside"),
+    (lambda a: dict(a, rows=a["rows"].astype(np.int32)), "int64"),
+    (lambda a: dict(a, attention_out=None), "attention_out"),
+    (lambda a: dict(a, residual_out=a["attention_out"]), "residual_out"),
+    (lambda a: dict(a, z_seq=a["z_seq"][:, :4]), "C-contiguous"),
+], ids=["row out of range", "int32 rows", "no attention_out",
+        "a residual_out", "strided rows"])
+def test_axis_attention_rejects_bad_named_rows(change, match):
+    p = make_block(8, 2, 95)
+    z, prior, rows, *_ = _named_rows_case()
+    args = change({"z_seq": z, "prior_token": prior, "rows": rows,
+                   "attention_out": np.zeros_like(z)})
+    with pytest.raises(ShapeError, match=match):
+        axis_attention(p=p, **args)
+
+
 # --- chain ----------------------------------------------------------------
 
 def test_chain_equals_manual_composition(small_setup):

@@ -2,6 +2,7 @@
 expression it replaced, at any optimization level, and the loader builds
 a library only when none of its key is cached."""
 
+import math
 import os
 import shutil
 import subprocess
@@ -17,8 +18,11 @@ from scmbench.core import softmax_last_inplace
 from scmbench.denoiser import mixing
 from scmbench.errors import ShapeError
 
-from conftest import (assert_same_bits, gelu, reflect_average_reference,
-                      refill_reference, row_topk_reference, softmax_reference)
+from conftest import (assert_same_bits, gather_kv_reference, gelu,
+                      pruned_rows_reference, reflect_average_reference,
+                      refill_reference, row_topk_reference,
+                      scale_queries_reference, scatter_reference,
+                      softmax_reference)
 
 PACKAGE = Path(core.__file__).parent
 SIDES = (1, 2, 3, 16)
@@ -99,30 +103,107 @@ def topk_with(kernels, scores: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def refill_inputs() -> list[tuple]:
-    """(cached, att, dst, tiles) over 40 rows of 1, 3 or 64 values: one,
-    seven or all 40 rows kept, and kept rows only in the last half, so
-    that a tile of the first half holds none."""
+# An attention tile at the default dims (C = 64, 2 heads): (sequences, n)
+# of the spatial, camera and motion tiles.
+QUERY_TILES = ((1, 256), (64, 8), (128, 5))
+
+
+def scale_with(kernels, qkv: np.ndarray, t: int, n: int) -> np.ndarray:
+    got = qkv.copy()
+    kernels.scale_queries(got.ctypes.data, t, n, qkv.shape[1],
+                          qkv.shape[1] // 3, 1.0 / math.sqrt(32))
+    return got
+
+
+def query_inputs() -> list[tuple[np.ndarray, int, int]]:
+    rng = np.random.default_rng(6)
+    return [(rng.standard_normal((t * (n + 1), 192)), t, n)
+            for t, n in QUERY_TILES]
+
+
+def pruned_cases() -> list[tuple]:
+    """(axis, keep, f, v, l, c) of pruned blocks: random keep lists, one
+    kept position, all H*W kept, and kept positions only in each slab's
+    last half, so that a tile of a slab's first half holds none; among
+    them one frame and one view, whose sequences are one row."""
     rng = np.random.default_rng(5)
     cases = []
-    for c in (1, 3, 64):
-        cached = rng.standard_normal((40, c))
-        for dst in (np.array([17]), np.sort(rng.choice(40, 7, replace=False)),
-                    np.arange(40), np.arange(20, 40, 3)):
-            att = rng.standard_normal((dst.size, c))
-            for tiles in ([(0, 40)], [(i, i + 5) for i in range(0, 40, 5)],
-                          [(0, 10), (10, 40)]):
-                cases.append((cached, att, dst.astype(np.int64), tiles))
+    for f, v, l, c in ((2, 3, 10, 3), (3, 2, 16, 64), (1, 4, 6, 1),
+                       (4, 1, 8, 5)):
+        for axis in ("camera", "motion"):
+            g = f if axis == "camera" else v
+            k = int(rng.integers(2, l))
+            for keep in (np.sort([rng.choice(l, k, replace=False)
+                                  for _ in range(g)]),
+                         np.full((g, 1), l - 1), np.tile(np.arange(l), (g, 1)),
+                         np.tile(np.arange(l // 2, l), (g, 1))):
+                cases.append((axis, keep.astype(np.int64), f, v, l, c))
     return cases
 
 
-def refill_with(kernels, cached, att, dst, tiles) -> np.ndarray:
-    new = np.full_like(cached, np.nan)
+def pruned_arrays(case) -> tuple:
+    """(z, prior, rows, owner, att, cached, l) of a pruned case: a latent,
+    its priors, the row grid, each slab's keep row, the kept sequences'
+    attention and a cached entry."""
+    axis, keep, f, v, l, c = case
+    rng = np.random.default_rng(keep.size + f)
+    rows, owner = pruned_rows_reference(axis, keep, f, v, l)
+    z, cached = (rng.standard_normal((f * v * l, c)) for _ in range(2))
+    prior = rng.standard_normal((keep.shape[0] * l, c))
+    att = rng.standard_normal((*rows.shape[:2], rows.shape[2] - 1, c))
+    return z, prior, rows, owner, att, cached, l
+
+
+def gather_with(kernels, z, prior, rows) -> np.ndarray:
+    kv = np.full((*rows.shape[:-1], rows.shape[-1], z.shape[1]), np.nan)
+    kernels.gather_kv(kv.ctypes.data, z.ctypes.data, prior.ctypes.data,
+                      rows.ctypes.data, rows.size // rows.shape[-1],
+                      rows.shape[-1] - 1, z.shape[1])
+    return kv
+
+
+def scatter_with(kernels, att, rows, out) -> np.ndarray:
+    new = out.copy()
+    seqs, n = rows.size // rows.shape[-1], rows.shape[-1] - 1
+    # One call per outer sequence row, as the tiles of a block make them.
+    for g in range(rows.shape[0]):
+        kernels.scatter_rows(new.ctypes.data, att[g].ctypes.data,
+                             rows[g].ctypes.data, seqs // rows.shape[0], n,
+                             out.shape[1])
+    return new
+
+
+def refill_tiles(rows: int, l: int) -> list[list[tuple[int, int]]]:
+    """Whole, one row per tile, tiles of a slab's first half, and tiles
+    across slab bounds."""
+    half = max(1, l // 2)
+    return [[(0, rows)], [(r, r + 1) for r in range(rows)],
+            [(r, min(r + half, rows)) for r in range(0, rows, half)],
+            [(0, l + 1), (l + 1, rows)] if rows > l + 1 else [(0, rows)]]
+
+
+def refill_with(kernels, start, cached, keep, owner, l, tiles) -> np.ndarray:
+    new = start.copy()
     for i, j in tiles:
         kernels.refill_rows(new.ctypes.data, cached.ctypes.data,
-                            att.ctypes.data, dst.ctypes.data, dst.size,
-                            cached.shape[1], i, j)
+                            keep.ctypes.data, owner.ctypes.data,
+                            keep.shape[1], l, cached.shape[1], i, j)
     return new
+
+
+def pruned_kernel_outputs(kernels) -> list[np.ndarray]:
+    """Every pruned case's gather, scatter over a NaN entry, and refill
+    of that entry at every tiling."""
+    got = []
+    for case in pruned_cases():
+        keep = case[1]
+        z, prior, rows, owner, att, cached, l = pruned_arrays(case)
+        got.append(gather_with(kernels, z, prior, rows))
+        entry = scatter_with(kernels, att, rows, np.full_like(z, np.nan))
+        got.append(entry)
+        got += [refill_with(kernels, entry, cached, keep, owner, l, tiles)
+                for tiles in refill_tiles(len(z), l)]
+    return got
 
 
 # --- bits against the numpy references -------------------------------------
@@ -156,13 +237,43 @@ def test_row_topk_gives_the_numpy_indices():
                               row_topk_reference(scores, k))
 
 
+def test_scale_queries_gives_the_numpy_bits():
+    # Each default tile's queries scaled through their strided head view.
+    for qkv, t, n in query_inputs():
+        want = qkv.copy()
+        scale_queries_reference(want, t, n, 2)
+        assert_same_bits(scale_with(core._kernels, qkv, t, n), want)
+
+
+def test_gather_kv_gives_the_numpy_rows():
+    for case in pruned_cases():
+        z, prior, rows, *_ = pruned_arrays(case)
+        assert_same_bits(gather_with(core._kernels, z, prior, rows),
+                         gather_kv_reference(z, prior, rows))
+
+
+def test_scatter_rows_writes_only_the_kept_rows():
+    for case in pruned_cases():
+        z, _, rows, _, att, *_ = pruned_arrays(case)
+        want = np.full_like(z, np.nan)
+        scatter_reference(want, att, rows)
+        assert_same_bits(scatter_with(core._kernels, att, rows,
+                                      np.full_like(z, np.nan)), want)
+
+
 def test_refill_rows_gives_the_numpy_rows():
-    for cached, att, dst, tiles in refill_inputs():
-        want = np.full_like(cached, np.nan)
-        for i, j in tiles:
-            refill_reference(want, cached, att, dst, i, j)
-        assert_same_bits(refill_with(core._kernels, cached, att, dst, tiles),
-                         want)
+    # The kept rows stay as the scatter left them (NaN here), and every
+    # other row of each tile comes from the cache.
+    for case in pruned_cases():
+        keep = case[1]
+        z, _, rows, owner, _, cached, l = pruned_arrays(case)
+        start = np.full_like(z, np.nan)
+        for tiles in refill_tiles(len(z), l):
+            want = start.copy()
+            for i, j in tiles:
+                refill_reference(want, cached, keep, owner, l, i, j)
+            assert_same_bits(refill_with(core._kernels, start, cached, keep,
+                                         owner, l, tiles), want)
 
 
 @pytest.mark.parametrize("h", SIDES)
@@ -198,7 +309,8 @@ def test_unoptimized_build_gives_the_same_bits(tmp_path):
         got.append(y)
         got += [reflect_with(kernels, r) for r in reflect_inputs()]
         got += [topk_with(kernels, *case) for case in topk_inputs()]
-        got += [refill_with(kernels, *case) for case in refill_inputs()]
+        got += [scale_with(kernels, *case) for case in query_inputs()]
+        got += pruned_kernel_outputs(kernels)
         runs.append(got)
     for shipped, unoptimized in zip(*runs):
         assert_same_bits(shipped, unoptimized)

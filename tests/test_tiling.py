@@ -341,6 +341,41 @@ def test_an_ffn_tile_holds_only_its_hidden_activation(traced_serial):
     assert peak <= 2 * hidden + OBJECT_BYTES, (peak, hidden)
 
 
+@pytest.mark.parametrize("forward, axis", [
+    (pruned_camera_forward, "camera"), (pruned_motion_forward, "motion")])
+def test_a_pruned_block_attends_its_kept_rows_in_place(traced_serial, forward,
+                                                       axis):
+    # A pruned block at the default dims (K = 52 of 256), with a sink, as a
+    # prune step runs it. Beyond the attention it hands over, it holds one
+    # FFN tile with an addend or one attention tile's live set and its
+    # gathered rows: no K-size copy of the latent or of its attention. A
+    # block that gathered a kept latent and returned a kept attention
+    # peaked at 2.154 MB above the entry.
+    f, v, h, w, c = LATENT
+    p = make_block(c, 2, 415)
+    z, cached = Rng(416).normal(LATENT), Rng(417).normal(LATENT)
+    idx = identify_tokens(Rng(418).uniform((f, v, h, w)), 0.2)
+    prior = Rng(419).normal((f if axis == "camera" else v, h, w, c))
+    taken = []
+    sink = AttentionSink(lambda: None, taken.append)
+
+    def call():
+        forward(z, prior, p, idx, cached, out=z, sink=sink)
+        return (taken.pop(),)
+
+    peak = working_set(call)
+    o, k, n = (f, idx.i_c.shape[1], v) if axis == "camera" else \
+        (v, idx.i_m.shape[1], f)
+    t = max((o1 - o0) * (i1 - i0) for o0, o1, i0, i1 in _batch_tiles(
+        o, k, max(n, 2 * n * (n + 1) // 256)))
+    kv, qkv = 8 * t * (n + 1) * c, 8 * t * (n + 1) * 3 * c
+    scores, merged = 8 * t * 2 * n * (n + 1), 8 * t * n * c
+    attention_tile = max(kv + qkv, qkv + scores + merged) + 8 * t * n * c
+    ffn_tile = 2 * 8 * 512 * 2 * c
+    assert peak <= max(attention_tile, ffn_tile) + OBJECT_BYTES, \
+        (peak, attention_tile, ffn_tile)
+
+
 def _stages(f, v, h, w, c, seed):
     """(name, call) for every stage that can write over the latent it is
     given. ``call(inputs, None)`` returns a fresh result, and
