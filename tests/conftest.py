@@ -110,12 +110,13 @@ def pruned_rows_reference(axis: str, keep: np.ndarray, f: int, v: int,
     (f, v', keep[f, i]) over the views v', motion sequence (v, i) rows
     (f', v, keep[v, i]) over the frames f', each followed by prior row
     (g, keep[g, i]); slab (f, v) keeps keep[f] (camera) or keep[v]."""
-    camera = axis == "camera"
-    rows = [[[(a * v + g) * l + x if not camera else (g * v + a) * l + x
-              for a in range(v if camera else f)] + [g * l + x]
-             for x in keep_row]
-            for g, keep_row in enumerate(keep.tolist())]
-    owner = [fi if camera else vi for fi in range(f) for vi in range(v)]
+    rows = []
+    for g, kept in enumerate(keep.tolist()):
+        slabs = ([g * v + vi for vi in range(v)] if axis == "camera"
+                 else [fi * v + g for fi in range(f)])
+        rows.append([[s * l + x for s in slabs] + [g * l + x] for x in kept])
+    owner = [fi if axis == "camera" else vi
+             for fi in range(f) for vi in range(v)]
     return np.array(rows, dtype=np.int64), np.array(owner, dtype=np.int64)
 
 
