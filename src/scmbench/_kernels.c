@@ -246,14 +246,14 @@ int row_topk(const double *s, long long *idx, ptrdiff_t rows, ptrdiff_t n,
     return 0;
 }
 
-/* The queries of an attention tile's fused projection qkv[seqs][n + 1][w],
-w >= c: the first c values of rows 0:n of each sequence times scale, one
-multiply each, as qh *= scale does. */
-void scale_queries(double *qkv, ptrdiff_t seqs, ptrdiff_t n, ptrdiff_t w,
-                   ptrdiff_t c, double scale)
+/* The queries of an attention tile's fused projection qkv[seqs][n + 1][3c]:
+   the first c values of rows 0:n of each sequence times scale, one
+   multiply each, as qh *= scale does. */
+void scale_queries(double *qkv, ptrdiff_t seqs, ptrdiff_t n, ptrdiff_t c,
+                   double scale)
 {
-    for (ptrdiff_t s = 0; s < seqs; s++, qkv += w)
-        for (ptrdiff_t r = 0; r < n; r++, qkv += w)
+    for (ptrdiff_t s = 0; s < seqs; s++, qkv += 3 * c)
+        for (ptrdiff_t r = 0; r < n; r++, qkv += 3 * c)
             for (ptrdiff_t i = 0; i < c; i++)
                 qkv[i] *= scale;
 }

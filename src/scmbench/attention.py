@@ -239,7 +239,7 @@ def _attend_tile(z: np.ndarray, prior: np.ndarray, prior_weight: np.ndarray,
     # gather of the tokens and two more BLAS calls.
     qkv = kv.reshape(t * (n + 1), c) @ w_qkv
     del kv
-    _kernels.scale_queries(qkv.ctypes.data, t, n, 3 * c, c, 1.0 / math.sqrt(d))
+    _kernels.scale_queries(qkv.ctypes.data, t, n, c, 1.0 / math.sqrt(d))
     heads = qkv.reshape(t, n + 1, 3, nh, d)
     qh = heads[:, :n, 0].transpose(0, 2, 1, 3)      # [t, nh, n, d]
     kht = heads[:, :, 1].transpose(0, 2, 3, 1)      # [t, nh, d, n+1]

@@ -397,7 +397,7 @@ _SIGNATURES = {
     "gelu_finish": ([_PTR, _PTR, _LEN], None),
     "reflect_average": ([_PTR, _PTR, _LEN, _LEN, _LEN, _LEN], ctypes.c_int),
     "row_topk": ([_PTR, _PTR, _LEN, _LEN, _LEN], ctypes.c_int),
-    "scale_queries": ([_PTR, _LEN, _LEN, _LEN, _LEN, ctypes.c_double], None),
+    "scale_queries": ([_PTR, _LEN, _LEN, _LEN, ctypes.c_double], None),
     "gather_kv": ([_PTR, _PTR, _PTR, _PTR, _LEN, _LEN, _LEN], None),
     "scatter_rows": ([_PTR, _PTR, _PTR, _LEN, _LEN, _LEN], None),
     "refill_rows": ([_PTR, _PTR, _PTR, _PTR, _LEN, _LEN, _LEN, _LEN, _LEN],

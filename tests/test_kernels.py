@@ -110,8 +110,8 @@ QUERY_TILES = ((1, 256), (64, 8), (128, 5))
 
 def scale_with(kernels, qkv: np.ndarray, t: int, n: int) -> np.ndarray:
     got = qkv.copy()
-    kernels.scale_queries(got.ctypes.data, t, n, qkv.shape[1],
-                          qkv.shape[1] // 3, 1.0 / math.sqrt(32))
+    kernels.scale_queries(got.ctypes.data, t, n, qkv.shape[1] // 3,
+                          1.0 / math.sqrt(32))
     return got
 
 
