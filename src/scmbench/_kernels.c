@@ -1,24 +1,31 @@
 /* The elementwise arithmetic around numpy's transcendentals, one pass each,
-and the index work of token pruning.
+the integer work of the random stream, and the index work of token
+pruning.
 
 Every kernel computes each element with the same IEEE-754 double
 operations, in the same order, as the numpy expressions it replaces, so
-its results are bit-identical to theirs; np.exp and np.tanh stay in
-numpy, whose vectorized versions differ from libm's. That holds only
-when the compiler neither contracts a multiply and an add into an FMA
-(-ffp-contract=off) nor reorders a sum (no -ffast-math, no
+its results are bit-identical to theirs; np.exp, np.tanh, np.log, np.cos
+and np.sin stay in numpy, whose vectorized versions differ from libm's.
+That holds only when the compiler neither contracts a multiply and an add
+into an FMA (-ffp-contract=off) nor reorders a sum (no -ffast-math, no
 -fassociative-math): scmbench.core builds this file with those flags.
 
 Arrays are C-contiguous float64, and index arrays int64. The softmax and
 GELU kernels are the halves before and after the numpy call; the reflect
 average is all of mixing after its matmul; the query scaling is the one
-multiply attention applies to its queries. The top-k selection, the
-kept rows' gather and scatter and the refill only compare and copy
-values, so a prune step runs none of numpy's sort, search or
-fancy-assignment code.
+multiply attention applies to its queries. The random stream's kernels
+compute SplitMix64 in uint64_t, which wraps modulo 2^64 as numpy's uint64
+arithmetic does, and turn each word's top 53 bits into a double: an
+integer below 2^53 converts exactly, and adding 1.0 to it or scaling it by
+2^-53 is exact too, so no rounding mode or order can change a bit. The
+keep-list check and row grid, the row-bound check, the top-k selection,
+the kept rows' gather and scatter and the refill only compare, add and
+copy integers and values, so a run calls none of numpy's integer,
+sort, search or fancy-indexing code.
 */
 
 #include <stddef.h>
+#include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
@@ -313,4 +320,85 @@ void refill_rows(double *out, const double *cached, const long long *keep,
             i = next < end ? next + 1 : end;
         }
     }
+}
+
+
+/* SplitMix64's increment and output function: the word of state z. */
+#define GAMMA 0x9E3779B97F4A7C15u
+
+static uint64_t splitmix64(uint64_t z)
+{
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9u;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBu;
+    return z ^ (z >> 31);
+}
+
+/* The n uniforms in [0, 1) after stream state: word i is that of state
+   + (i + 1) * GAMMA, and out[i] = (double)(word >> 11) * 2^-53, as
+   (w >> 11).astype(np.float64) * 2.0 ** -53 gives. */
+void uniform_draws(double *out, uint64_t state, ptrdiff_t n)
+{
+    for (ptrdiff_t i = 0; i < n; i++) {
+        state += GAMMA;
+        out[i] = (double)(splitmix64(state) >> 11) * 0x1.0p-53;
+    }
+}
+
+/* Box-Muller's inputs for the pairs after stream state: pair i takes
+   words 2i and 2i + 1, and u1[i] = ((word 2i >> 11) + 1.0) * 2^-53, in
+   (0, 1], and u2[i] = (word 2i+1 >> 11) * 2^-53, in [0, 1). */
+void box_muller_inputs(double *u1, double *u2, uint64_t state,
+                       ptrdiff_t pairs)
+{
+    for (ptrdiff_t i = 0; i < pairs; i++) {
+        state += GAMMA;
+        u1[i] = ((double)(splitmix64(state) >> 11) + 1.0) * 0x1.0p-53;
+        state += GAMMA;
+        u2[i] = (double)(splitmix64(state) >> 11) * 0x1.0p-53;
+    }
+}
+
+/* A pruned block's row grid rows[g][k][n + 1] and each slab's keep row
+   owner[], from keep[g][k], the kept positions of each of g groups among
+   l: sequence (r, i) is the latent rows of position keep[r][i] in slabs
+   r * slab_g + j * slab_j for j < n, then row r * l + keep[r][i] of the
+   prior, and slab r * slab_g + j * slab_j keeps keep[r]. Returns -1, with
+   nothing written, unless each keep row is strictly increasing within
+   [0, l). */
+int pruned_rows(long long *rows, long long *owner, const long long *keep,
+                ptrdiff_t g, ptrdiff_t k, ptrdiff_t n, ptrdiff_t l,
+                ptrdiff_t slab_g, ptrdiff_t slab_j)
+{
+    for (ptrdiff_t r = 0; r < g; r++)
+        for (ptrdiff_t i = 0; i < k; i++) {
+            long long x = keep[r * k + i];
+            if (x < 0 || x >= l || (i > 0 && x <= keep[r * k + i - 1]))
+                return -1;
+        }
+    for (ptrdiff_t r = 0; r < g; r++) {
+        for (ptrdiff_t j = 0; j < n; j++)
+            owner[r * slab_g + j * slab_j] = r;
+        for (ptrdiff_t i = 0; i < k; i++) {
+            long long x = keep[r * k + i];
+            for (ptrdiff_t j = 0; j < n; j++)
+                *rows++ = (r * slab_g + j * slab_j) * l + x;
+            *rows++ = r * l + x;
+        }
+    }
+    return 0;
+}
+
+/* 0 when every sequence of rows[seqs][n + 1] names rows within [0,
+   z_rows) and a prior row within [0, prior_rows), else -1. */
+int rows_in_range(const long long *rows, ptrdiff_t seqs, ptrdiff_t n,
+                  ptrdiff_t z_rows, ptrdiff_t prior_rows)
+{
+    for (ptrdiff_t s = 0; s < seqs; s++, rows += n + 1) {
+        for (ptrdiff_t j = 0; j < n; j++)
+            if (rows[j] < 0 || rows[j] >= z_rows)
+                return -1;
+        if (rows[n] < 0 || rows[n] >= prior_rows)
+            return -1;
+    }
+    return 0;
 }

@@ -17,8 +17,8 @@ All three blocks, dense or pruned, are one function, :func:`axis_block`,
 which attends through a transposed view of its input latent or, given a
 keep list, through a grid of the kept positions' rows of it, whose
 attention is written straight into the block's attention array; the
-other positions' attention is refilled from a cached entry inside the
-FFN's tiles.
+other positions' attention is then refilled from a cached entry, as a
+stage of its own. Every block hands its attention over before its FFN.
 
 Layout discipline: every batched matmul runs over identical-shaped slices
 regardless of batch size, which keeps pruned and dense paths bit-identical
@@ -120,7 +120,8 @@ class BlockOutput:
 
 class AttentionSink(NamedTuple):
     """Where a block hands its full-size attention, for a caller that
-    keeps it, such as a cache (see :func:`axis_block`)."""
+    keeps it, such as a cache (see :func:`axis_block`); every block hands
+    it over before its FFN."""
 
     before: Callable[[], None]  # called just before the attention is allocated
     take: Callable[[np.ndarray], None]  # called once it is complete
@@ -246,7 +247,11 @@ def _attend_tile(z: np.ndarray, prior: np.ndarray, prior_weight: np.ndarray,
     vh = heads[:, :, 2].transpose(0, 2, 1, 3)       # [t, nh, n+1, d]
 
     scores = softmax_last_inplace(qh @ kht)         # [t, nh, n, n+1]
-    np.mean(scores[..., -1], axis=1, out=prior_weight.reshape(t, n))
+    # The mean over heads as np.mean takes it, a sum and then a divide,
+    # here by a float, so no integer count is cast.
+    mean = np.add.reduce(scores[..., -1], axis=1,
+                         out=prior_weight.reshape(t, n))
+    mean /= float(nh)
     merged = np.empty((t, n, nh, d))
     np.matmul(scores, vh, out=merged.transpose(0, 2, 1, 3))
     del qkv, heads, qh, kht, vh, scores
@@ -290,10 +295,10 @@ def _check_rows(z: np.ndarray, prior: np.ndarray, rows: np.ndarray,
         raise ShapeError(f"with rows, attention_out must have z_seq's shape "
                          f"{z.shape}, prior_token its C and residual_out "
                          f"must be None")
-    for a, bound in ((rows[..., :-1], z.shape[0]),
-                     (rows[..., -1], prior.shape[0])):
-        if a.min() < 0 or a.max() >= bound:
-            raise ShapeError(f"rows name a row outside [0, {bound})")
+    if _kernels.rows_in_range(rows.ctypes.data, rows.size // rows.shape[2],
+                              rows.shape[2] - 1, z.shape[0], prior.shape[0]):
+        raise ShapeError(f"rows name a row outside [0, {z.shape[0]}) of "
+                         f"z_seq or [0, {prior.shape[0]}) of prior_token")
 
 
 def axis_attention(z_seq: np.ndarray, prior_token: np.ndarray, p: BlockParams,
@@ -383,7 +388,6 @@ def axis_attention(z_seq: np.ndarray, prior_token: np.ndarray, p: BlockParams,
 def ffn(x: np.ndarray, p: BlockParams,
         counters: CostCounters | None = None,
         addend: np.ndarray | None = None,
-        before_tile=None,
         out: np.ndarray | None = None) -> np.ndarray:
     """Two-layer C -> 2C -> C map with GELU, applied tokenwise to x + addend.
 
@@ -398,10 +402,6 @@ def ffn(x: np.ndarray, p: BlockParams,
     before it writes them. That sum is dropped once the ``w1`` product
     has read it, so a tile holds no more than its hidden activation and
     GELU's temporary, each [rows, 2C].
-
-    ``before_tile(i, j)``, when given, is called on the tile's thread just
-    before flat rows i:j of ``addend`` are read, so a caller can fill
-    those rows then, while they are in cache.
     """
     c = x.shape[-1]
     rows = x.reshape(-1, c)
@@ -417,8 +417,6 @@ def ffn(x: np.ndarray, p: BlockParams,
         # Tile-sized row groups keep the hidden activation cache-resident;
         # tokenwise results are independent of the tiles and the split.
         src = rows[i:j]
-        if before_tile is not None:
-            before_tile(i, j)
         if addend is not None:
             src = src + addend[i:j]
         hidden = src @ p.w1
@@ -438,6 +436,30 @@ def ffn(x: np.ndarray, p: BlockParams,
 # for camera and [V, L, F, C] for motion.
 _AXES = {"spatial": (0, 1, 2, 3), "camera": (0, 2, 1, 3),
          "motion": (1, 2, 0, 3)}
+
+
+def _row_grid(keep: np.ndarray, axis: str, f: int, v: int,
+              l: int) -> tuple[np.ndarray, np.ndarray]:
+    """The [G, K, n + 1] row grid of the camera or motion block of an
+    [F, V, H, W, C] latent pruned to ``keep``, a C-contiguous int64 [G, K]
+    with L = H * W positions, and each (f, v) slab's keep row [F * V]:
+    sequence (o, i) is the latent rows of kept position keep[o, i] along
+    the attended axis, then its prior row. ParameterError, from the
+    compiled ``pruned_rows``, unless each keep row is strictly increasing
+    within [0, L).
+    """
+    axes = _AXES[axis]
+    g, k = keep.shape
+    n = (f, v)[axes[2]]
+    slab = (v, 1)  # the (f, v) slab grid's strides
+    rows = np.empty((g, k, n + 1), dtype=np.int64)
+    owner = np.empty(f * v, dtype=np.int64)
+    if _kernels.pruned_rows(rows.ctypes.data, owner.ctypes.data,
+                            keep.ctypes.data, g, k, n, l, slab[axes[0]],
+                            slab[axes[2]]):
+        raise ParameterError(f"{axis} keep rows must be strictly "
+                             f"increasing within [0, {l})")
+    return rows, owner
 
 
 def axis_block(z: np.ndarray, axis: str, prior: np.ndarray, w: BlockParams,
@@ -463,26 +485,25 @@ def axis_block(z: np.ndarray, axis: str, prior: np.ndarray, w: BlockParams,
     last), has each tile gather its sequences' rows of z into its keys and
     values and write their attention over the same rows of that array. So
     neither a K-size latent nor a K-size attention is made. Every other
-    row of the attention is taken from ``cached``, which has the latent's
-    shape. That refill runs inside the FFN's tiles: just before the FFN
-    adds its rows, each tile copies the runs of rows around the kept ones
-    from ``cached``, in one pass of the compiled ``refill_rows``, which
-    reads the keep lists themselves. The row grid comes from index
-    arithmetic on the keep lists, so a pruned block runs none of numpy's
-    sort or search code.
+    row of the attention is then taken from ``cached``, which has the
+    latent's shape, as a tiled stage of its own: each tile copies the runs
+    of rows around the kept ones from ``cached``, in one pass of the
+    compiled ``refill_rows``, which reads the keep lists themselves. The
+    FFN then adds the whole attention to z. The keep-list check and the
+    row grid are the compiled ``pruned_rows`` (:func:`_row_grid`), so a
+    pruned block runs none of numpy's integer, sort or search code.
 
     The block output goes to ``out``, or to a fresh array when ``out`` is
     None; z is written only when it is ``out``, which a caller passes only
     for a latent it owns.
 
     A block given a ``sink`` hands its full-size, latent-ordered attention
-    over before it returns; an unpruned block's attention tiles write it
-    beside the residual sum, and a pruned block's write its kept rows.
-    ``sink.before()`` is called before the block allocates it, and so
-    before its attention runs, so the caller can free memory first, and
-    ``sink.take(attention)`` as soon as it is complete, which for an
-    unpruned block is before its FFN and for a pruned block after it,
-    since the refill completes inside the FFN's tiles.
+    over before its FFN; an unpruned block's attention tiles write it
+    beside the residual sum, and a pruned block's write its kept rows
+    before the refill completes it. ``sink.before()`` is called before the
+    block allocates it, and so before its attention runs, so the caller
+    can free memory first, and ``sink.take(attention)`` as soon as it is
+    complete.
 
     Only the spatial block reports the semantic map [F, V, H, W], the
     mean weight each query puts on the prior token.
@@ -513,11 +534,9 @@ def axis_block(z: np.ndarray, axis: str, prior: np.ndarray, w: BlockParams,
             sequences(z), prior, w, counters, block=axis,
             residual_out=sequences(out),
             attention_out=None if sink is None else sequences(attention))
-        if sink is not None:
-            sink.take(attention)
         semantic = pw.reshape(f, v, h, ww) if axis == "spatial" else None
         # The FFN reads z + attention from out and writes over it.
-        z, attention, refill = out, None, None
+        z, addend = out, None
     else:
         if cached is None or cached.shape != z.shape:
             raise ShapeError(f"cached {axis} attention must have shape "
@@ -527,19 +546,10 @@ def axis_block(z: np.ndarray, axis: str, prior: np.ndarray, w: BlockParams,
                 or keep.dtype.kind not in "iu" or not 1 <= keep.shape[1] <= l):
             raise ShapeError(f"{axis} keep lists must be {g} rows of 1 to {l}"
                              f" integers, got {keep.dtype} {keep.shape}")
-        if (keep[:, 0].min() < 0 or keep[:, -1].max() >= l
-                or np.any(keep[:, 1:] <= keep[:, :-1])):
-            raise ParameterError(f"{axis} keep rows must be strictly "
-                                 f"increasing within [0, {l})")
+        # A uint64 position of 2^63 or more turns negative here, which the
+        # row grid's check refuses.
         keep = np.ascontiguousarray(keep, dtype=np.int64)
-        groups = np.arange(g)[:, None]
-        # Sequence (o, i) of the pruned grid is the latent rows of kept
-        # position keep[o, i] along the attended axis, then its prior row.
-        seq_rows = np.arange(f * v * l).reshape(grid).transpose(
-            axes[:3])[groups, keep]
-        rows = np.concatenate((seq_rows, (groups * l + keep)[..., None]),
-                              axis=2)
-        del seq_rows
+        rows, owner = _row_grid(keep, axis, f, v, l)
 
         def flat(a: np.ndarray) -> np.ndarray:
             return np.ascontiguousarray(a, dtype=np.float64).reshape(-1, c)
@@ -547,28 +557,26 @@ def axis_block(z: np.ndarray, axis: str, prior: np.ndarray, w: BlockParams,
         if sink is not None:
             sink.before()
         attention = np.empty(z.shape)
+        entry = flat(attention)
         axis_attention(flat(z), flat(prior), w, counters, block=axis,
-                       attention_out=flat(attention), rows=rows)
+                       attention_out=entry, rows=rows)
         del rows
-        # The (f, v) slab of latent rows r // l keeps the positions of its
-        # frame's keep row (camera) or its view's (motion).
-        owner = np.indices((f, v))[axes[0]].ravel()
         old = flat(cached)
-        # Each array stays alive, as a local, until the FFN has returned.
-        arrays = (attention.ctypes.data, old.ctypes.data, keep.ctypes.data,
+        arrays = (entry.ctypes.data, old.ctypes.data, keep.ctypes.data,
                   owner.ctypes.data, keep.shape[1], l, c)
 
         def refill(i: int, j: int) -> None:
             _kernels.refill_rows(*arrays, i, j)
 
-        semantic = None
+        run_tiles(tiles(len(entry)), refill)
+        semantic, addend = None, attention
 
+    if sink is not None:
+        sink.take(attention)
     if counters is not None:
         # Modeled as a full-size attention array whether or not one is made.
         counters.acquire_workspace(z.size)
-    out = ffn(z, w, counters, addend=attention, before_tile=refill, out=out)
-    if keep is not None and sink is not None:
-        sink.take(attention)
+    out = ffn(z, w, counters, addend=addend, out=out)
     return BlockOutput(out=out, semantic=semantic)
 
 

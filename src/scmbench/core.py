@@ -8,13 +8,13 @@ hold on any machine:
 
 * numpy's OpenBLAS is pinned to one thread, process-wide, when this module
   is imported, so every matmul row is computed in one fixed order;
-* a tile is the only unit of work: attention, FFN (which also runs the
-  pruned blocks' cache refill), mixing and the sampler's update cut their
-  whole range into tiles of about :data:`_TILE_TOKENS` (512) tokens
+* a tile is the only unit of work: attention, the pruned blocks' cache
+  refill, FFN, mixing and the sampler's update cut their whole range into
+  tiles of about :data:`_TILE_TOKENS` (512) tokens
   (:func:`tiles`), with every temporary a plain array sized by the tile
   and freed with it, so a thread's working set is bounded by the tile,
-  not by the latent; :class:`Rng` likewise draws in chunks straight
-  into its output;
+  not by the latent; :class:`Rng`'s normals likewise draw in chunks
+  straight into their output;
 * :func:`run_tiles` hands a stage's tiles out one at a time from one
   queue, which one thread per CPU in the process's affinity set drains;
   :func:`run_aside` runs one whole job, such as a cosine's dots, on the
@@ -24,13 +24,17 @@ hold on any machine:
   ``OPENBLAS_NUM_THREADS``.
 
 The elementwise arithmetic of softmax, GELU, the query scaling and
-mixing's reflect average, and pruning's keep-list selection, kept-row
-copies and refill, run in ``_kernels.c``, compiled with gcc on first
+mixing's reflect average, the random stream's words, and pruning's
+keep-list selection, keep-list check, row grid, kept-row copies and
+refill, run in ``_kernels.c``, compiled with gcc on first
 import (see :func:`_load_kernels`) and called through ``ctypes``, which
 releases the GIL for each call, so the drainers run kernels at once.
 Each kernel computes every element with the same operations in the same
 order as the numpy expression it replaced, so the results are bit for bit
-the same; ``np.exp``, ``np.tanh`` and every matmul stay in numpy.
+the same; ``np.exp``, ``np.tanh``, Box-Muller's ``np.log``, ``np.cos``
+and ``np.sin`` and every matmul stay in numpy. So a run calls none of
+numpy's integer ufuncs, reductions, casts or fancy indexing, and never
+pages in that code.
 
 All array values flowing through public operations are finite; callers can
 assert this cheaply with :func:`assert_finite`.
@@ -148,13 +152,11 @@ class CostCounters:
         return self.flops_attention + self.flops_ffn + self.flops_mixing
 
 
-# SplitMix64 constants.
-_GAMMA = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
-_U53 = 2.0 ** -53
-# Values drawn per pass of Rng.uniform and Rng.normal (even, so a normal
-# chunk is whole pairs): its temporaries are a few chunk-sized arrays.
+# SplitMix64's state increment, and the stream state's modulus.
+_GAMMA = 0x9E3779B97F4A7C15
+_U64 = 1 << 64
+# Values drawn per pass of Rng.normal (even, so a chunk is whole pairs):
+# its temporaries are a few chunk-sized arrays.
 _DRAW_CHUNK = 1 << 14
 
 
@@ -174,31 +176,26 @@ class Rng:
 
     The stream is a pure function of the seed: draw ``i`` mixes state
     ``seed + (i+1) * GAMMA`` (mod 2^64), so batches of any size produce the
-    same sequence as one-at-a-time draws. Normals consume two 64-bit words
-    per pair and fill output arrays in row-major order.
+    same sequence as one-at-a-time draws. ``state`` is a Python integer,
+    the state of the last word drawn (the seed before any), and the
+    compiled kernels compute the words after it. Normals consume two
+    64-bit words per pair and fill output arrays in row-major order.
     """
 
     def __init__(self, seed: int):
-        self.state = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+        self.state = int(seed) % _U64
 
-    def next_u64(self, n: int) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            steps = (np.arange(1, n + 1, dtype=np.uint64)) * _GAMMA
-            z = self.state + steps
-            self.state = z[-1] if n else self.state
-            z = (z ^ (z >> np.uint64(30))) * _MIX1
-            z = (z ^ (z >> np.uint64(27))) * _MIX2
-            z = z ^ (z >> np.uint64(31))
-        return z
+    def _take(self, words: int) -> int:
+        """Advance the stream past ``words`` words; the state before."""
+        state = self.state
+        self.state = (state + words * _GAMMA) % _U64
+        return state
 
     def uniform(self, shape) -> np.ndarray:
         """i.i.d. uniforms in [0, 1) from the top 53 bits of each word."""
         n = _element_count(shape)
         out = np.empty(n)
-        for a in range(0, n, _DRAW_CHUNK):
-            b = min(a + _DRAW_CHUNK, n)
-            np.multiply((self.next_u64(b - a) >> np.uint64(11))
-                        .astype(np.float64), _U53, out=out[a:b])
+        _kernels.uniform_draws(out.ctypes.data, self._take(n), n)
         return out.reshape(shape)
 
     def normal(self, shape) -> np.ndarray:
@@ -211,11 +208,11 @@ class Rng:
         out = np.empty(n)
         for a in range(0, n, _DRAW_CHUNK):
             b = min(a + _DRAW_CHUNK, n)
-            words = self.next_u64(b - a + (b - a) % 2)
+            pairs = (b - a + 1) // 2
             # u1 in (0, 1] so log() is safe; u2 in [0, 1).
-            u1 = ((words[0::2] >> np.uint64(11)).astype(np.float64)
-                  + 1.0) * _U53
-            u2 = (words[1::2] >> np.uint64(11)).astype(np.float64) * _U53
+            u1, u2 = np.empty(pairs), np.empty(pairs)
+            _kernels.box_muller_inputs(u1.ctypes.data, u2.ctypes.data,
+                                       self._take(2 * pairs), pairs)
             r = np.sqrt(-2.0 * np.log(u1))
             theta = 2.0 * np.pi * u2
             np.multiply(r, np.cos(theta), out=out[a:b:2])
@@ -402,6 +399,11 @@ _SIGNATURES = {
     "scatter_rows": ([_PTR, _PTR, _PTR, _LEN, _LEN, _LEN], None),
     "refill_rows": ([_PTR, _PTR, _PTR, _PTR, _LEN, _LEN, _LEN, _LEN, _LEN],
                     None),
+    "uniform_draws": ([_PTR, ctypes.c_uint64, _LEN], None),
+    "box_muller_inputs": ([_PTR, _PTR, ctypes.c_uint64, _LEN], None),
+    "pruned_rows": ([_PTR, _PTR, _PTR, _LEN, _LEN, _LEN, _LEN, _LEN, _LEN],
+                    ctypes.c_int),
+    "rows_in_range": ([_PTR, _LEN, _LEN, _LEN, _LEN], ctypes.c_int),
 }
 
 
@@ -445,10 +447,16 @@ def _load_kernels(cache: Path = _KERNEL_CACHE, source: Path = _KERNEL_SOURCE,
     """The kernels of ``source`` compiled with ``flags``, loaded, each with
     its ctypes signature from ``_SIGNATURES``: softmax's two halves,
     GELU's two halves, mixing's reflect average, attention's query scaling
-    (``scale_queries``), and pruning's top-k selection (``row_topk``), the
-    kept rows' gather into a tile's keys and values (``gather_kv``) and
-    scatter of their attention into the new entry (``scatter_rows``), and
-    the refill of the entry's other rows from the cache (``refill_rows``).
+    (``scale_queries``), the random stream's uniforms (``uniform_draws``)
+    and Box-Muller inputs (``box_muller_inputs``), and pruning's top-k
+    selection (``row_topk``), keep-list check and row grid
+    (``pruned_rows``), row-bound check (``rows_in_range``), the kept rows'
+    gather into a tile's keys and values (``gather_kv``) and scatter of
+    their attention into the new entry (``scatter_rows``), and the refill
+    of the entry's other rows from the cache (``refill_rows``). The stream
+    kernels wrap their integer arithmetic modulo 2^64, as numpy's uint64
+    arithmetic does, and every conversion they make from a word to a
+    double is exact, so their bits are numpy's.
 
     The library lives in ``cache`` under a CRC-32 of the source, the flags
     and the CPU features (numpy's when ``features`` is None); it is built

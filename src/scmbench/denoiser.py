@@ -12,6 +12,7 @@ validates them.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -91,7 +92,8 @@ def cosine_schedule(total_steps: int) -> DiffusionSchedule:
     if total_steps < 1:
         raise ParameterError(f"total_steps must be >= 1, got {total_steps}")
     n = _element_count(total_steps + 1, "schedule points")
-    t = np.arange(n) / total_steps
+    # A float arange holds the same integers an int64 one would, exactly.
+    t = np.arange(float(n)) / total_steps
     return DiffusionSchedule(
         total_steps=total_steps,
         alpha=np.cos(0.5 * np.pi * t),
@@ -127,7 +129,7 @@ def build_toy_model(cfg: RunConfig) -> ToyModel:
     c = cfg.channels
     # Drawn a layer at a time, so no one draw would catch an oversized model.
     _element_count((cfg.layers, 25, c, c), "model weights")
-    scale = 1.0 / np.sqrt(c)
+    scale = 1.0 / math.sqrt(c)
     rng = Rng(cfg.seed)
 
     def block() -> BlockParams:
@@ -153,13 +155,19 @@ def build_toy_model(cfg: RunConfig) -> ToyModel:
 
 
 def _view_embedding(elevation_deg: float, azimuth_deg: float, c: int) -> np.ndarray:
-    """Sinusoidal embedding of the camera angles; equal angles, equal vector."""
-    e = np.deg2rad(elevation_deg)
-    a = np.deg2rad(azimuth_deg)
-    k = np.arange(c)
-    freq = (k // 4) + 1
-    phase = np.where(k % 4 < 2, e, a) * freq
-    return np.where(k % 2 == 0, np.sin(phase), np.cos(phase))
+    """Sinusoidal embedding of the camera angles; equal angles, equal vector.
+
+    Channel k turns at frequency k // 4 + 1, through the elevation when
+    k % 4 < 2 and the azimuth else, and takes the sine of that phase when
+    k is even and its cosine when odd. The channel arithmetic is on
+    Python integers, so no integer array is made.
+    """
+    e = float(np.deg2rad(elevation_deg))
+    a = float(np.deg2rad(azimuth_deg))
+    phase = np.array([(e if k % 4 < 2 else a) * (k // 4 + 1)
+                      for k in range(c)])
+    even = np.array([k % 2 == 0 for k in range(c)])
+    return np.where(even, np.sin(phase), np.cos(phase))
 
 
 def synth_priors(cfg: RunConfig, rng: Rng) -> PriorSet:
@@ -171,7 +179,7 @@ def synth_priors(cfg: RunConfig, rng: Rng) -> PriorSet:
     k_c = rng.normal((f, h, w, c))
     k_m = rng.normal((v, h, w, c))
     emb = np.stack([_view_embedding(30.0, azimuth, c)
-                    for azimuth in np.arange(v) * (360.0 / v)])
+                    for azimuth in np.arange(float(v)) * (360.0 / v)])
     k_s = k_s + emb[None, :, None, :]
     k_m = k_m + emb[:, None, None, :]
     return PriorSet(k_s=k_s, k_c=k_c, k_m=k_m)
@@ -279,9 +287,9 @@ def cached_chain_forward(
     zero-filled with ``zero_refill`` (degradation ablation; the cache is
     still maintained). Without it the step is dense.
 
-    Each block hands its attention over as soon as it is complete (see
-    :func:`attention.axis_block`): an unpruned block before its FFN, a
-    pruned one after it. The previous-step entry it supersedes, if any,
+    Each block hands its attention over as soon as it is complete, which
+    is before its FFN (see :func:`attention.axis_block`). The previous-step
+    entry it supersedes, if any,
     is emptied then, and its cosine against the new attention runs off
     the calling thread meanwhile (:meth:`RollingCache.supersede`); the
     next block waits for that cosine before it allocates its own

@@ -77,8 +77,10 @@ def identify_tokens(q_s: np.ndarray, ratio: float) -> TokenIndexSet:
     l = h * w
     k = token_count(h, w, ratio)
     flat = q_s.reshape(f, v, l)
-    i_c = _row_topk(flat.mean(axis=1), k)  # mean over views, per frame
-    i_m = _row_topk(flat.mean(axis=0), k)  # mean over frames, per view
+    # Each mean as np.mean takes it, a sum and then a divide, here by a
+    # float, so no integer count is cast.
+    i_c = _row_topk(np.add.reduce(flat, axis=1) / float(v), k)  # per frame
+    i_m = _row_topk(np.add.reduce(flat, axis=0) / float(f), k)  # per view
     return TokenIndexSet(i_c, i_m)
 
 

@@ -181,14 +181,38 @@ def chain_forward(
     return mo.out, (a_s, a_c, a_m)
 
 
-def normal_reference(seed: int, shape) -> np.ndarray:
-    """``Rng(seed).normal(shape)`` drawn in one pass: Box-Muller over every
-    pair at once, from the word stream of ``Rng.next_u64``."""
-    n = math.prod(shape) if isinstance(shape, tuple) else shape
-    pairs = (n + 1) // 2
-    words = Rng(seed).next_u64(2 * pairs)
+# SplitMix64's constants, in numpy's uint64 arithmetic, which wraps.
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+
+
+def words_reference(state: int, n: int) -> np.ndarray:
+    """The n SplitMix64 words after stream state ``state`` (a seed, or an
+    ``Rng``'s ``state``): word i mixes state + (i+1) * GAMMA, mod 2^64."""
+    with np.errstate(over="ignore"):
+        z = np.uint64(state) + np.arange(1, n + 1, dtype=np.uint64) * _GAMMA
+        z = (z ^ (z >> np.uint64(30))) * _MIX1
+        z = (z ^ (z >> np.uint64(27))) * _MIX2
+        return z ^ (z >> np.uint64(31))
+
+
+def box_muller_inputs_reference(state: int, pairs: int
+                                ) -> tuple[np.ndarray, np.ndarray]:
+    """Box-Muller's u1 in (0, 1] and u2 in [0, 1) from the words after
+    ``state``, two a pair."""
+    words = words_reference(state, 2 * pairs)
     u1 = ((words[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0 ** -53
     u2 = (words[1::2] >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+    return u1, u2
+
+
+def normal_reference(seed: int, shape) -> np.ndarray:
+    """``Rng(seed).normal(shape)`` drawn in one pass: Box-Muller over every
+    pair at once, from the word stream of :func:`words_reference`."""
+    n = math.prod(shape) if isinstance(shape, tuple) else shape
+    pairs = (n + 1) // 2
+    u1, u2 = box_muller_inputs_reference(seed, pairs)
     r = np.sqrt(-2.0 * np.log(u1))
     theta = 2.0 * np.pi * u2
     out = np.empty(2 * pairs)
@@ -200,7 +224,7 @@ def normal_reference(seed: int, shape) -> np.ndarray:
 def uniform_reference(seed: int, shape) -> np.ndarray:
     """``Rng(seed).uniform(shape)`` drawn in one pass."""
     n = math.prod(shape) if isinstance(shape, tuple) else shape
-    words = Rng(seed).next_u64(n)
+    words = words_reference(seed, n)
     return ((words >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
             ).reshape(shape)
 

@@ -12,7 +12,7 @@ from scmbench.core import PSNR_INF, _DRAW_CHUNK, softmax_last_inplace
 from scmbench.pruning import _row_topk
 from scmbench.errors import DegenerateInputError
 
-from conftest import normal_reference, uniform_reference
+from conftest import normal_reference, uniform_reference, words_reference
 
 
 # --- softmax --------------------------------------------------------------
@@ -134,8 +134,12 @@ GOLDEN_U64_SEED42 = [
 
 
 def test_rng_golden_sequence_seed42():
-    got = Rng(42).next_u64(16)
+    # The word reference gives the golden words, and the stream's uniforms
+    # are their top 53 bits.
+    got = words_reference(42, 16)
     assert [int(x) for x in got] == GOLDEN_U64_SEED42
+    assert Rng(42).uniform(16).tolist() == [(w >> 11) * 2.0 ** -53
+                                            for w in GOLDEN_U64_SEED42]
 
 
 def test_rng_determinism():
@@ -149,18 +153,27 @@ def test_rng_seed_separation():
 
 
 def test_rng_batching_invariance():
-    whole = Rng(77).next_u64(10)
+    # Words 3:10 follow the state the stream holds after 3 draws, and
+    # draws in batches are the draws of one pass.
+    whole = words_reference(77, 10)
     r = Rng(77)
-    parts = np.concatenate([r.next_u64(3), r.next_u64(7)])
+    first = r.uniform(3)
+    parts = np.concatenate([words_reference(77, 3),
+                            words_reference(r.state, 7)])
     assert np.array_equal(whole, parts)
+    assert np.array_equal(np.concatenate([first, r.uniform(7)]),
+                          Rng(77).uniform(10))
+    r = Rng(77)
+    assert np.array_equal(np.concatenate([r.normal(4), r.normal(6)]),
+                          Rng(77).normal(10))
 
 
-@pytest.mark.parametrize("seed", [0, 7919])
+@pytest.mark.parametrize("seed", [0, 7919, 2 ** 64 - 1])
 @pytest.mark.parametrize("shape", [
     1, 2, 3, _DRAW_CHUNK - 1, _DRAW_CHUNK, _DRAW_CHUNK + 1,
     2 * _DRAW_CHUNK + 3, RunConfig().latent_shape])
 def test_chunked_draws_match_one_pass_draws(seed, shape):
-    # The draws run a chunk at a time; the values, and the words the
+    # The normals run a chunk at a time; the values, and the words the
     # stream has consumed after them (two per normal pair), are those of
     # one pass.
     n = math.prod(shape) if isinstance(shape, tuple) else shape
@@ -170,7 +183,8 @@ def test_chunked_draws_match_one_pass_draws(seed, shape):
         rng = Rng(seed)
         got = getattr(rng, draw)(shape)
         assert got.tobytes() == reference(seed, shape).tobytes(), draw
-        assert rng.next_u64(1)[0] == Rng(seed).next_u64(used + 1)[-1], draw
+        assert (words_reference(rng.state, 1)[0]
+                == words_reference(seed, used + 1)[-1]), draw
 
 
 def test_randn_statistics():

@@ -11,18 +11,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scmbench import core
-from scmbench.attention import _gelu_inplace
-from scmbench.core import softmax_last_inplace
+from scmbench.attention import _gelu_inplace, _row_grid
+from scmbench.core import _DRAW_CHUNK, softmax_last_inplace
 from scmbench.denoiser import mixing
-from scmbench.errors import ShapeError
+from scmbench.errors import ParameterError, ShapeError
 
-from conftest import (assert_same_bits, gather_kv_reference, gelu,
-                      pruned_rows_reference, reflect_average_reference,
-                      refill_reference, row_topk_reference,
-                      scale_queries_reference, scatter_reference,
-                      softmax_reference)
+from conftest import (assert_same_bits, box_muller_inputs_reference,
+                      gather_kv_reference, gelu, pruned_rows_reference,
+                      reflect_average_reference, refill_reference,
+                      row_topk_reference, scale_queries_reference,
+                      scatter_reference, softmax_reference,
+                      uniform_reference)
 
 PACKAGE = Path(core.__file__).parent
 SIDES = (1, 2, 3, 16)
@@ -206,6 +209,83 @@ def pruned_kernel_outputs(kernels) -> list[np.ndarray]:
     return got
 
 
+# Stream states: small ones, 2^63 and past it, and the last before the
+# state wraps; and counts around a normal chunk, odd ones among them.
+STREAM_STATES = (0, 7919, 2 ** 63, 2 ** 63 + 12345678901234567, 2 ** 64 - 1)
+STREAM_COUNTS = (1, 2, 7, _DRAW_CHUNK - 1, _DRAW_CHUNK, _DRAW_CHUNK + 1)
+
+
+def uniforms_with(kernels, state: int, n: int) -> np.ndarray:
+    out = np.full(n, np.nan)
+    kernels.uniform_draws(out.ctypes.data, state, n)
+    return out
+
+
+def box_muller_with(kernels, state: int,
+                    pairs: int) -> tuple[np.ndarray, np.ndarray]:
+    u1, u2 = np.full(pairs, np.nan), np.full(pairs, np.nan)
+    kernels.box_muller_inputs(u1.ctypes.data, u2.ctypes.data, state, pairs)
+    return u1, u2
+
+
+def stream_outputs(kernels) -> list[np.ndarray]:
+    """Every stream case's uniforms, and its Box-Muller inputs for as many
+    pairs as a normal draw of that count makes."""
+    got = []
+    for state in STREAM_STATES:
+        for n in STREAM_COUNTS:
+            got.append(uniforms_with(kernels, state, n))
+            got += box_muller_with(kernels, state, (n + 1) // 2)
+    return got
+
+
+def grid_with(kernels, axis: str, keep: np.ndarray, f: int, v: int,
+              l: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """``pruned_rows``' return value, row grid and slab keep rows, each
+    array filled with -7 first, so that nothing written shows."""
+    n, slab_g, slab_j = (v, v, 1) if axis == "camera" else (f, 1, v)
+    keep = np.ascontiguousarray(keep, dtype=np.int64)
+    rows = np.full((*keep.shape, n + 1), -7, dtype=np.int64)
+    owner = np.full(f * v, -7, dtype=np.int64)
+    code = kernels.pruned_rows(rows.ctypes.data, owner.ctypes.data,
+                               keep.ctypes.data, *keep.shape, n, l, slab_g,
+                               slab_j)
+    return code, rows, owner
+
+
+def in_range_with(kernels, rows: np.ndarray, z_rows: int,
+                  prior_rows: int) -> int:
+    return kernels.rows_in_range(rows.ctypes.data, rows.size // rows.shape[-1],
+                                 rows.shape[-1] - 1, z_rows, prior_rows)
+
+
+def grid_outputs(kernels) -> list[np.ndarray]:
+    """Every pruned case's row grid and slab keep rows, and the bound
+    check's verdicts on its grid at its bounds and one row short of each."""
+    got = []
+    for axis, keep, f, v, l, _ in pruned_cases():
+        code, rows, owner = grid_with(kernels, axis, keep, f, v, l)
+        z_rows, prior_rows = f * v * l, keep.shape[0] * l
+        verdicts = [in_range_with(kernels, rows, *bounds)
+                    for bounds in ((z_rows, prior_rows),
+                                   (z_rows - 1, prior_rows),
+                                   (z_rows, prior_rows - 1))]
+        got += [rows, owner, np.array([code, *verdicts], dtype=np.int64)]
+    return got
+
+
+# The ways a keep row can be malformed, made from a well-formed [G, K]
+# keep list at L positions, each still integers of the same shape.
+_MALFORMED = {
+    "unsorted": lambda keep, l: keep[:, ::-1],
+    "duplicate": lambda keep, l: np.concatenate(
+        (keep[:, :1], keep[:, :-1]), axis=1),
+    "negative": lambda keep, l: keep - keep[:, :1] - 1,
+    "past-the-end": lambda keep, l: keep + (l - keep[:, -1:]),
+    "uint64-2^63": lambda keep, l: keep.astype(np.uint64) + np.uint64(2 ** 63),
+}
+
+
 # --- bits against the numpy references -------------------------------------
 
 def test_softmax_gives_the_numpy_bits():
@@ -276,6 +356,73 @@ def test_refill_rows_gives_the_numpy_rows():
                                          owner, l, tiles), want)
 
 
+def test_uniform_draws_give_the_numpy_bits():
+    for state in STREAM_STATES:
+        for n in STREAM_COUNTS:
+            assert_same_bits(uniforms_with(core._kernels, state, n),
+                             uniform_reference(state, n))
+
+
+def test_box_muller_inputs_give_the_numpy_bits():
+    for state in STREAM_STATES:
+        for n in STREAM_COUNTS:
+            pairs = (n + 1) // 2
+            got = box_muller_with(core._kernels, state, pairs)
+            for g, want in zip(got, box_muller_inputs_reference(state, pairs)):
+                assert_same_bits(g, want)
+
+
+@pytest.mark.parametrize("axis", ["camera", "motion"])
+@pytest.mark.parametrize("kept", ["one", "some", "all"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_row_grid_gives_the_numpy_rows(axis, kept, data):
+    f, v, h, w = (data.draw(st.integers(1, 4), label=name) for name in "fvhw")
+    l = h * w
+    k = {"one": 1, "all": l}.get(kept) or data.draw(st.integers(1, l),
+                                                    label="k")
+    keep = np.array([sorted(data.draw(st.sets(st.integers(0, l - 1),
+                                              min_size=k, max_size=k)))
+                     for _ in range(f if axis == "camera" else v)],
+                    dtype=np.int64)
+    rows, owner = _row_grid(keep, axis, f, v, l)
+    want_rows, want_owner = pruned_rows_reference(axis, keep, f, v, l)
+    assert rows.dtype == owner.dtype == np.int64
+    assert np.array_equal(rows, want_rows)
+    assert np.array_equal(owner, want_owner)
+
+
+@pytest.mark.parametrize("bad", sorted(_MALFORMED))
+@pytest.mark.parametrize("axis", ["camera", "motion"])
+def test_row_grid_refuses_a_malformed_keep_list(axis, bad):
+    # The check comes first: the kernel writes nothing for a bad list.
+    f, v, l = 2, 3, 16
+    keep = np.tile(np.array([1, 5, 15]), (f if axis == "camera" else v, 1))
+    malformed = np.ascontiguousarray(_MALFORMED[bad](keep, l), dtype=np.int64)
+    code, rows, owner = grid_with(core._kernels, axis, malformed, f, v, l)
+    assert code == -1
+    assert (rows == -7).all() and (owner == -7).all()
+    with pytest.raises(ParameterError, match="strictly increasing"):
+        _row_grid(malformed, axis, f, v, l)
+
+
+def test_rows_in_range_checks_each_bound():
+    for axis, keep, f, v, l, _ in pruned_cases():
+        rows, _ = pruned_rows_reference(axis, keep, f, v, l)
+        z_rows, prior_rows = f * v * l, keep.shape[0] * l
+        assert in_range_with(core._kernels, rows, z_rows, prior_rows) == 0
+        for bounds in ((rows[..., :-1].max(), prior_rows),
+                       (z_rows, rows[..., -1].max())):
+            assert in_range_with(core._kernels, rows, *bounds) == -1
+        for sign in (-1, 1):
+            for last in (False, True):
+                bad = rows.copy()
+                bad[-1, -1, -1 if last else 0] = (
+                    -1 if sign < 0 else (prior_rows if last else z_rows))
+                assert in_range_with(core._kernels, bad, z_rows,
+                                     prior_rows) == -1
+
+
 @pytest.mark.parametrize("h", SIDES)
 @pytest.mark.parametrize("w", SIDES)
 def test_mixing_is_the_matmul_then_the_reference_average(h, w):
@@ -311,6 +458,8 @@ def test_unoptimized_build_gives_the_same_bits(tmp_path):
         got += [topk_with(kernels, *case) for case in topk_inputs()]
         got += [scale_with(kernels, *case) for case in query_inputs()]
         got += pruned_kernel_outputs(kernels)
+        got += stream_outputs(kernels)
+        got += grid_outputs(kernels)
         runs.append(got)
     for shipped, unoptimized in zip(*runs):
         assert_same_bits(shipped, unoptimized)

@@ -22,9 +22,13 @@ from scmbench import (
     token_count,
 )
 
-from conftest import (chain_forward, config_at, make_setup, planted_latent,
-                      random_tokens_reference, row_topk_reference,
-                      with_attention)
+from scmbench import attention
+from scmbench.attention import AttentionSink
+
+from conftest import (assert_same_bits, chain_forward, config_at, make_setup,
+                      planted_latent, pruned_rows_reference,
+                      random_tokens_reference, refill_reference,
+                      row_topk_reference, with_attention)
 
 
 def complement(row, length):
@@ -238,6 +242,8 @@ _BAD_KEEP = {
     "duplicate": (lambda k: k[:, [0, 0, 2]], ParameterError),
     "negative": (lambda k: k - 2, ParameterError),
     "past-the-end": (lambda k: k + 1, ParameterError),
+    "uint64-2^63": (lambda k: k.astype(np.uint64) + np.uint64(2 ** 63),
+                    ParameterError),
     "row-short": (lambda k: k[:-1], ShapeError),
     "float": (lambda k: k.astype(float), ShapeError),
     "empty-rows": (lambda k: k[:, :0], ShapeError),
@@ -262,6 +268,40 @@ def test_pruned_block_rejects_a_bad_keep_list(block, bad):
     make, error = _BAD_KEEP[bad]
     with pytest.raises(error):
         forward(z, prior, w, TokenIndexSet(make(keep), make(keep)), cached)
+
+
+@pytest.mark.parametrize("block", ["camera", "motion"])
+def test_a_pruned_block_hands_its_entry_over_before_its_ffn(monkeypatch,
+                                                            block):
+    # The entry is whole once the refill stage has run: the kept rows'
+    # attention, which is the dense block's, and every other row from the
+    # cache, as the numpy refill reference copies them.
+    cfg = config_at(2, 3, 4, 4, 8, seed=104)
+    model, priors, z = make_setup(cfg)
+    forward, dense_forward, prior = {
+        "camera": (pruned_camera_forward, camera_forward, priors.k_c),
+        "motion": (pruned_motion_forward, motion_forward, priors.k_m)}[block]
+    w = getattr(model.layers[0].chain, block)
+    idx = identify_tokens(Rng(105).uniform((2, 3, 4, 4)), 0.4)
+    keep = idx.i_c if block == "camera" else idx.i_m
+    cached = Rng(106).normal(z.shape)
+    taken, ffn = [], attention.ffn
+
+    def ffn_after_the_hand_over(*args, **kwargs):
+        assert taken, "the FFN ran before the entry was handed over"
+        return ffn(*args, **kwargs)
+
+    monkeypatch.setattr(attention, "ffn", ffn_after_the_hand_over)
+    forward(z, prior, w, idx, cached,
+            sink=AttentionSink(lambda: None,
+                               lambda a: taken.append(a.copy())))
+    assert len(taken) == 1
+    _, want = with_attention(dense_forward, z, prior, w)
+    want = want.reshape(-1, 8)
+    _, owner = pruned_rows_reference(block, keep, 2, 3, 16)
+    refill_reference(want, cached.reshape(-1, 8), keep, owner, 16, 0,
+                     len(want))
+    assert_same_bits(taken[0].reshape(-1, 8), want)
 
 
 def test_pruned_chain_ratio_one_equals_dense():

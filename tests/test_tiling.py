@@ -76,7 +76,7 @@ def _tiled_outputs():
         got += [block.out, att]
     got.append(ffn(z, p, addend=addend))
     got.append(mixing(z, mix))
-    # the pruned blocks refill the cached attention inside the FFN's tiles
+    # the pruned blocks refill the cached attention in a stage of its own
     idx = identify_tokens(Rng(306).uniform((F, V, H, W)), 0.4)
     for forward, prior in ((pruned_camera_forward, (F, H, W, C)),
                            (pruned_motion_forward, (V, H, W, C))):

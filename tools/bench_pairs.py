@@ -11,8 +11,13 @@ arm: parent, change, serial in even pairs and the reverse in odd pairs.
 The serial arm is the change tree with a one-CPU affinity set (CPU 0, set
 on this process around the spawn and inherited by the child), so each
 stage has one drainer. Before the first pair, each tree's scmbench is
-imported once in a fresh interpreter (:func:`build_kernels`), so that no
-timed run's ``setup_s`` holds the build of its compiled kernels.
+compiled and imported once in a fresh interpreter (:func:`build_kernels`),
+which writes the bytecode of every module it imports into the tree's own
+``PYTHONPYCACHEPREFIX`` directory (:func:`bytecode_dir`), under
+``.bench_build/``. Each child of the tree is given that directory, so no
+timed run's ``setup_s`` or ``peak_rss_mb`` holds the build of the compiled
+kernels or a compile of the Python sources, whether or not the children
+may write bytecode.
 
 Per run it records ``run_s``, ``setup_s`` and ``peak_rss_mb`` as
 ``perfbench/run.py`` takes them, the child's CPU time
@@ -25,7 +30,8 @@ in every arm, must give the same final latent. A run that fails
 (``run.RunFailed``: a timeout, a bad exit or bad output) is recorded, as
 ``perfbench/run.py``'s ``measure`` records it, with its error under
 ``problems`` and no metrics, and the session goes on. The output holds
-the machine, with whether the children write bytecode, a SHA-256 of
+the machine, with whether the children write bytecode and each tree's
+bytecode directory, a SHA-256 of
 each tree's scmbench sources (its ``*.py`` and ``*.c`` files) with their
 Python and C line counts, every run and, per workload and seed, each
 arm's median and quartiles over the runs that ran, the parent's IQR, the
@@ -133,19 +139,36 @@ def source_lines(tree: Path) -> dict[str, int]:
     return lines
 
 
+def bytecode_dir(src: Path) -> Path:
+    """The ``PYTHONPYCACHEPREFIX`` of the children of the tree whose
+    sources are ``src``."""
+    return src.parent / ".bench_build" / "pycache"
+
+
 def build_kernels(src: Path) -> None:
     """Import the scmbench under ``src`` in a fresh interpreter, which
-    builds its compiled kernels if none of the current key are cached."""
-    subprocess.run([sys.executable, "-c", "import sys; "
-                    "sys.path.insert(0, sys.argv[1]); import scmbench",
-                    str(src)], check=True)
+    builds its compiled kernels if none of the current key are cached, and
+    compile all of its modules. The interpreter writes bytecode, into
+    :func:`bytecode_dir`, for every module it imports: scmbench's, numpy's
+    and the standard library's."""
+    env = {k: v for k, v in os.environ.items()
+           if k != "PYTHONDONTWRITEBYTECODE"}
+    env["PYTHONPYCACHEPREFIX"] = str(bytecode_dir(src))
+    subprocess.run([sys.executable, "-c", "import compileall, sys; "
+                    "sys.path.insert(0, sys.argv[1]); import scmbench; "
+                    "sys.exit(not compileall.compile_dir(sys.argv[2], "
+                    "quiet=1))", str(src), str(src / "scmbench")],
+                   env=env, check=True)
 
 
 def one_run(run, config: dict,
             serial: bool) -> tuple[dict, np.ndarray | None]:
     """One child run through ``run.spawn``, with its CPU and steal time;
-    a failed run gives only its ``problems`` and no latent."""
+    a failed run gives only its ``problems`` and no latent. The child
+    inherits its tree's bytecode directory as ``PYTHONPYCACHEPREFIX``."""
     affinity = os.sched_getaffinity(0)
+    prefix = os.environ.get("PYTHONPYCACHEPREFIX")
+    os.environ["PYTHONPYCACHEPREFIX"] = str(bytecode_dir(run.SRC))
     if serial:
         os.sched_setaffinity(0, {min(affinity)})
     try:
@@ -156,6 +179,10 @@ def one_run(run, config: dict,
         return {"problems": [str(exc)]}, None
     finally:
         os.sched_setaffinity(0, affinity)
+        if prefix is None:
+            del os.environ["PYTHONPYCACHEPREFIX"]
+        else:
+            os.environ["PYTHONPYCACHEPREFIX"] = prefix
     imported = Path(header["scmbench"]).relative_to(run.ROOT)
     return {"run_s": header["run_s"], "setup_s": header["setup_s"],
             "peak_rss_mb": header["peak_rss_mb"], "cpu_s": cpu1 - cpu0,
@@ -264,13 +291,16 @@ def main(argv: list[str]) -> int:
                                        "problems")}), flush=True)
     machine = run.machine(next((r["blas"] for r in runs if "blas" in r),
                                None))
-    # The children inherit this environment; one that may not write
-    # bytecode compiles scmbench's sources inside every run's setup_s.
+    # The children inherit this environment, and read their tree's
+    # bytecode from its directory.
     machine.update(cpu=cpu_model(), blas_build=blas_build(),
                    ram_gb=round(os.sysconf("SC_PAGE_SIZE")
                                 * os.sysconf("SC_PHYS_PAGES") / 2**30, 1),
                    child_writes_bytecode=not os.environ.get(
-                       "PYTHONDONTWRITEBYTECODE"))
+                       "PYTHONDONTWRITEBYTECODE"),
+                   child_bytecode_dirs={
+                       tree: str(bytecode_dir(modules[tree].SRC))
+                       for tree in ("parent", "change")})
     summary = {f"{w}/seed{s}": summarize(
         [r for r in runs if r["workload"] == w and r["seed"] == s])
         for s in (run.DEV_SEED, run.HOLDOUT_SEED) for w in run.WORKLOADS}

@@ -1,9 +1,11 @@
 """``tools/bench_pairs.py``'s summary of one workload and seed, and a
 whole session with one failed run, on synthetic runs; no child process is
-started."""
+started but in the bytecode test, which starts four bare interpreters."""
 
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -249,3 +251,58 @@ def test_the_machine_records_whether_children_write_bytecode(
         (tmp_path / tree / "src").mkdir(parents=True)
     machine = stub_session(tmp_path, monkeypatch)["machine"]
     assert machine["child_writes_bytecode"] is writes
+
+
+def test_each_trees_children_import_that_trees_compiled_files(tmp_path,
+                                                              monkeypatch):
+    # Each tree's package is compiled, then its source changes without a
+    # change of size or time stamp, so a child that imports the compiled
+    # file sees the first value and one that compiles the source the
+    # second.
+    for tree, value in (("parent", 1), ("change", 2)):
+        source = tmp_path / tree / "src" / "scmbench" / "__init__.py"
+        source.parent.mkdir(parents=True)
+        source.write_text(f"WHO = {value}\n")
+        bench_pairs.build_kernels(source.parent.parent)
+        stat = source.stat()
+        source.write_text(f"WHO = {value + 6}\n")
+        os.utime(source, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.delenv("PYTHONPYCACHEPREFIX", raising=False)
+    seen = {}
+
+    def child_of(root: Path) -> types.SimpleNamespace:
+        def spawn(spec, timeout):
+            # A child with this process's environment, as run.spawn's is.
+            who, cached = subprocess.run(
+                [sys.executable, "-c", "import sys; "
+                 "sys.path.insert(0, sys.argv[1]); import scmbench; "
+                 "print(scmbench.WHO, scmbench.__cached__)",
+                 str(root / "src")], capture_output=True, text=True,
+                check=True).stdout.split()
+            seen[root.name] = int(who), Path(cached)
+            return {"run_s": 1.0, "setup_s": 0.1, "peak_rss_mb": 9.0,
+                    "blas": None,
+                    "scmbench": str(root / "src" / "scmbench")}, None
+
+        return types.SimpleNamespace(ROOT=root, SRC=root / "src",
+                                     RunFailed=RunFailed, spawn=spawn)
+
+    for tree in ("parent", "change"):
+        bench_pairs.one_run(child_of(tmp_path / tree), {}, serial=False)
+    for tree, value in (("parent", 1), ("change", 2)):
+        who, cached = seen[tree]
+        assert who == value
+        assert cached.is_relative_to(
+            bench_pairs.bytecode_dir(tmp_path / tree / "src"))
+    assert "PYTHONPYCACHEPREFIX" not in os.environ
+
+
+def test_the_machine_records_each_trees_bytecode_dir(tmp_path, monkeypatch):
+    for tree in ("parent", "change"):
+        (tmp_path / tree / "src").mkdir(parents=True)
+    # stub_run gives both trees one root, so both read one directory
+    assert stub_session(tmp_path, monkeypatch)["machine"][
+        "child_bytecode_dirs"] == {
+            tree: str(tmp_path / ".bench_build" / "pycache")
+            for tree in ("parent", "change")}
