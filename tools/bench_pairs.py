@@ -30,8 +30,8 @@ in every arm, must give the same final latent. A run that fails
 (``run.RunFailed``: a timeout, a bad exit or bad output) is recorded, as
 ``perfbench/run.py``'s ``measure`` records it, with its error under
 ``problems`` and no metrics, and the session goes on. The output holds
-the machine, with whether the children write bytecode and each tree's
-bytecode directory, a SHA-256 of
+the machine, with whether the children write bytecode and where in its
+tree each child reads it, a SHA-256 of
 each tree's scmbench sources (its ``*.py`` and ``*.c`` files) with their
 Python and C line counts, every run and, per workload and seed, each
 arm's median and quartiles over the runs that ran, the parent's IQR, the
@@ -292,15 +292,14 @@ def main(argv: list[str]) -> int:
     machine = run.machine(next((r["blas"] for r in runs if "blas" in r),
                                None))
     # The children inherit this environment, and read their tree's
-    # bytecode from its directory.
+    # bytecode from its directory, named relative to the tree.
     machine.update(cpu=cpu_model(), blas_build=blas_build(),
                    ram_gb=round(os.sysconf("SC_PAGE_SIZE")
                                 * os.sysconf("SC_PHYS_PAGES") / 2**30, 1),
                    child_writes_bytecode=not os.environ.get(
                        "PYTHONDONTWRITEBYTECODE"),
-                   child_bytecode_dirs={
-                       tree: str(bytecode_dir(modules[tree].SRC))
-                       for tree in ("parent", "change")})
+                   child_bytecode_dir=str(
+                       bytecode_dir(run.SRC).relative_to(run.ROOT)))
     summary = {f"{w}/seed{s}": summarize(
         [r for r in runs if r["workload"] == w and r["seed"] == s])
         for s in (run.DEV_SEED, run.HOLDOUT_SEED) for w in run.WORKLOADS}

@@ -298,11 +298,9 @@ def test_each_trees_children_import_that_trees_compiled_files(tmp_path,
     assert "PYTHONPYCACHEPREFIX" not in os.environ
 
 
-def test_the_machine_records_each_trees_bytecode_dir(tmp_path, monkeypatch):
+def test_the_machine_records_where_children_read_bytecode(tmp_path,
+                                                          monkeypatch):
     for tree in ("parent", "change"):
         (tmp_path / tree / "src").mkdir(parents=True)
-    # stub_run gives both trees one root, so both read one directory
     assert stub_session(tmp_path, monkeypatch)["machine"][
-        "child_bytecode_dirs"] == {
-            tree: str(tmp_path / ".bench_build" / "pycache")
-            for tree in ("parent", "change")}
+        "child_bytecode_dir"] == ".bench_build/pycache"
