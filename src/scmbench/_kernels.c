@@ -18,10 +18,11 @@ compute SplitMix64 in uint64_t, which wraps modulo 2^64 as numpy's uint64
 arithmetic does, and turn each word's top 53 bits into a double: an
 integer below 2^53 converts exactly, and adding 1.0 to it or scaling it by
 2^-53 is exact too, so no rounding mode or order can change a bit. The
-keep-list check and row grid, the row-bound check, the top-k selection,
-the kept rows' gather and scatter and the refill only compare, add and
-copy integers and values, so a run calls none of numpy's integer,
-sort, search or fancy-indexing code.
+keep-list check and row grid, the row-bound check, the top-k selection
+and the kept rows' gather and scatter only compare, add and copy integers
+and values, so a run calls none of numpy's integer, sort, search or
+fancy-indexing code. A pruned block's entry starts as a copy of the
+cached entry, and scatter_rows writes its kept rows over it.
 */
 
 #include <stddef.h>
@@ -292,37 +293,6 @@ void scatter_rows(double *out, const double *att, const long long *rows,
             memcpy(out + rows[j] * c, att, bytes);
 }
 
-/* Rows i:j of a pruned block's attention out[][c] that no keep list
-   names, each from the same row of cached; the kept rows, which
-   scatter_rows wrote, are left as they are. Row r is position r % l of
-   slab r / l, which keeps positions keep[owner[r / l]][0:k], ascending.
-   Each run of cached rows between two kept ones is one copy. */
-void refill_rows(double *out, const double *cached, const long long *keep,
-                 const long long *owner, ptrdiff_t k, ptrdiff_t l,
-                 ptrdiff_t c, ptrdiff_t i, ptrdiff_t j)
-{
-    while (i < j) {
-        ptrdiff_t base = i - i % l, end = base + l < j ? base + l : j;
-        const long long *kept = keep + owner[i / l] * k;
-        ptrdiff_t a = 0, b = k;
-        while (a < b) {  /* a: the first kept position at or after row i */
-            ptrdiff_t mid = a + (b - a) / 2;
-            if (base + kept[mid] < i)
-                a = mid + 1;
-            else
-                b = mid;
-        }
-        for (; i < end; a++) {
-            ptrdiff_t next = a < k && base + kept[a] < end ? base + kept[a]
-                                                           : end;
-            memcpy(out + i * c, cached + i * c,
-                   (next - i) * c * sizeof(double));
-            i = next < end ? next + 1 : end;
-        }
-    }
-}
-
-
 /* SplitMix64's increment and output function: the word of state z. */
 #define GAMMA 0x9E3779B97F4A7C15u
 
@@ -358,16 +328,14 @@ void box_muller_inputs(double *u1, double *u2, uint64_t state,
     }
 }
 
-/* A pruned block's row grid rows[g][k][n + 1] and each slab's keep row
-   owner[], from keep[g][k], the kept positions of each of g groups among
-   l: sequence (r, i) is the latent rows of position keep[r][i] in slabs
-   r * slab_g + j * slab_j for j < n, then row r * l + keep[r][i] of the
-   prior, and slab r * slab_g + j * slab_j keeps keep[r]. Returns -1, with
-   nothing written, unless each keep row is strictly increasing within
-   [0, l). */
-int pruned_rows(long long *rows, long long *owner, const long long *keep,
-                ptrdiff_t g, ptrdiff_t k, ptrdiff_t n, ptrdiff_t l,
-                ptrdiff_t slab_g, ptrdiff_t slab_j)
+/* A pruned block's row grid rows[g][k][n + 1], from keep[g][k], the kept
+   positions of each of g groups among l: sequence (r, i) is the latent
+   rows of position keep[r][i] in slabs r * slab_g + j * slab_j for j < n,
+   then row r * l + keep[r][i] of the prior. Returns -1, with nothing
+   written, unless each keep row is strictly increasing within [0, l). */
+int pruned_rows(long long *rows, const long long *keep, ptrdiff_t g,
+                ptrdiff_t k, ptrdiff_t n, ptrdiff_t l, ptrdiff_t slab_g,
+                ptrdiff_t slab_j)
 {
     for (ptrdiff_t r = 0; r < g; r++)
         for (ptrdiff_t i = 0; i < k; i++) {
@@ -376,8 +344,6 @@ int pruned_rows(long long *rows, long long *owner, const long long *keep,
                 return -1;
         }
     for (ptrdiff_t r = 0; r < g; r++) {
-        for (ptrdiff_t j = 0; j < n; j++)
-            owner[r * slab_g + j * slab_j] = r;
         for (ptrdiff_t i = 0; i < k; i++) {
             long long x = keep[r * k + i];
             for (ptrdiff_t j = 0; j < n; j++)

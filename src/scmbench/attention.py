@@ -15,10 +15,10 @@ what drives token pruning downstream.
 
 All three blocks, dense or pruned, are one function, :func:`axis_block`,
 which attends through a transposed view of its input latent or, given a
-keep list, through a grid of the kept positions' rows of it, whose
-attention is written straight into the block's attention array; the
-other positions' attention is then refilled from a cached entry, as a
-stage of its own. Every block hands its attention over before its FFN.
+keep list, through a grid of the kept positions' rows of it. A pruned
+block's attention array starts as a copy of the cached entry, and the
+attention tiles write its kept rows over it. Every block hands its
+attention over before its FFN.
 
 Layout discipline: every batched matmul runs over identical-shaped slices
 regardless of batch size, which keeps pruned and dense paths bit-identical
@@ -439,27 +439,24 @@ _AXES = {"spatial": (0, 1, 2, 3), "camera": (0, 2, 1, 3),
 
 
 def _row_grid(keep: np.ndarray, axis: str, f: int, v: int,
-              l: int) -> tuple[np.ndarray, np.ndarray]:
+              l: int) -> np.ndarray:
     """The [G, K, n + 1] row grid of the camera or motion block of an
     [F, V, H, W, C] latent pruned to ``keep``, a C-contiguous int64 [G, K]
-    with L = H * W positions, and each (f, v) slab's keep row [F * V]:
-    sequence (o, i) is the latent rows of kept position keep[o, i] along
-    the attended axis, then its prior row. ParameterError, from the
-    compiled ``pruned_rows``, unless each keep row is strictly increasing
-    within [0, L).
+    with L = H * W positions: sequence (o, i) is the latent rows of kept
+    position keep[o, i] along the attended axis, then its prior row.
+    ParameterError, from the compiled ``pruned_rows``, unless each keep
+    row is strictly increasing within [0, L).
     """
     axes = _AXES[axis]
     g, k = keep.shape
     n = (f, v)[axes[2]]
     slab = (v, 1)  # the (f, v) slab grid's strides
     rows = np.empty((g, k, n + 1), dtype=np.int64)
-    owner = np.empty(f * v, dtype=np.int64)
-    if _kernels.pruned_rows(rows.ctypes.data, owner.ctypes.data,
-                            keep.ctypes.data, g, k, n, l, slab[axes[0]],
-                            slab[axes[2]]):
+    if _kernels.pruned_rows(rows.ctypes.data, keep.ctypes.data, g, k, n, l,
+                            slab[axes[0]], slab[axes[2]]):
         raise ParameterError(f"{axis} keep rows must be strictly "
                              f"increasing within [0, {l})")
-    return rows, owner
+    return rows
 
 
 def axis_block(z: np.ndarray, axis: str, prior: np.ndarray, w: BlockParams,
@@ -479,19 +476,17 @@ def axis_block(z: np.ndarray, axis: str, prior: np.ndarray, w: BlockParams,
     With ``keep`` [G, K], a list of 1 <= K <= H*W kept spatial positions
     per frame (camera) or per view (motion), integers strictly increasing
     within [0, H*W) in each row (checked), attention runs on the kept
-    positions only, in place: the block allocates its full-size attention
-    first, and :func:`axis_attention`, given the kept positions' latent
-    rows as an [G, K, n + 1] row grid (with each sequence's prior row
-    last), has each tile gather its sequences' rows of z into its keys and
-    values and write their attention over the same rows of that array. So
-    neither a K-size latent nor a K-size attention is made. Every other
-    row of the attention is then taken from ``cached``, which has the
-    latent's shape, as a tiled stage of its own: each tile copies the runs
-    of rows around the kept ones from ``cached``, in one pass of the
-    compiled ``refill_rows``, which reads the keep lists themselves. The
-    FFN then adds the whole attention to z. The keep-list check and the
-    row grid are the compiled ``pruned_rows`` (:func:`_row_grid`), so a
-    pruned block runs none of numpy's integer, sort or search code.
+    positions only, in place: the block's full-size attention starts as a
+    copy of ``cached``, which has the latent's shape, and
+    :func:`axis_attention`, given the kept positions' latent rows as an
+    [G, K, n + 1] row grid (with each sequence's prior row last), has each
+    tile gather its sequences' rows of z into its keys and values and
+    write their attention over the same rows of that copy. So neither a
+    K-size latent nor a K-size attention is made, and every other row
+    keeps the cached attention. The FFN then adds the whole attention to
+    z. The keep-list check and the row grid are the compiled
+    ``pruned_rows`` (:func:`_row_grid`), so a pruned block runs none of
+    numpy's integer, sort or search code.
 
     The block output goes to ``out``, or to a fresh array when ``out`` is
     None; z is written only when it is ``out``, which a caller passes only
@@ -499,11 +494,10 @@ def axis_block(z: np.ndarray, axis: str, prior: np.ndarray, w: BlockParams,
 
     A block given a ``sink`` hands its full-size, latent-ordered attention
     over before its FFN; an unpruned block's attention tiles write it
-    beside the residual sum, and a pruned block's write its kept rows
-    before the refill completes it. ``sink.before()`` is called before the
-    block allocates it, and so before its attention runs, so the caller
-    can free memory first, and ``sink.take(attention)`` as soon as it is
-    complete.
+    beside the residual sum, and a pruned block's write its kept rows over
+    the cached copy. ``sink.before()`` is called before the block
+    allocates it, and so before its attention runs, so the caller can free
+    memory first, and ``sink.take(attention)`` as soon as it is complete.
 
     Only the spatial block reports the semantic map [F, V, H, W], the
     mean weight each query puts on the prior token.
@@ -549,7 +543,7 @@ def axis_block(z: np.ndarray, axis: str, prior: np.ndarray, w: BlockParams,
         # A uint64 position of 2^63 or more turns negative here, which the
         # row grid's check refuses.
         keep = np.ascontiguousarray(keep, dtype=np.int64)
-        rows, owner = _row_grid(keep, axis, f, v, l)
+        rows = _row_grid(keep, axis, f, v, l)
 
         def flat(a: np.ndarray) -> np.ndarray:
             return np.ascontiguousarray(a, dtype=np.float64).reshape(-1, c)
@@ -557,18 +551,10 @@ def axis_block(z: np.ndarray, axis: str, prior: np.ndarray, w: BlockParams,
         if sink is not None:
             sink.before()
         attention = np.empty(z.shape)
-        entry = flat(attention)
+        np.copyto(attention, cached)
         axis_attention(flat(z), flat(prior), w, counters, block=axis,
-                       attention_out=entry, rows=rows)
+                       attention_out=flat(attention), rows=rows)
         del rows
-        old = flat(cached)
-        arrays = (entry.ctypes.data, old.ctypes.data, keep.ctypes.data,
-                  owner.ctypes.data, keep.shape[1], l, c)
-
-        def refill(i: int, j: int) -> None:
-            _kernels.refill_rows(*arrays, i, j)
-
-        run_tiles(tiles(len(entry)), refill)
         semantic, addend = None, attention
 
     if sink is not None:

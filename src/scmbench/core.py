@@ -8,13 +8,12 @@ hold on any machine:
 
 * numpy's OpenBLAS is pinned to one thread, process-wide, when this module
   is imported, so every matmul row is computed in one fixed order;
-* a tile is the only unit of work: attention, the pruned blocks' cache
-  refill, FFN, mixing and the sampler's update cut their whole range into
-  tiles of about :data:`_TILE_TOKENS` (512) tokens
-  (:func:`tiles`), with every temporary a plain array sized by the tile
-  and freed with it, so a thread's working set is bounded by the tile,
-  not by the latent; :class:`Rng`'s normals likewise draw in chunks
-  straight into their output;
+* a tile is the only unit of work: attention, FFN, mixing and the
+  sampler's update cut their whole range into tiles of about
+  :data:`_TILE_TOKENS` (512) tokens (:func:`tiles`), with every temporary
+  a plain array sized by the tile and freed with it, so a thread's
+  working set is bounded by the tile, not by the latent; :class:`Rng`'s
+  normals likewise draw in chunks straight into their output;
 * :func:`run_tiles` hands a stage's tiles out one at a time from one
   queue, which one thread per CPU in the process's affinity set drains;
   :func:`run_aside` runs one whole job, such as a cosine's dots, on the
@@ -25,10 +24,12 @@ hold on any machine:
 
 The elementwise arithmetic of softmax, GELU, the query scaling and
 mixing's reflect average, the random stream's words, and pruning's
-keep-list selection, keep-list check, row grid, kept-row copies and
-refill, run in ``_kernels.c``, compiled with gcc on first
-import (see :func:`_load_kernels`) and called through ``ctypes``, which
-releases the GIL for each call, so the drainers run kernels at once.
+keep-list selection, keep-list check, row grid and kept-row copies, run
+in ``_kernels.c``, compiled with gcc on first import (see
+:func:`_load_kernels`) and called through ``ctypes``, which releases the
+GIL for each call, so the drainers run kernels at once. A pruned block's
+entry starts as a copy of the cached entry, and the attention tiles write
+its kept rows.
 Each kernel computes every element with the same operations in the same
 order as the numpy expression it replaced, so the results are bit for bit
 the same; ``np.exp``, ``np.tanh``, Box-Muller's ``np.log``, ``np.cos``
@@ -397,11 +398,9 @@ _SIGNATURES = {
     "scale_queries": ([_PTR, _LEN, _LEN, _LEN, ctypes.c_double], None),
     "gather_kv": ([_PTR, _PTR, _PTR, _PTR, _LEN, _LEN, _LEN], None),
     "scatter_rows": ([_PTR, _PTR, _PTR, _LEN, _LEN, _LEN], None),
-    "refill_rows": ([_PTR, _PTR, _PTR, _PTR, _LEN, _LEN, _LEN, _LEN, _LEN],
-                    None),
     "uniform_draws": ([_PTR, ctypes.c_uint64, _LEN], None),
     "box_muller_inputs": ([_PTR, _PTR, ctypes.c_uint64, _LEN], None),
-    "pruned_rows": ([_PTR, _PTR, _PTR, _LEN, _LEN, _LEN, _LEN, _LEN, _LEN],
+    "pruned_rows": ([_PTR, _PTR, _LEN, _LEN, _LEN, _LEN, _LEN, _LEN],
                     ctypes.c_int),
     "rows_in_range": ([_PTR, _LEN, _LEN, _LEN, _LEN], ctypes.c_int),
 }
@@ -452,11 +451,11 @@ def _load_kernels(cache: Path = _KERNEL_CACHE, source: Path = _KERNEL_SOURCE,
     selection (``row_topk``), keep-list check and row grid
     (``pruned_rows``), row-bound check (``rows_in_range``), the kept rows'
     gather into a tile's keys and values (``gather_kv``) and scatter of
-    their attention into the new entry (``scatter_rows``), and the refill
-    of the entry's other rows from the cache (``refill_rows``). The stream
-    kernels wrap their integer arithmetic modulo 2^64, as numpy's uint64
-    arithmetic does, and every conversion they make from a word to a
-    double is exact, so their bits are numpy's.
+    their attention over the new entry, which starts as a copy of the
+    cached entry (``scatter_rows``). The stream kernels wrap their
+    integer arithmetic modulo 2^64, as numpy's uint64 arithmetic does,
+    and every conversion they make from a word to a double is exact, so
+    their bits are numpy's.
 
     The library lives in ``cache`` under a CRC-32 of the source, the flags
     and the CPU features (numpy's when ``features`` is None); it is built

@@ -104,20 +104,17 @@ def scale_queries_reference(qkv: np.ndarray, t: int, n: int,
 
 
 def pruned_rows_reference(axis: str, keep: np.ndarray, f: int, v: int,
-                          l: int) -> tuple[np.ndarray, np.ndarray]:
-    """A pruned block's row grid [G, K, n + 1] and per-slab keep row
-    [F * V], one entry at a time: camera sequence (f, i) is latent rows
-    (f, v', keep[f, i]) over the views v', motion sequence (v, i) rows
-    (f', v, keep[v, i]) over the frames f', each followed by prior row
-    (g, keep[g, i]); slab (f, v) keeps keep[f] (camera) or keep[v]."""
+                          l: int) -> np.ndarray:
+    """A pruned block's row grid [G, K, n + 1], one entry at a time:
+    camera sequence (f, i) is latent rows (f, v', keep[f, i]) over the
+    views v', motion sequence (v, i) rows (f', v, keep[v, i]) over the
+    frames f', each followed by prior row (g, keep[g, i])."""
     rows = []
     for g, kept in enumerate(keep.tolist()):
         slabs = ([g * v + vi for vi in range(v)] if axis == "camera"
                  else [fi * v + g for fi in range(f)])
         rows.append([[s * l + x for s in slabs] + [g * l + x] for x in kept])
-    owner = [fi if axis == "camera" else vi
-             for fi in range(f) for vi in range(v)]
-    return np.array(rows, dtype=np.int64), np.array(owner, dtype=np.int64)
+    return np.array(rows, dtype=np.int64)
 
 
 def gather_kv_reference(z: np.ndarray, prior: np.ndarray,
@@ -135,14 +132,14 @@ def scatter_reference(out: np.ndarray, att: np.ndarray,
     out[rows[..., :-1].ravel()] = att.reshape(-1, out.shape[1])
 
 
-def refill_reference(new: np.ndarray, cached: np.ndarray, keep: np.ndarray,
-                     owner: np.ndarray, l: int, i: int, j: int) -> None:
-    """Rows i:j of a pruned block's attention ``new`` [rows, C] that no
-    keep list names, from ``cached``: row r is position r % l of slab
-    r // l, which keeps ``keep[owner[r // l]]``."""
-    r = np.arange(i, j)
-    refilled = r[~(keep[owner[r // l]] == (r % l)[:, None]).any(axis=1)]
-    new[refilled] = cached[refilled]
+def entry_reference(cached: np.ndarray, attention: np.ndarray,
+                    rows: np.ndarray) -> np.ndarray:
+    """A pruned block's entry [rows, C]: the rows of ``cached``, with the
+    kept rows, those the row grid ``rows`` names, from ``attention``."""
+    entry = cached.copy()
+    kept = rows[..., :-1].ravel()
+    entry[kept] = attention[kept]
+    return entry
 
 
 def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:

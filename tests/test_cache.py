@@ -331,8 +331,8 @@ def test_a_block_frees_what_earlier_blocks_superseded_before_it_allocates(
     # size finds a free pool worker instead of queueing behind the cosine,
     # so no stage waits for it by the way: the block's own wait before it
     # allocates is what frees the entry that an earlier block superseded,
-    # ahead of its attention pass (unpruned) or its refill (pruned). The
-    # output and the log are those of a serial pass.
+    # ahead of its attention pass (unpruned) or its copy of the cached
+    # entry (pruned). The output and the log are those of a serial pass.
     model, priors, z = make_setup(config_at(2, 4, 16, 16, 16))
     chain = model.layers[0].chain
     select = (lambda q: identify_tokens(q, 0.5)) if pruned else None

@@ -48,6 +48,19 @@ def test_schedule_rejects_non_vp():
                           np.array([0.0, 0.5, 1.0]))
 
 
+@pytest.mark.parametrize("alpha, beta, message", [
+    # T points for total_steps T, one short
+    ([1.0, 0.0], [0.0, 1.0], "must have length"),
+    # variance preserving and monotone, but alpha[0] < 1
+    ([0.8, 0.6, 0.0], [0.6, 0.8, 1.0], "endpoints"),
+    # variance preserving, but alpha rises and beta falls
+    ([1.0, 0.6, 0.8], [0.0, 0.8, 0.6], "non-increasing"),
+], ids=["length", "endpoints", "monotone"])
+def test_schedule_rejects_what_each_check_names(alpha, beta, message):
+    with pytest.raises(ParameterError, match=message):
+        DiffusionSchedule(2, np.array(alpha), np.array(beta))
+
+
 def test_cosine_schedule_rejects_zero_steps():
     # t / total_steps would be 0/0: an all-NaN schedule
     with pytest.raises(ParameterError, match="total_steps"):

@@ -22,10 +22,9 @@ from scmbench.errors import ParameterError, ShapeError
 
 from conftest import (assert_same_bits, box_muller_inputs_reference,
                       gather_kv_reference, gelu, pruned_rows_reference,
-                      reflect_average_reference, refill_reference,
-                      row_topk_reference, scale_queries_reference,
-                      scatter_reference, softmax_reference,
-                      uniform_reference)
+                      reflect_average_reference, row_topk_reference,
+                      scale_queries_reference, scatter_reference,
+                      softmax_reference, uniform_reference)
 
 PACKAGE = Path(core.__file__).parent
 SIDES = (1, 2, 3, 16)
@@ -127,8 +126,8 @@ def query_inputs() -> list[tuple[np.ndarray, int, int]]:
 def pruned_cases() -> list[tuple]:
     """(axis, keep, f, v, l, c) of pruned blocks: random keep lists, one
     kept position, all H*W kept, and kept positions only in each slab's
-    last half, so that a tile of a slab's first half holds none; among
-    them one frame and one view, whose sequences are one row."""
+    last half; among them one frame and one view, whose sequences are one
+    row."""
     rng = np.random.default_rng(5)
     cases = []
     for f, v, l, c in ((2, 3, 10, 3), (3, 2, 16, 64), (1, 4, 6, 1),
@@ -145,16 +144,15 @@ def pruned_cases() -> list[tuple]:
 
 
 def pruned_arrays(case) -> tuple:
-    """(z, prior, rows, owner, att, cached, l) of a pruned case: a latent,
-    its priors, the row grid, each slab's keep row, the kept sequences'
-    attention and a cached entry."""
+    """(z, prior, rows, att) of a pruned case: a latent, its priors, the
+    row grid and the kept sequences' attention."""
     axis, keep, f, v, l, c = case
     rng = np.random.default_rng(keep.size + f)
-    rows, owner = pruned_rows_reference(axis, keep, f, v, l)
-    z, cached = (rng.standard_normal((f * v * l, c)) for _ in range(2))
+    rows = pruned_rows_reference(axis, keep, f, v, l)
+    z = rng.standard_normal((f * v * l, c))
     prior = rng.standard_normal((keep.shape[0] * l, c))
     att = rng.standard_normal((*rows.shape[:2], rows.shape[2] - 1, c))
-    return z, prior, rows, owner, att, cached, l
+    return z, prior, rows, att
 
 
 def gather_with(kernels, z, prior, rows) -> np.ndarray:
@@ -176,36 +174,13 @@ def scatter_with(kernels, att, rows, out) -> np.ndarray:
     return new
 
 
-def refill_tiles(rows: int, l: int) -> list[list[tuple[int, int]]]:
-    """Whole, one row per tile, tiles of a slab's first half, and tiles
-    across slab bounds."""
-    half = max(1, l // 2)
-    return [[(0, rows)], [(r, r + 1) for r in range(rows)],
-            [(r, min(r + half, rows)) for r in range(0, rows, half)],
-            [(0, l + 1), (l + 1, rows)] if rows > l + 1 else [(0, rows)]]
-
-
-def refill_with(kernels, start, cached, keep, owner, l, tiles) -> np.ndarray:
-    new = start.copy()
-    for i, j in tiles:
-        kernels.refill_rows(new.ctypes.data, cached.ctypes.data,
-                            keep.ctypes.data, owner.ctypes.data,
-                            keep.shape[1], l, cached.shape[1], i, j)
-    return new
-
-
 def pruned_kernel_outputs(kernels) -> list[np.ndarray]:
-    """Every pruned case's gather, scatter over a NaN entry, and refill
-    of that entry at every tiling."""
+    """Every pruned case's gather, and scatter over a NaN entry."""
     got = []
     for case in pruned_cases():
-        keep = case[1]
-        z, prior, rows, owner, att, cached, l = pruned_arrays(case)
+        z, prior, rows, att = pruned_arrays(case)
         got.append(gather_with(kernels, z, prior, rows))
-        entry = scatter_with(kernels, att, rows, np.full_like(z, np.nan))
-        got.append(entry)
-        got += [refill_with(kernels, entry, cached, keep, owner, l, tiles)
-                for tiles in refill_tiles(len(z), l)]
+        got.append(scatter_with(kernels, att, rows, np.full_like(z, np.nan)))
     return got
 
 
@@ -240,17 +215,15 @@ def stream_outputs(kernels) -> list[np.ndarray]:
 
 
 def grid_with(kernels, axis: str, keep: np.ndarray, f: int, v: int,
-              l: int) -> tuple[int, np.ndarray, np.ndarray]:
-    """``pruned_rows``' return value, row grid and slab keep rows, each
-    array filled with -7 first, so that nothing written shows."""
+              l: int) -> tuple[int, np.ndarray]:
+    """``pruned_rows``' return value and row grid, filled with -7 first,
+    so that nothing written shows."""
     n, slab_g, slab_j = (v, v, 1) if axis == "camera" else (f, 1, v)
     keep = np.ascontiguousarray(keep, dtype=np.int64)
     rows = np.full((*keep.shape, n + 1), -7, dtype=np.int64)
-    owner = np.full(f * v, -7, dtype=np.int64)
-    code = kernels.pruned_rows(rows.ctypes.data, owner.ctypes.data,
-                               keep.ctypes.data, *keep.shape, n, l, slab_g,
-                               slab_j)
-    return code, rows, owner
+    code = kernels.pruned_rows(rows.ctypes.data, keep.ctypes.data,
+                               *keep.shape, n, l, slab_g, slab_j)
+    return code, rows
 
 
 def in_range_with(kernels, rows: np.ndarray, z_rows: int,
@@ -260,17 +233,17 @@ def in_range_with(kernels, rows: np.ndarray, z_rows: int,
 
 
 def grid_outputs(kernels) -> list[np.ndarray]:
-    """Every pruned case's row grid and slab keep rows, and the bound
-    check's verdicts on its grid at its bounds and one row short of each."""
+    """Every pruned case's row grid, and the bound check's verdicts on it
+    at its bounds and one row short of each."""
     got = []
     for axis, keep, f, v, l, _ in pruned_cases():
-        code, rows, owner = grid_with(kernels, axis, keep, f, v, l)
+        code, rows = grid_with(kernels, axis, keep, f, v, l)
         z_rows, prior_rows = f * v * l, keep.shape[0] * l
         verdicts = [in_range_with(kernels, rows, *bounds)
                     for bounds in ((z_rows, prior_rows),
                                    (z_rows - 1, prior_rows),
                                    (z_rows, prior_rows - 1))]
-        got += [rows, owner, np.array([code, *verdicts], dtype=np.int64)]
+        got += [rows, np.array([code, *verdicts], dtype=np.int64)]
     return got
 
 
@@ -327,33 +300,18 @@ def test_scale_queries_gives_the_numpy_bits():
 
 def test_gather_kv_gives_the_numpy_rows():
     for case in pruned_cases():
-        z, prior, rows, *_ = pruned_arrays(case)
+        z, prior, rows, _ = pruned_arrays(case)
         assert_same_bits(gather_with(core._kernels, z, prior, rows),
                          gather_kv_reference(z, prior, rows))
 
 
 def test_scatter_rows_writes_only_the_kept_rows():
     for case in pruned_cases():
-        z, _, rows, _, att, *_ = pruned_arrays(case)
+        z, _, rows, att = pruned_arrays(case)
         want = np.full_like(z, np.nan)
         scatter_reference(want, att, rows)
         assert_same_bits(scatter_with(core._kernels, att, rows,
                                       np.full_like(z, np.nan)), want)
-
-
-def test_refill_rows_gives_the_numpy_rows():
-    # The kept rows stay as the scatter left them (NaN here), and every
-    # other row of each tile comes from the cache.
-    for case in pruned_cases():
-        keep = case[1]
-        z, _, rows, owner, _, cached, l = pruned_arrays(case)
-        start = np.full_like(z, np.nan)
-        for tiles in refill_tiles(len(z), l):
-            want = start.copy()
-            for i, j in tiles:
-                refill_reference(want, cached, keep, owner, l, i, j)
-            assert_same_bits(refill_with(core._kernels, start, cached, keep,
-                                         owner, l, tiles), want)
 
 
 def test_uniform_draws_give_the_numpy_bits():
@@ -385,11 +343,9 @@ def test_row_grid_gives_the_numpy_rows(axis, kept, data):
                                               min_size=k, max_size=k)))
                      for _ in range(f if axis == "camera" else v)],
                     dtype=np.int64)
-    rows, owner = _row_grid(keep, axis, f, v, l)
-    want_rows, want_owner = pruned_rows_reference(axis, keep, f, v, l)
-    assert rows.dtype == owner.dtype == np.int64
-    assert np.array_equal(rows, want_rows)
-    assert np.array_equal(owner, want_owner)
+    rows = _row_grid(keep, axis, f, v, l)
+    assert rows.dtype == np.int64
+    assert np.array_equal(rows, pruned_rows_reference(axis, keep, f, v, l))
 
 
 @pytest.mark.parametrize("bad", sorted(_MALFORMED))
@@ -399,16 +355,16 @@ def test_row_grid_refuses_a_malformed_keep_list(axis, bad):
     f, v, l = 2, 3, 16
     keep = np.tile(np.array([1, 5, 15]), (f if axis == "camera" else v, 1))
     malformed = np.ascontiguousarray(_MALFORMED[bad](keep, l), dtype=np.int64)
-    code, rows, owner = grid_with(core._kernels, axis, malformed, f, v, l)
+    code, rows = grid_with(core._kernels, axis, malformed, f, v, l)
     assert code == -1
-    assert (rows == -7).all() and (owner == -7).all()
+    assert (rows == -7).all()
     with pytest.raises(ParameterError, match="strictly increasing"):
         _row_grid(malformed, axis, f, v, l)
 
 
 def test_rows_in_range_checks_each_bound():
     for axis, keep, f, v, l, _ in pruned_cases():
-        rows, _ = pruned_rows_reference(axis, keep, f, v, l)
+        rows = pruned_rows_reference(axis, keep, f, v, l)
         z_rows, prior_rows = f * v * l, keep.shape[0] * l
         assert in_range_with(core._kernels, rows, z_rows, prior_rows) == 0
         for bounds in ((rows[..., :-1].max(), prior_rows),
@@ -433,36 +389,88 @@ def test_mixing_is_the_matmul_then_the_reference_average(h, w):
                      reflect_average_reference(y).reshape(z.shape))
 
 
+def kernel_outputs(kernels) -> list[np.ndarray]:
+    """What every kernel of ``kernels`` gives on the reference cases."""
+    got = []
+    for x in softmax_inputs():
+        x = np.ascontiguousarray(x)
+        a, n = x.copy(), x.shape[-1]
+        kernels.softmax_sub_max(a.ctypes.data, a.size // n, n)
+        b = x.copy()
+        kernels.softmax_div_sum(b.ctypes.data, b.size // n, n)
+        got += [a, b]
+    x = gelu_input()
+    t, y = np.empty_like(x), x.copy()
+    kernels.gelu_tanh_arg(x.ctypes.data, t.ctypes.data, x.size, 0.79)
+    got.append(t.copy())
+    np.tanh(t, out=t)
+    kernels.gelu_finish(y.ctypes.data, t.ctypes.data, x.size)
+    got.append(y)
+    got += [reflect_with(kernels, r) for r in reflect_inputs()]
+    got += [topk_with(kernels, *case) for case in topk_inputs()]
+    got += [scale_with(kernels, *case) for case in query_inputs()]
+    got += pruned_kernel_outputs(kernels)
+    got += stream_outputs(kernels)
+    got += grid_outputs(kernels)
+    return got
+
+
 def test_unoptimized_build_gives_the_same_bits(tmp_path):
     # At -O0 gcc neither vectorizes, contracts nor reorders anything, so
     # any of those in the shipped build would show here.
     plain = core._load_kernels(tmp_path, flags=("-O0", "-fPIC", "-shared"))
-    runs = []
-    for kernels in (core._kernels, plain):
-        got = []
-        for x in softmax_inputs():
-            x = np.ascontiguousarray(x)
-            a, n = x.copy(), x.shape[-1]
-            kernels.softmax_sub_max(a.ctypes.data, a.size // n, n)
-            b = x.copy()
-            kernels.softmax_div_sum(b.ctypes.data, b.size // n, n)
-            got += [a, b]
-        x = gelu_input()
-        t, y = np.empty_like(x), x.copy()
-        kernels.gelu_tanh_arg(x.ctypes.data, t.ctypes.data, x.size, 0.79)
-        got.append(t.copy())
-        np.tanh(t, out=t)
-        kernels.gelu_finish(y.ctypes.data, t.ctypes.data, x.size)
-        got.append(y)
-        got += [reflect_with(kernels, r) for r in reflect_inputs()]
-        got += [topk_with(kernels, *case) for case in topk_inputs()]
-        got += [scale_with(kernels, *case) for case in query_inputs()]
-        got += pruned_kernel_outputs(kernels)
-        got += stream_outputs(kernels)
-        got += grid_outputs(kernels)
-        runs.append(got)
-    for shipped, unoptimized in zip(*runs):
+    for shipped, unoptimized in zip(kernel_outputs(core._kernels),
+                                    kernel_outputs(plain)):
         assert_same_bits(shipped, unoptimized)
+
+
+# The kernels built with gcc's address and undefined-behaviour sanitizers,
+# which end the process at the first report; -O1 and the frame pointer
+# keep a report's stack readable.
+SANITIZED = ("-O1", "-g", "-fno-omit-frame-pointer",
+             "-fsanitize=address,undefined", "-fno-sanitize-recover=all",
+             "-ffp-contract=off", "-fPIC", "-shared")
+
+# A process that puts the sanitized kernels in place of the shipped ones
+# in every module that calls them, runs each kernel on the reference
+# cases, and runs every mode at small dims keeping one position and all.
+SANITIZED_RUN = """
+import sys
+from pathlib import Path
+sys.path[:0] = [{tests!r}, {src!r}]
+from scmbench import attention, core, denoiser, pruning, run_benchmark
+from scmbench.scheduler import MODE_TABLE
+from conftest import config_at
+from test_kernels import SANITIZED, kernel_outputs
+
+kernels = core._load_kernels(Path({cache!r}), flags=SANITIZED)
+for module in (core, attention, pruning, denoiser):
+    module._kernels = kernels
+kernel_outputs(kernels)
+for mode in MODE_TABLE:
+    for ratio in (1 / 16, 1.0):
+        run_benchmark(config_at(2, 2, 4, 4, 8, layers=3, steps=6, mode=mode,
+                                topk_ratio=ratio))
+"""
+
+
+def test_the_kernels_stay_inside_their_arrays_under_a_sanitizer(tmp_path):
+    found = subprocess.run(["gcc", "-print-file-name=libasan.so"],
+                           capture_output=True, text=True).stdout.strip()
+    asan = Path(found)
+    if not asan.is_absolute() or not asan.exists():
+        pytest.skip("gcc has no libasan.so")
+    code = SANITIZED_RUN.format(tests=str(Path(__file__).parent),
+                                src=str(PACKAGE.parent), cache=str(tmp_path))
+    # The sanitizer's runtime must load before anything else; Python
+    # itself is not built with it, so its leak report would be noise.
+    env = dict(os.environ, LD_PRELOAD=str(asan),
+               ASAN_OPTIONS="detect_leaks=0")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert "Sanitizer" not in done.stderr
+    assert "runtime error" not in done.stderr
 
 
 # --- the softmax contract --------------------------------------------------

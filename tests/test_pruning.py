@@ -26,8 +26,8 @@ from scmbench import attention
 from scmbench.attention import AttentionSink
 
 from conftest import (assert_same_bits, chain_forward, config_at, make_setup,
-                      planted_latent, pruned_rows_reference,
-                      random_tokens_reference, refill_reference,
+                      entry_reference, planted_latent,
+                      pruned_rows_reference, random_tokens_reference,
                       row_topk_reference, with_attention)
 
 
@@ -136,8 +136,8 @@ def test_random_tokens_are_the_per_row_argsort_draws(shape, ratio):
 
 @pytest.mark.parametrize("mode", ["prune-only", "random-prune"])
 def test_a_pruned_run_calls_no_numpy_sort_or_search(monkeypatch, mode):
-    # A prune step's keep lists and refill run in the compiled kernels, so
-    # it loads none of numpy's sort or search code.
+    # A prune step's keep lists and row grid run in the compiled kernels,
+    # so it loads none of numpy's sort or search code.
     def refuse(*args, **kwargs):
         raise AssertionError("numpy sort or search called")
 
@@ -273,9 +273,9 @@ def test_pruned_block_rejects_a_bad_keep_list(block, bad):
 @pytest.mark.parametrize("block", ["camera", "motion"])
 def test_a_pruned_block_hands_its_entry_over_before_its_ffn(monkeypatch,
                                                             block):
-    # The entry is whole once the refill stage has run: the kept rows'
-    # attention, which is the dense block's, and every other row from the
-    # cache, as the numpy refill reference copies them.
+    # The entry is whole before the FFN: the kept rows' attention, which
+    # is the dense block's, and every other row from the cache, as the
+    # numpy entry reference takes them.
     cfg = config_at(2, 3, 4, 4, 8, seed=104)
     model, priors, z = make_setup(cfg)
     forward, dense_forward, prior = {
@@ -296,11 +296,9 @@ def test_a_pruned_block_hands_its_entry_over_before_its_ffn(monkeypatch,
             sink=AttentionSink(lambda: None,
                                lambda a: taken.append(a.copy())))
     assert len(taken) == 1
-    _, want = with_attention(dense_forward, z, prior, w)
-    want = want.reshape(-1, 8)
-    _, owner = pruned_rows_reference(block, keep, 2, 3, 16)
-    refill_reference(want, cached.reshape(-1, 8), keep, owner, 16, 0,
-                     len(want))
+    _, dense = with_attention(dense_forward, z, prior, w)
+    want = entry_reference(cached.reshape(-1, 8), dense.reshape(-1, 8),
+                           pruned_rows_reference(block, keep, 2, 3, 16))
     assert_same_bits(taken[0].reshape(-1, 8), want)
 
 
